@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import multiprocessing.connection
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .cycles import (
@@ -42,14 +42,6 @@ SOLVERS = {
     "igasp": solve_igasp,
     "oracle": enumerate_stable,
 }
-
-
-@dataclass
-class RunReport:
-    solver: str
-    wall_time: float
-    answer_set_count: int
-    cycle_stats: tuple[int, int, int] | None = None
 
 
 def _load_program(path: str) -> Program:
@@ -159,27 +151,34 @@ def cmd_graph(args) -> int:
     return EXIT_MODELS
 
 
-def _bench_worker(text: str, solver: str, queue) -> None:
+def _bench_worker(text: str, solver: str, conn) -> None:
     program = parse_program(text)
     models = SOLVERS[solver](program)
-    queue.put([sorted(m) for m in models])
+    conn.send([sorted(m) for m in models])
 
 
 def _run_with_timeout(text: str, solver: str, timeout: float):
-    """(wall_time, models | None); None means the solver timed out."""
-    queue = multiprocessing.Queue()
-    proc = multiprocessing.Process(target=_bench_worker, args=(text, solver, queue))
+    """(wall_time, models | None); None means the solver timed out or failed.
+
+    The result is read before the child is joined: a child blocks on a
+    result larger than the pipe buffer until it is read."""
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    proc = multiprocessing.Process(target=_bench_worker, args=(text, solver, sender))
     start = time.perf_counter()
     proc.start()
-    proc.join(timeout)
+    sender.close()
+    models = None
+    if multiprocessing.connection.wait([receiver, proc.sentinel], timeout):
+        try:
+            models = receiver.recv()
+        except EOFError:  # the child exited without a result
+            pass
     elapsed = time.perf_counter() - start
-    if proc.is_alive():
+    if models is None:
         proc.terminate()
-        proc.join()
-        return elapsed, None
-    if proc.exitcode != 0:
-        return elapsed, None
-    return elapsed, queue.get()
+    proc.join()
+    receiver.close()
+    return elapsed, models
 
 
 def _bench_config(args) -> GenConfig:
@@ -224,7 +223,6 @@ def cmd_bench(args) -> int:
             program = gen_random(config)
             text = str(program)
             rules_total += len(program.rules)
-            stats = None
             try:
                 stats = cycle_stats(cnr_to_dg(build_cnr(program)))
                 even_total += stats[0]
@@ -237,8 +235,7 @@ def cmd_bench(args) -> int:
                 if models is None:
                     timeouts[solver] += 1
                 else:
-                    report = RunReport(solver, elapsed, len(models), stats)
-                    times[solver].append(report.wall_time)
+                    times[solver].append(elapsed)
                     results[solver] = models
             finished = sorted(results)
             for a, b in zip(finished, finished[1:]):
@@ -362,6 +359,16 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except OSError as err:
         print(str(err), file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print(
+            f"recursion limit hit ({sys.getrecursionlimit()} frames): "
+            "the input is nested too deeply",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
+    except Exception as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -88,25 +88,24 @@ def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     return sorted(virtual, key=lambda v: v.key)
 
 
-def _edge_signs(g: DepGraph, src: str, dst: str) -> list[bool]:
-    """Negative-flags of the parallel edges from src to dst, deterministic."""
-    flags = sorted(e.negative for e in g.out_edges(src) if e.dst == dst)
-    return flags
-
-
 def _node_cycles(v: VirtualNode, g: DepGraph):
     """Simple node cycles within the component, rotated to their smallest
     node, with the sign choices available on each hop."""
+    signs: dict[tuple[str, str], list[bool]] = {}
+    for m in sorted(v.members):
+        for e in g.out_edges(m):
+            if e.dst in v.members:
+                signs.setdefault((e.src, e.dst), []).append(e.negative)
+    for flags in signs.values():
+        flags.sort()
     sub = nx.DiGraph()
     sub.add_nodes_from(v.members)
-    sub.add_edges_from(
-        (e.src, e.dst) for e in g.edges if e.src in v.members and e.dst in v.members
-    )
+    sub.add_edges_from(signs)
     for node_cycle in nx.simple_cycles(sub):
         start = node_cycle.index(min(node_cycle))
         rotated = tuple(node_cycle[start:] + node_cycle[:start])
         hops = [
-            _edge_signs(g, rotated[i], rotated[(i + 1) % len(rotated)])
+            signs[rotated[i], rotated[(i + 1) % len(rotated)]]
             for i in range(len(rotated))
         ]
         yield rotated, hops

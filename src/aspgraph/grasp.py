@@ -1,16 +1,23 @@
 """Bottom-up solver over the transformed dependency graph.
 
-Solving walks the strongly-connected-component condensation in topological
-order. Each iteration fixes the current root nodes (unfixed regular roots
-default to False; virtual roots are broken into every stable labeling of
-their members), merges the per-root worlds, propagates the two value rules
+Solving walks the strongly-connected-component condensation layer by layer
+in topological order. The layers come from Kahn's algorithm: each handle (a
+regular node or a virtual node wrapping an SCC) counts its in-edges from
+other handles once, removing a layer decrements the counters of its
+successors, and the handles whose counter reaches zero form the next layer.
+
+Each layer's roots contribute small delta worlds holding only the values
+they add: an unfixed regular root defaults to False, and a virtual root is
+broken into every stable labeling of its members. The deltas of all roots
+are merged, each combination is applied to one copy of the parent world,
+and the two value rules
 
     (i)  a True node makes every positive out-neighbour True,
     (ii) a False node makes every negative out-neighbour True,
 
-transitively, and removes the roots from the view. A True demand arriving
-at a False node (in particular a constraint node) marks the world
-inconsistent; unsatisfiability shows up as zero surviving worlds.
+are propagated transitively from the roots. A True demand arriving at a
+False node (in particular a constraint node) marks the world inconsistent;
+unsatisfiability shows up as zero surviving worlds.
 """
 
 from __future__ import annotations
@@ -22,76 +29,71 @@ from .worlds import World, body_literal, eval_body, initial_world, node_bodies
 
 
 class GraphView:
-    """The not-yet-processed part of a graph, with SCCs wrapped."""
+    """The not-yet-processed part of a graph, with SCCs wrapped.
+
+    Handles are identified by their key (a regular node's name, a virtual
+    node's smallest member). Each live handle keeps the count of its live
+    in-edges from other handles; those at zero are the current roots.
+    """
 
     def __init__(self, g: DepGraph, virtual: list[VirtualNode] | None = None):
-        self.graph = g
         self.virtual = find_virtual_nodes(g) if virtual is None else virtual
-        self.handle_of: dict[str, object] = {}
+        key_of: dict[str, str] = {}
+        self._handles: dict[str, object] = {}
         for v in self.virtual:
+            key = v.key
+            self._handles[key] = v
             for m in v.members:
-                self.handle_of[m] = v
+                key_of[m] = key
         for n in g.nodes:
-            self.handle_of.setdefault(n, n)
-        self.alive: set[str] = set(g.nodes)
+            if n not in key_of:
+                key_of[n] = n
+                self._handles[n] = n
+        self._waiting = dict.fromkeys(self._handles, 0)
+        self._succ: dict[str, list[str]] = {key: [] for key in self._handles}
+        for n in g.nodes:
+            src = key_of[n]
+            for edge in g.out_edges(n):
+                dst = key_of[edge.dst]
+                if dst != src:
+                    self._waiting[dst] += 1
+                    self._succ[src].append(dst)
+        self._ready = {key for key, count in self._waiting.items() if count == 0}
 
     def __bool__(self) -> bool:
-        return bool(self.alive)
+        return bool(self._succ)
 
     def remove(self, handles) -> None:
+        # The ready set is rebuilt rather than emptied: a set keeps its table
+        # size after deletions, and the next find_roots would iterate it.
+        ready = list(self._ready)
         for h in handles:
-            if isinstance(h, VirtualNode):
-                self.alive -= h.members
-            else:
-                self.alive.discard(h)
+            key = h.key if isinstance(h, VirtualNode) else h
+            for dst in self._succ.pop(key, ()):
+                self._waiting[dst] -= 1
+                if self._waiting[dst] == 0:
+                    ready.append(dst)
+        self._ready = {key for key in ready if key in self._succ}
 
 
 def find_roots(view: GraphView) -> list:
-    """Handles (regular nodes or virtual nodes) with no live in-edge.
+    """Handles (regular nodes or virtual nodes) with no live in-edge, in key
+    order.
 
     The condensation is acyclic, so a nonempty view always has roots; a
     rootless nonempty view signals a wrapping bug.
     """
-    g = view.graph
-    roots = []
-    seen = set()
-    for node in view.alive:
-        handle = view.handle_of[node]
-        key = handle.key if isinstance(handle, VirtualNode) else handle
-        if key in seen:
-            continue
-        seen.add(key)
-        in_edges = (
-            handle.boundary_in if isinstance(handle, VirtualNode) else g.in_edges(node)
-        )
-        if not any(e.src in view.alive for e in in_edges):
-            roots.append((key, handle))
-    if view.alive and not roots:
+    if view and not view._ready:
         raise RuntimeError("nonempty view has no roots: cycle wrapping is broken")
-    return [handle for _, handle in sorted(roots, key=lambda item: item[0])]
+    return [view._handles[key] for key in sorted(view._ready)]
 
 
-def _apply_removal(w: World, node: str, value: bool, g: DepGraph) -> None:
-    # True nodes no longer need in-edges and cannot fire negative out-edges;
-    # False nodes cannot fire positive out-edges. In-edges of False nodes
-    # are kept so inconsistency stays detectable.
-    if value:
-        w.removed.update(g.in_edges(node))
-        w.removed.update(e for e in g.out_edges(node) if e.sign is Sign.NEGATIVE)
-    else:
-        w.removed.update(e for e in g.out_edges(node) if e.sign is Sign.POSITIVE)
-
-
-def propagate(
-    node: str, value: bool, w: World, g: DepGraph, remove_edges: bool = True
-) -> World:
+def propagate(node: str, value: bool, w: World, g: DepGraph) -> World:
     """Transitively apply the propagation rules from one fixed node."""
     stack = [(node, value)]
     while stack and w.consistent:
         n, v = stack.pop()
         for edge in g.out_edges(n):
-            if edge in w.removed:
-                continue
             effective = (edge.sign is Sign.POSITIVE) == v
             if not effective:
                 continue
@@ -101,22 +103,20 @@ def propagate(
                 return w
             if current is None:
                 w.assign(edge.dst, True)
-                if remove_edges:
-                    _apply_removal(w, edge.dst, True, g)
                 stack.append((edge.dst, True))
     return w
 
 
 def fix_root(node: str, w: World) -> World:
-    """Default an unfixed regular root to False; fixed values are kept."""
-    if w.value(node) is None:
-        w.assign(node, False)
-    return w
+    """Delta world holding a regular root's value in w: an unfixed root
+    defaults to False, a fixed value is kept."""
+    value = w.value(node)
+    return World({node: False if value is None else value})
 
 
 def merge_root_worlds(per_root: list[list[World]]) -> list[World]:
-    """Cartesian merge of the worlds produced by each root this iteration;
-    combinations with conflicting assignments are dropped."""
+    """Cartesian merge of the delta worlds produced by each root this
+    iteration; combinations with conflicting assignments are dropped."""
     if not per_root:
         return []
     merged = per_root[0]
@@ -129,7 +129,6 @@ def merge_root_worlds(per_root: list[list[World]]) -> list[World]:
                     if not c.assign(node, value):
                         break
                 if c.consistent:
-                    c.removed |= b.removed
                     next_merged.append(c)
         merged = next_merged
         if not merged:
@@ -262,60 +261,57 @@ def _component_labelings(
     return results
 
 
-def break_cycles(
-    v: VirtualNode, g: DepGraph, w: World, remove_edges: bool = True
-) -> list[World]:
-    """Every extension of w that stably labels the virtual node's members.
+def break_cycles(v: VirtualNode, g: DepGraph, w: World) -> list[World]:
+    """Delta worlds of every stable labeling of the virtual node's members.
 
     Even cycles contribute their alternative labelings, odd cycles without a
     True member kill the candidate, and purely positive components get the
     all-False labeling (modulo externally forced members). Conjunction
-    members take the complement of their body's value.
+    members take the complement of their body's value. Each delta holds
+    member values only; labelings that contradict a value of w are dropped.
     """
+    conj_bodies = [
+        (member, tuple(body_literal(e, g.transformed) for e in g.in_edges(member)))
+        for member in sorted(v.members)
+        if node_kind(member) is NodeKind.CONJ
+    ]
     worlds = []
     for labeling in _component_labelings(v, g, w):
-        w2 = w.copy()
-        for atom, value in labeling.items():
-            w2.assign(atom, value)
-            if remove_edges:
-                _apply_removal(w2, atom, value, g)
-        value_of = lambda a: w2.value(a)
-        for member in sorted(v.members):
-            if node_kind(member) is not NodeKind.CONJ:
-                continue
-            body = tuple(body_literal(e, g.transformed) for e in g.in_edges(member))
-            value = not eval_body(body, value_of)
-            w2.assign(member, value)
-            if remove_edges:
-                _apply_removal(w2, member, value, g)
-        if w2.consistent:
-            worlds.append(w2)
+        value_of = lambda a: labeling[a] if a in labeling else w.value(a)
+        for member, body in conj_bodies:
+            labeling[member] = not eval_body(body, value_of)
+        if all(w.value(node) in (None, value) for node, value in labeling.items()):
+            worlds.append(World(labeling))
     return worlds
 
 
-def solve_graph(
-    g: DepGraph, remove_edges: bool = True, start: World | None = None
-) -> list[World]:
+def solve_graph(g: DepGraph, start: World | None = None) -> list[World]:
     """All completed consistent worlds of a transformed graph."""
     view = GraphView(g)
     worlds = [start.copy() if start is not None else initial_world(g)]
     while view and worlds:
         roots = find_roots(view)
+        order = [
+            node
+            for root in roots
+            for node in (sorted(root.members) if isinstance(root, VirtualNode) else [root])
+        ]
         survivors = []
         for w in worlds:
-            per_root: list[list[World]] = []
-            for root in roots:
-                if isinstance(root, VirtualNode):
-                    per_root.append(break_cycles(root, g, w, remove_edges))
-                else:
-                    per_root.append([fix_root(root, w.copy())])
-            for merged in merge_root_worlds(per_root):
-                for root in roots:
-                    nodes = sorted(root.members) if isinstance(root, VirtualNode) else [root]
-                    for node in nodes:
-                        if not merged.consistent:
-                            break
-                        propagate(node, merged.value(node), merged, g, remove_edges)
+            per_root = [
+                break_cycles(root, g, w) if isinstance(root, VirtualNode) else [fix_root(root, w)]
+                for root in roots
+            ]
+            deltas = merge_root_worlds(per_root)
+            for i, delta in enumerate(deltas):
+                # w is not needed after its last combination: extend it in place
+                merged = w if i == len(deltas) - 1 else w.copy()
+                for node, value in delta.values.items():
+                    merged.assign(node, value)
+                for node in order:
+                    if not merged.consistent:
+                        break
+                    propagate(node, merged.value(node), merged, g)
                 if merged.consistent:
                     survivors.append(merged)
         worlds = survivors
@@ -323,11 +319,11 @@ def solve_graph(
     return worlds
 
 
-def solve_grasp_worlds(program: Program, remove_edges: bool = True):
+def solve_grasp_worlds(program: Program):
     """Solve bottom-up; returns the transformed graph and completed worlds,
     ordered by their projected answer set."""
     g = cnr_to_dg(build_cnr(program))
-    worlds = solve_graph(g, remove_edges)
+    worlds = solve_graph(g)
     keyed = {}
     for w in worlds:
         keyed.setdefault(tuple(sorted(w.true_atoms(g))), w)
@@ -335,7 +331,7 @@ def solve_grasp_worlds(program: Program, remove_edges: bool = True):
     return g, ordered
 
 
-def solve_grasp(program: Program, remove_edges: bool = True) -> list[frozenset[str]]:
+def solve_grasp(program: Program) -> list[frozenset[str]]:
     """Answer sets of the program, sorted lexicographically as atom lists."""
-    g, worlds = solve_grasp_worlds(program, remove_edges)
+    g, worlds = solve_grasp_worlds(program)
     return [w.true_atoms(g) for w in worlds]

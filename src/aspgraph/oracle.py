@@ -78,7 +78,7 @@ def enumerate_stable(
     """
     atoms = sorted(program.atoms)
     if len(atoms) > atom_cap:
-        raise TooManyAtoms(f"{len(atoms)} atoms exceeds cap {atom_cap}")
+        raise TooManyAtoms(f"{len(atoms)} atoms exceed the oracle atom cap of {atom_cap}")
     stable = []
     for size in range(len(atoms) + 1):
         for subset in combinations(atoms, size):

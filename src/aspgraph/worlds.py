@@ -16,7 +16,6 @@ from .graph import DepGraph, Edge, NodeKind, Sign, node_kind
 class World:
     values: dict[str, bool] = field(default_factory=dict)
     consistent: bool = True
-    removed: set[Edge] = field(default_factory=set)
 
     def value(self, node: str) -> bool | None:
         return self.values.get(node)
@@ -33,7 +32,7 @@ class World:
         return True
 
     def copy(self) -> World:
-        return World(dict(self.values), self.consistent, set(self.removed))
+        return World(dict(self.values), self.consistent)
 
     def true_atoms(self, g: DepGraph) -> frozenset[str]:
         return frozenset(

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from aspgraph.cli import main
+from aspgraph.cli import _run_with_timeout, main
 from aspgraph.syntax import parse_program
 
 EVEN = "p :- not q. q :- not p.\n"
@@ -60,6 +61,27 @@ def test_solve_max_models(program_file, capsys):
 def test_solve_empty_answer_set_renders_braces(program_file, capsys):
     assert main(["solve", program_file("p :- q. q :- p.\n")]) == 0
     assert capsys.readouterr().out == "{}\n"
+
+
+def test_solve_oracle_atom_cap_exits_2(program_file, capsys):
+    text = "".join(f"a{i} :- not b{i}.\n" for i in range(12))
+    assert main(["solve", program_file(text), "--solver", "oracle"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "TooManyAtoms" in err and "atom cap" in err
+
+
+def test_justify_deep_chain_exits_2(program_file, capsys):
+    text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 3001))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # solve_igasp elsewhere raises it process-wide
+    try:
+        assert main(["justify", program_file(text), "a3000"]) == 2
+    finally:
+        sys.setrecursionlimit(limit)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "recursion limit" in err
 
 
 def test_query_positive(program_file, capsys):
@@ -187,3 +209,11 @@ def test_bench_text_table_header(tmp_path, capsys):
     ]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header.split("\t")[:4] == ["Round", "#Rules", "#EC", "#OC"]
+
+
+def test_run_with_timeout_reads_large_result():
+    # 4096 models: the pickled result is larger than a pipe buffer
+    text = "".join(f"p{i} :- not q{i}. q{i} :- not p{i}.\n" for i in range(12))
+    elapsed, models = _run_with_timeout(text, "grasp", 30.0)
+    assert models is not None
+    assert len(models) == 4096

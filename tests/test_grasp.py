@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from aspgraph.cycles import VirtualNode, find_virtual_nodes
 from aspgraph.graph import build_cnr, cnr_to_dg
 from aspgraph.grasp import (
@@ -69,6 +71,71 @@ def test_find_roots_empty_view():
     assert find_roots(view) == []
 
 
+def _brute_force_roots(g, view_virtual, removed):
+    """Keys of the live handles with no in-edge from a live node of
+    another handle."""
+    handle_of = {n: n for n in g.nodes}
+    for v in view_virtual:
+        for m in v.members:
+            handle_of[m] = v.key
+    live = {n for n in g.nodes if handle_of[n] not in removed}
+    roots = set()
+    for n in live:
+        handle = handle_of[n]
+        members = [m for m in live if handle_of[m] == handle]
+        if not any(
+            e.src in live and handle_of[e.src] != handle
+            for m in members
+            for e in g.in_edges(m)
+        ):
+            roots.add(handle)
+    return sorted(roots)
+
+
+def test_find_roots_matches_brute_force_every_layer():
+    rng = random.Random(25)
+    for _ in range(80):
+        g = transformed(random_program_text(rng, rng.randint(1, 9), rng.randint(1, 14)))
+        view = GraphView(g)
+        removed = set()
+        while True:
+            roots = find_roots(view)
+            keys = [r.key if isinstance(r, VirtualNode) else r for r in roots]
+            assert keys == _brute_force_roots(g, view.virtual, removed)
+            if not roots:
+                break
+            view.remove(roots)
+            removed.update(keys)
+        assert not view
+
+
+def test_rootless_view_raises():
+    g = transformed("p :- not q. q :- not p.")
+    view = GraphView(g, virtual=[])
+    with pytest.raises(RuntimeError, match="no roots"):
+        find_roots(view)
+
+
+def _chain(shape, n):
+    lines = ["a0."]
+    for i in range(1, n + 1):
+        if shape == "pos":
+            lines.append(f"a{i} :- a{i - 1}.")
+        else:
+            lines.append(f"a{i} :- a{i - 1}, not b{i}.")
+    return "\n".join(lines)
+
+
+def test_long_pos_chain_one_model():
+    (model,) = solve_grasp(parse_program(_chain("pos", 5000)))
+    assert model == {f"a{i}" for i in range(5001)}
+
+
+def test_long_mixed_chain_one_model():
+    (model,) = solve_grasp(parse_program(_chain("mixed", 5000)))
+    assert model == {f"a{i}" for i in range(5001)}
+
+
 def test_fix_root_defaults_unfixed_to_false():
     w = World()
     assert fix_root("q", w).value("q") is False
@@ -125,6 +192,29 @@ def test_break_cycles_even_pair():
         (True, False),
         (False, True),
     ]
+
+
+def test_break_cycles_drops_labeling_conflicting_with_world():
+    g = transformed("p :- not q. q :- not p.")
+    (v,) = find_virtual_nodes(g)
+    w = initial_world(g)
+    w.assign("p", False)
+    (delta,) = break_cycles(v, g, w)
+    assert delta.values == {"p": False, "q": True}
+
+
+def test_break_cycles_returns_member_values_only():
+    text = "s. t :- s. p :- not q, s. q :- not p."
+    g = transformed(text)
+    (v,) = find_virtual_nodes(g)
+    w = initial_world(g)
+    for node in ("s", "t"):
+        w.assign(node, True)
+    deltas = break_cycles(v, g, w)
+    assert len(deltas) == 2
+    for delta in deltas:
+        assert set(delta.values) == set(v.members)
+    assert models(text) == [["p", "s", "t"], ["q", "s", "t"]]
 
 
 def test_break_cycles_odd_dies():
@@ -210,15 +300,13 @@ def test_oracle_equivalence_random():
         assert solve_grasp(program) == enumerate_stable(program)
 
 
-def test_edge_removal_flag_equivalence():
+def test_oracle_equivalence_small_random():
     rng = random.Random(23)
     for _ in range(120):
         program = parse_program(
             random_program_text(rng, rng.randint(1, 7), rng.randint(1, 10))
         )
-        assert solve_grasp(program, remove_edges=True) == solve_grasp(
-            program, remove_edges=False
-        )
+        assert solve_grasp(program) == enumerate_stable(program)
 
 
 def test_stratification_matches_oracle_on_layered_programs():
