@@ -11,13 +11,18 @@ negation of each fact, and vacuous ":- a, not a." anchors that force a case
 split on a. Finished models are forward-propagated, totalized (atoms never
 reached default to False) and kept only if the resulting world passes the
 effective-edge/foundedness validation.
+
+Partial models are combined by a hash join on the nodes that every model
+on both sides decides: the right-hand models are bucketed by their values
+on those nodes, so each left model is unioned only with the right models
+that agree with it there, the only ones whose union can succeed.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .cycles import CycleKind
 from .graph import (
@@ -39,18 +44,11 @@ class QueryAtomUnknown(ValueError):
     """Query atom does not occur in the program."""
 
 
-class Provenance(Enum):
-    PRESUMED = "presumed"
-    PROPAGATED = "propagated"
-    FACT = "fact"
-
-
 @dataclass
 class PartialModel:
     """Consistent partial assignment built during proof search."""
 
     values: dict[str, bool] = field(default_factory=dict)
-    provenance: dict[str, Provenance] = field(default_factory=dict)
 
     def value(self, node: str) -> bool | None:
         return self.values.get(node)
@@ -58,28 +56,22 @@ class PartialModel:
     def key(self) -> frozenset:
         return frozenset(self.values.items())
 
-    def with_entry(
-        self, node: str, value: bool, prov: Provenance = Provenance.PRESUMED
-    ) -> PartialModel | None:
+    def with_entry(self, node: str, value: bool) -> PartialModel | None:
         current = self.values.get(node)
         if current is not None and current != value:
             return None
         if current is not None:
             return self
         values = dict(self.values)
-        provenance = dict(self.provenance)
         values[node] = value
-        provenance[node] = prov
-        return PartialModel(values, provenance)
+        return PartialModel(values)
 
     def union(self, other: PartialModel) -> PartialModel | None:
         if any(self.values.get(n) not in (None, v) for n, v in other.values.items()):
             return None
         values = dict(self.values)
         values.update(other.values)
-        provenance = dict(other.provenance)
-        provenance.update(self.provenance)
-        return PartialModel(values, provenance)
+        return PartialModel(values)
 
 
 def _dedup(models: list[PartialModel]) -> list[PartialModel]:
@@ -120,17 +112,42 @@ def detect_branch_cycle(branch: ProofBranch, node: str) -> CycleKind:
     return CycleKind.POSITIVE
 
 
+def _join(
+    left: list[PartialModel], right: list[PartialModel]
+) -> Callable[[PartialModel], list[PartialModel]]:
+    """Hash join of two model lists on the nodes every model of both lists
+    decides. Returns the probe for one left model: its successful unions
+    with the right models, in right's order. A right model that disagrees
+    with the left one on a shared node is never tried, since its union
+    would fail; union still checks every other node."""
+    shared = set(left[0].values) if left else set()
+    for m in left:
+        shared &= m.values.keys()
+    for m in right:
+        shared &= m.values.keys()
+    nodes = sorted(shared)
+    buckets: dict[tuple[bool, ...], list[PartialModel]] = {}
+    for m in right:
+        buckets.setdefault(tuple(map(m.values.__getitem__, nodes)), []).append(m)
+
+    def probe(model: PartialModel) -> list[PartialModel]:
+        bucket = buckets.get(tuple(map(model.values.__getitem__, nodes)), ())
+        unions = []
+        for other in bucket:
+            union = model.union(other)
+            if union is not None:
+                unions.append(union)
+        return unions
+
+    return probe
+
+
 def merge_conjunctive(
     a: list[PartialModel], b: list[PartialModel]
 ) -> list[PartialModel]:
     """Pairwise unions of compatible models; conflicting pairs are dropped."""
-    merged = []
-    for ma in a:
-        for mb in b:
-            union = ma.union(mb)
-            if union is not None:
-                merged.append(union)
-    return _dedup(merged)
+    unions_with_b = _join(a, b)
+    return _dedup([union for ma in a for union in unions_with_b(ma)])
 
 
 def merge_disjunctive(
@@ -193,13 +210,13 @@ def forward_propagate(
                 if known is False:
                     return None
                 if known is None:
-                    current = current.with_entry(atom, True, Provenance.PROPAGATED)
+                    current = current.with_entry(atom, True)
                     changed = True
             elif all(s is False for s in states):
                 if known is True:
                     return None
                 if known is None:
-                    current = current.with_entry(atom, False, Provenance.PROPAGATED)
+                    current = current.with_entry(atom, False)
                     changed = True
     return current
 
@@ -224,17 +241,17 @@ def prove(
         return [PartialModel()]
     fixed = g.fixed_value(node)
     if fixed is True:
-        return [PartialModel({node: True}, {node: Provenance.FACT})] if presumed else []
+        return [PartialModel({node: True})] if presumed else []
     if fixed is False and presumed:
         return []
     in_edges = sorted(g.in_edges(node), key=lambda e: (e.src, e.sign.value))
     if not in_edges:
         if presumed:
             return []
-        return [PartialModel({node: False}, {node: Provenance.FACT})]
+        return [PartialModel({node: False})]
 
     sub_branch = branch.extend(node, presumed)
-    start = PartialModel({node: presumed}, {node: Provenance.PRESUMED})
+    start = PartialModel({node: presumed})
     # (model, has_effective_edge) pairs; an edge is effective when its source
     # carries True across a positive edge or False across a negative one.
     states: list[tuple[PartialModel, bool]] = [(start, False)]
@@ -244,14 +261,13 @@ def prove(
         if presumed:
             options.append((prove(edge.src, effective_value, sub_branch, g), True))
         options.append((prove(edge.src, not effective_value, sub_branch, g), False))
+        models = [model for model, _ in states]
+        joins = [(_join(models, subs), effective) for subs, effective in options]
         next_states = []
         seen = set()
         for model, has_effective in states:
-            for sub_models, makes_effective in options:
-                for sub in sub_models:
-                    union = model.union(sub)
-                    if union is None:
-                        continue
+            for unions_with, makes_effective in joins:
+                for union in unions_with(model):
                     flag = has_effective or makes_effective
                     k = (union.key(), flag)
                     if k not in seen:
@@ -342,19 +358,12 @@ def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
     return cnr_to_dg(build_cnr(program.extended(additions)))
 
 
-def solve_igasp(program: Program) -> list[frozenset[str]]:
-    """Answer sets computed top-down, sorted lexicographically."""
-    base_graph = cnr_to_dg(build_cnr(program))
-    g = ensure_constraints(base_graph, program)
-    cmap = build_causal_map(program)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * len(g.nodes) + 1000))
-
+def _finished_models(
+    base_graph: DepGraph, g: DepGraph, cmap: dict[str, tuple[tuple[Literal, ...], ...]]
+) -> list[PartialModel]:
+    """Forward-propagated partial models that falsify every constraint of g."""
     ruleless = sorted(atoms_of(base_graph) - set(cmap))
-    seed = PartialModel(
-        {a: False for a in ruleless},
-        {a: Provenance.FACT for a in ruleless},
-    )
-    seed = forward_propagate(seed, cmap)
+    seed = forward_propagate(PartialModel({a: False for a in ruleless}), cmap)
     models = [seed] if seed is not None else []
     for constraint in _constraint_nodes(g):
         alternatives = []
@@ -370,6 +379,22 @@ def solve_igasp(program: Program) -> list[frozenset[str]]:
         models = _dedup(merged)
         if not models:
             return []
+    return models
+
+
+def solve_igasp(program: Program) -> list[frozenset[str]]:
+    """Answer sets computed top-down, sorted lexicographically."""
+    base_graph = cnr_to_dg(build_cnr(program))
+    g = ensure_constraints(base_graph, program)
+    cmap = build_causal_map(program)
+    # prove recurses once per node of a proof path; the caller's limit is
+    # restored on the way out.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * len(g.nodes) + 1000))
+    try:
+        models = _finished_models(base_graph, g, cmap)
+    finally:
+        sys.setrecursionlimit(limit)
 
     answer_sets = set()
     program_atoms = atoms_of(base_graph)

@@ -149,17 +149,33 @@ def _supports_via(g: DepGraph, edge: Edge, w: World, founded: set[str]) -> bool:
 
 
 def _founded_atoms_ok(g: DepGraph, w: World) -> bool:
+    # One pass over the unfounded True atoms, then a worklist: an atom that
+    # becomes founded can only newly support the atoms it feeds, directly or
+    # through a conjunction node, so only those are checked again.
     true_atoms = {n for n in atoms_of(g) if w.value(n)}
     founded = {n for n in true_atoms if g.fixed_value(n) is True}
-    changed = True
-    while changed:
-        changed = False
-        for atom in true_atoms - founded:
-            for edge in g.in_edges(atom):
-                if is_effective(edge, w) and _supports_via(g, edge, w, founded):
-                    founded.add(atom)
-                    changed = True
-                    break
+
+    stack: list[str] = []
+
+    def check(atom: str) -> None:
+        if any(
+            is_effective(edge, w) and _supports_via(g, edge, w, founded)
+            for edge in g.in_edges(atom)
+        ):
+            founded.add(atom)
+            stack.append(atom)
+
+    for atom in true_atoms - founded:
+        check(atom)
+    while stack:
+        for edge in g.out_edges(stack.pop()):
+            if node_kind(edge.dst) is NodeKind.CONJ:
+                fed = [out.dst for out in g.out_edges(edge.dst)]
+            else:
+                fed = [edge.dst]
+            for atom in fed:
+                if atom in true_atoms and atom not in founded:
+                    check(atom)
     return founded == true_atoms
 
 

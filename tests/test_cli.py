@@ -74,7 +74,7 @@ def test_solve_oracle_atom_cap_exits_2(program_file, capsys):
 def test_justify_deep_chain_exits_2(program_file, capsys):
     text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 3001))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)  # solve_igasp elsewhere raises it process-wide
+    sys.setrecursionlimit(1000)  # the interpreter default; the host may set more
     try:
         assert main(["justify", program_file(text), "a3000"]) == 2
     finally:

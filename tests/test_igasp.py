@@ -1,13 +1,15 @@
+import math
 import random
+import sys
 
 import pytest
 
 from aspgraph.cycles import CycleKind
+from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
     PartialModel,
     ProofBranch,
-    Provenance,
     QueryAtomUnknown,
     build_causal_map,
     detect_branch_cycle,
@@ -200,6 +202,48 @@ def test_merge_conjunctive_commutative_associative():
         )
 
 
+def nested_loop_conjunctive(a, b):
+    """Reference: every pair tried, a outer, first occurrence of a key kept."""
+    merged, seen = [], set()
+    for ma in a:
+        for mb in b:
+            union = ma.union(mb)
+            if union is not None and union.key() not in seen:
+                seen.add(union.key())
+                merged.append(union)
+    return merged
+
+
+def test_merge_conjunctive_equals_nested_loop_reference():
+    rng = random.Random(37)
+    atoms = ["a", "b", "c", "d", "e"]
+
+    def random_model(domain):
+        return pm({x: rng.random() < 0.5 for x in domain})
+
+    def random_models(pick_domain):
+        return [random_model(pick_domain()) for _ in range(rng.randint(0, 6))]
+
+    shapes = {
+        # any subset, including the empty model
+        "mixed": lambda: rng.sample(atoms, rng.randint(0, len(atoms))),
+        "full": lambda: atoms,
+        "left": lambda: atoms[:2],
+        "right": lambda: atoms[2:],
+    }
+    pairs = [("mixed", "mixed"), ("full", "full"), ("left", "right"),
+             ("full", "mixed"), ("mixed", "left")]
+    for _ in range(100):
+        for left_shape, right_shape in pairs:
+            x = random_models(shapes[left_shape])
+            y = random_models(shapes[right_shape])
+            if rng.random() < 0.2:
+                x.append(pm({}))
+            merged = merge_conjunctive(x, y)
+            expected = nested_loop_conjunctive(x, y)
+            assert [m.values for m in merged] == [m.values for m in expected]
+
+
 def test_merge_disjunctive_worked_example():
     merged = merge_disjunctive(WORKED_A, WORKED_B)
     assert keys(merged) == {
@@ -225,7 +269,6 @@ def test_forward_propagate_fires_rules():
     cmap = build_causal_map(parse_program("c :- a. d :- not b."))
     out = forward_propagate(pm({"a": True, "b": False}), cmap)
     assert out.values == {"a": True, "b": False, "c": True, "d": True}
-    assert out.provenance["c"] is Provenance.PROPAGATED
 
 
 def test_forward_propagate_fixpoint_when_nothing_applies():
@@ -317,6 +360,28 @@ def test_effective_edge_soundness():
                     assert effective or g.fixed_value(atom) is True
                 else:
                     assert not effective
+
+
+def test_classic_model_counts():
+    # 3-colorings of C_n: 2^n + 2(-1)^n; Hamiltonian cycles of K_n: (n-1)!
+    for n in (5, 6):
+        colorings = solve_igasp(gen_coloring(n, cycle_graph(n)))
+        assert len(colorings) == 2**n + 2 * (-1) ** n
+    for n in (3, 4):
+        assert len(solve_igasp(gen_hamiltonian(n))) == math.factorial(n - 1)
+
+
+def test_recursion_limit_restored():
+    program = parse_program(QUERY_TEXT)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert solve_igasp(program) == [frozenset({"p"}), frozenset({"q"})]
+        assert sys.getrecursionlimit() == 1000
+        assert solve_query(program, "p") == [frozenset({"p"})]
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_positive_loop_rejection():

@@ -8,7 +8,10 @@ from aspgraph.grasp import solve_grasp_worlds
 from aspgraph.justify import (
     AtomUnknown,
     WorldIncomplete,
+    _founded_atoms_ok,
+    _supports_via,
     check_justified,
+    is_effective,
     export_dot_world,
     justify,
     render_text,
@@ -159,6 +162,51 @@ def test_check_justified_rejects_unfounded_positive_loop():
     g = transformed("p :- q. q :- p.")
     assert not check_justified(g, world_from_atoms(g, {"p", "q"}))
     assert check_justified(g, world_from_atoms(g, set()))
+
+
+def sweep_founded_atoms_ok(g, w):
+    """Reference: re-sweep the unfounded True atoms until nothing changes."""
+    true_atoms = {n for n in atoms_of(g) if w.value(n)}
+    founded = {n for n in true_atoms if g.fixed_value(n) is True}
+    changed = True
+    while changed:
+        changed = False
+        for atom in true_atoms - founded:
+            for edge in g.in_edges(atom):
+                if is_effective(edge, w) and _supports_via(g, edge, w, founded):
+                    founded.add(atom)
+                    changed = True
+                    break
+    return founded == true_atoms
+
+
+def test_founded_atoms_equals_sweep_reference():
+    rng = random.Random(45)
+    outcomes = set()
+    for _ in range(300):
+        program = parse_program(
+            random_program_text(rng, rng.randint(1, 8), rng.randint(1, 12), naf=0.3)
+        )
+        g = transformed(str(program))
+        atoms = sorted(program.atoms)
+        for _ in range(8):
+            w = world_from_atoms(g, [a for a in atoms if rng.random() < 0.6])
+            expected = sweep_founded_atoms_ok(g, w)
+            assert _founded_atoms_ok(g, w) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_check_justified_long_shuffled_chain():
+    # names numbered in random order, so no name-ordered loop follows the chain
+    numbers = random.Random(46).sample(range(5001), 5001)
+    names = [f"a{k}" for k in numbers]
+    text = f"{names[0]}.\n" + "".join(
+        f"{names[i]} :- {names[i - 1]}.\n" for i in range(1, len(names))
+    )
+    g = transformed(text)
+    assert check_justified(g, world_from_atoms(g, names))
+    assert not check_justified(g, world_from_atoms(g, names[:-1]))
 
 
 def test_validator_agrees_with_oracle():
