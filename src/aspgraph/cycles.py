@@ -2,20 +2,22 @@
 
 Strongly connected components with at least one internal cycle are wrapped
 into virtual nodes so the stratified solver can treat each tangle as a
-single unit. Simple cycles inside a component are classified by their count
-of negative edges: even (> 0 and even), odd, or positive (none).
+single unit; they are found by an iterative form of Tarjan's algorithm
+(SIAM J. Comput. 1972). Simple cycles inside a component are enumerated by
+Johnson's algorithm (SIAM J. Comput. 1975), which keeps the signs of each
+hop on its path stack, and classified by their count of negative edges:
+even (> 0 and even), odd, or positive (none).
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-import networkx as nx
-
-from .graph import DepGraph, Edge
+from .graph import DepGraph
 
 DEFAULT_CYCLE_CAP = 10**6
 CYCLE_CAP_ENV = "ASPGRAPH_CYCLE_CAP"
@@ -52,63 +54,138 @@ class VirtualNode:
     """One strongly connected component wrapped as a single node."""
 
     members: frozenset[str]
-    boundary_in: frozenset[Edge]
-    boundary_out: frozenset[Edge]
 
     @property
     def key(self) -> str:
         return min(self.members)
 
 
-def _digraph(g: DepGraph) -> nx.DiGraph:
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(g.nodes)
-    nxg.add_edges_from((e.src, e.dst) for e in g.edges)
-    return nxg
+def _strong_components(
+    roots: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
+) -> Iterator[list]:
+    """Tarjan's strongly connected components of the part of the graph
+    reachable from roots, each yielded as soon as it closes. An explicit
+    stack of successor iterators stands in for the recursion."""
+    index: dict = {}
+    low: dict = {}
+    done = float("inf")  # low value of a node whose component is closed
+    stack = []
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(successors(w))))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        low[w] = done
+                        component.append(w)
+                        if w == v:
+                            break
+                    yield component
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
 
 
 def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     """Virtual nodes for every SCC of size >= 2 or single node with a
     self-loop; wrapping them leaves the condensation acyclic."""
-    self_loops = {e.src for e in g.edges if e.src == e.dst}
     virtual = []
-    for component in nx.strongly_connected_components(_digraph(g)):
+    successors = lambda node: [e.dst for e in g.out_edges(node)]
+    for component in _strong_components(g.nodes, successors):
         if len(component) == 1:
             (node,) = component
-            if node not in self_loops:
+            if node not in successors(node):
                 continue
-        members = frozenset(component)
-        boundary_in = frozenset(
-            e for m in members for e in g.in_edges(m) if e.src not in members
-        )
-        boundary_out = frozenset(
-            e for m in members for e in g.out_edges(m) if e.dst not in members
-        )
-        virtual.append(VirtualNode(members, boundary_in, boundary_out))
+        virtual.append(VirtualNode(frozenset(component)))
     return sorted(virtual, key=lambda v: v.key)
 
 
-def _node_cycles(v: VirtualNode, g: DepGraph):
-    """Simple node cycles within the component, rotated to their smallest
-    node, with the sign choices available on each hop."""
-    signs: dict[tuple[str, str], list[bool]] = {}
-    for m in sorted(v.members):
-        for e in g.out_edges(m):
-            if e.dst in v.members:
-                signs.setdefault((e.src, e.dst), []).append(e.negative)
-    for flags in signs.values():
-        flags.sort()
-    sub = nx.DiGraph()
-    sub.add_nodes_from(v.members)
-    sub.add_edges_from(signs)
-    for node_cycle in nx.simple_cycles(sub):
-        start = node_cycle.index(min(node_cycle))
-        rotated = tuple(node_cycle[start:] + node_cycle[:start])
-        hops = [
-            signs[rotated[i], rotated[(i + 1) % len(rotated)]]
-            for i in range(len(rotated))
+def _signed_cycles(v: VirtualNode, g: DepGraph):
+    """Johnson's simple cycles of the component's node graph.
+
+    Each start is the smallest member on a cycle among the members not yet
+    used as a start, and searches only its strong component among them, so
+    each cycle is found once and starts at its smallest member; members
+    outside that component stay blocked. Yields (nodes, hops):
+    hops[i] is the sorted tuple of edge negativity flags from nodes[i] to
+    the next node, (False, True) where parallel edges of both signs join
+    them.
+    """
+    names = sorted(v.members)
+    number = {name: i for i, name in enumerate(names)}
+    flags: dict[tuple[int, int], list[bool]] = {}
+    for i, name in enumerate(names):
+        for e in g.out_edges(name):
+            j = number.get(e.dst)
+            if j is not None:
+                flags.setdefault((i, j), []).append(e.negative)
+    succ: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in names]
+    for (i, j), negatives in flags.items():
+        succ[i].append((j, tuple(sorted(negatives))))
+
+    s = 0
+    while True:
+        ahead = lambda i: [j for j, _ in succ[i] if j >= s]
+        cyclic = [
+            c
+            for c in _strong_components(range(s, len(names)), ahead)
+            if len(c) > 1 or c[0] in ahead(c[0])
         ]
-        yield rotated, hops
+        if not cyclic:
+            return
+        component = min(cyclic, key=min)
+        s = min(component)
+        blocked = [True] * len(names)
+        for i in component:
+            blocked[i] = i == s
+        blocked_by = [set() for _ in names]
+        # one frame per path node: (node, its unexplored hops, the signs of
+        # the hop into it, the cycle count when it was pushed)
+        found = 0
+        stack = [(s, iter(succ[s]), (), found)]
+        while stack:
+            u, edges, _, pushed_at = stack[-1]
+            for w, signs in edges:
+                if w == s:
+                    found += 1
+                    yield (
+                        tuple(names[frame[0]] for frame in stack),
+                        tuple(frame[2] for frame in stack[1:]) + (signs,),
+                    )
+                elif not blocked[w]:
+                    blocked[w] = True
+                    stack.append((w, iter(succ[w]), signs, found))
+                    break
+            else:
+                stack.pop()
+                if found > pushed_at:
+                    # a cycle ran through u: unblock it and all that waits on it
+                    pending = [u]
+                    while pending:
+                        x = pending.pop()
+                        if blocked[x]:
+                            blocked[x] = False
+                            pending.extend(blocked_by[x])
+                            blocked_by[x].clear()
+                else:
+                    for w, _ in succ[u]:
+                        blocked_by[w].add(u)
+        s += 1
 
 
 def enumerate_cycles(
@@ -125,12 +202,12 @@ def enumerate_cycles(
         cap = default_cycle_cap()
     found: list[tuple[tuple[str, ...], CycleKind]] = []
     count = 0
-    for rotated, hops in _node_cycles(v, g):
+    for nodes, hops in _signed_cycles(v, g):
         for combo in product(*hops):
             count += 1
             if count > cap:
                 raise CycleExplosionError(count, cap)
-            found.append((rotated, classify(sum(combo))))
+            found.append((nodes, classify(sum(combo))))
     found.sort(key=lambda item: (item[0], item[1].value))
     return found
 
@@ -158,9 +235,9 @@ def cycle_stats(g: DepGraph, cap: int | None = None) -> tuple[int, int, int]:
         cap = default_cycle_cap()
     even = odd = positive = 0
     for v in find_virtual_nodes(g):
-        for _, hops in _node_cycles(v, g):
-            free = sum(1 for signs in hops if len(signs) == 2)
-            forced_neg = sum(1 for signs in hops if signs == [True])
+        for _, hops in _signed_cycles(v, g):
+            free = sum(map(len, hops)) - len(hops)  # hops with both signs
+            forced_neg = hops.count((True,))
             variants = 1 << free
             if even + odd + positive + variants > cap:
                 raise CycleExplosionError(even + odd + positive + variants, cap)

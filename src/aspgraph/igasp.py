@@ -24,7 +24,6 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .cycles import CycleKind
 from .graph import (
     DepGraph,
     NodeKind,
@@ -101,17 +100,6 @@ class ProofBranch:
         return ProofBranch(self.path + ((node, value),))
 
 
-def detect_branch_cycle(branch: ProofBranch, node: str) -> CycleKind:
-    """Classify the loop closed by revisiting ``node``: Even when a False
-    presumption occurs on the loop segment (the revisit goes through
-    negation), Positive otherwise."""
-    index = next(i for i, (n, _) in enumerate(branch.path) if n == node)
-    segment = branch.path[index:]
-    if any(v is False for _, v in segment):
-        return CycleKind.EVEN
-    return CycleKind.POSITIVE
-
-
 def _join(
     left: list[PartialModel], right: list[PartialModel]
 ) -> Callable[[PartialModel], list[PartialModel]]:
@@ -148,26 +136,6 @@ def merge_conjunctive(
     """Pairwise unions of compatible models; conflicting pairs are dropped."""
     unions_with_b = _join(a, b)
     return _dedup([union for ma in a for union in unions_with_b(ma)])
-
-
-def merge_disjunctive(
-    a: list[PartialModel], b: list[PartialModel]
-) -> list[PartialModel]:
-    """Pairwise compatible unions, plus every input model that merged with
-    nothing from the other list; set-equal duplicates removed."""
-    merged = []
-    merged_a: set[int] = set()
-    merged_b: set[int] = set()
-    for i, ma in enumerate(a):
-        for j, mb in enumerate(b):
-            union = ma.union(mb)
-            if union is not None:
-                merged.append(union)
-                merged_a.add(i)
-                merged_b.add(j)
-    leftovers = [m for i, m in enumerate(a) if i not in merged_a]
-    leftovers += [m for j, m in enumerate(b) if j not in merged_b]
-    return _dedup(merged + leftovers)
 
 
 def build_causal_map(program: Program) -> dict[str, tuple[tuple[Literal, ...], ...]]:

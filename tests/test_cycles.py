@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,14 +46,6 @@ def test_three_cycle_single_component():
     virtual = find_virtual_nodes(g)
     assert len(virtual) == 1
     assert virtual[0].members == {"p", "q", "r"}
-
-
-def test_boundary_edges():
-    g = transformed("p :- not q. q :- not p. s :- p. p :- t.")
-    (v,) = find_virtual_nodes(g)
-    assert v.members == {"p", "q"}
-    assert {(e.src, e.dst) for e in v.boundary_out} == {("p", "s")}
-    assert {(e.src, e.dst) for e in v.boundary_in} == {("t", "p")}
 
 
 def test_enumerate_even_cycle():
@@ -159,6 +154,19 @@ def test_agreement_with_brute_force_on_small_graphs():
         assert sorted(got, key=key) == sorted(expected, key=key)
 
 
+def test_cycle_stats_agrees_with_brute_force():
+    rng = random.Random(15)
+    for _ in range(100):
+        g = transformed(random_program_text(rng, rng.randint(1, 7), rng.randint(1, 12)))
+        kinds = [
+            kind.value
+            for v in find_virtual_nodes(g)
+            for _, kind in _brute_force_cycles(g, v.members)
+        ]
+        expected = tuple(kinds.count(k) for k in ("even", "odd", "positive"))
+        assert cycle_stats(g) == expected
+
+
 def test_partition_and_condensation_acyclic():
     rng = random.Random(14)
     for _ in range(60):
@@ -170,13 +178,106 @@ def test_partition_and_condensation_acyclic():
                 assert m not in member_of
                 member_of[m] = v
         handle = lambda n: id(member_of[n]) if n in member_of else n
-        # collapse members and check the condensation has no cycle
-        import networkx as nx
-
-        cg = nx.DiGraph()
-        cg.add_nodes_from({handle(n) for n in g.nodes})
+        # collapse members, then Kahn's algorithm must consume every handle
+        successors = {handle(n): set() for n in g.nodes}
+        in_degree = dict.fromkeys(successors, 0)
         for e in g.edges:
             a, b = handle(e.src), handle(e.dst)
-            if a != b:
-                cg.add_edge(a, b)
-        assert nx.is_directed_acyclic_graph(cg)
+            if a != b and b not in successors[a]:
+                successors[a].add(b)
+                in_degree[b] += 1
+        ready = [h for h, d in in_degree.items() if d == 0]
+        consumed = 0
+        while ready:
+            consumed += 1
+            for b in successors[ready.pop()]:
+                in_degree[b] -= 1
+                if in_degree[b] == 0:
+                    ready.append(b)
+        assert consumed == len(successors)
+
+
+def _mutual_reachability_classes(g):
+    """Strongly connected components by brute force: the nodes each node
+    reaches, then the classes of nodes that reach each other; singletons
+    are kept only with a self-loop."""
+    reach = {}
+    for n in g.nodes:
+        seen, todo = {n}, [n]
+        while todo:
+            for e in g.out_edges(todo.pop()):
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    todo.append(e.dst)
+        reach[n] = seen
+    classes = {frozenset(m for m in reach[n] if n in reach[m]) for n in g.nodes}
+    self_loops = {e.src for e in g.edges if e.src == e.dst}
+    kept = [c for c in classes if len(c) > 1 or c <= self_loops]
+    return sorted(kept, key=min)
+
+
+def test_virtual_nodes_match_mutual_reachability():
+    rng = random.Random(16)
+    for _ in range(200):
+        n_atoms = rng.randint(1, 25)
+        g = transformed(random_program_text(rng, n_atoms, rng.randint(1, 2 * n_atoms)))
+        members = [v.members for v in find_virtual_nodes(g)]
+        assert members == _mutual_reachability_classes(g)
+
+
+@pytest.fixture
+def recursion_limit_150():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_ring_and_chain_need_no_recursion(recursion_limit_150):
+    n = 20_000
+    ring = transformed(" ".join(f"x{(i + 1) % n} :- x{i}." for i in range(n)))
+    (v,) = find_virtual_nodes(ring)
+    assert len(v.members) == n
+    assert cycle_stats(ring) == (0, 0, 1)
+    chain = transformed(" ".join(f"x{i + 1} :- x{i}." for i in range(n)))
+    assert find_virtual_nodes(chain) == []
+    assert cycle_stats(chain) == (0, 0, 0)
+
+
+# complete digraph on 4 atoms: C(4,2)*1! + C(4,3)*2! + C(4,4)*3! = 20 cycles
+COMPLETE_4 = " ".join(f"x{i} :- x{j}." for i in range(4) for j in range(4) if i != j)
+# one node cycle whose p <- q hop has both signs: 2 sign-distinct cycles
+PARALLEL_SIGNS = "p :- q. p :- not q. q :- p."
+
+
+@pytest.mark.parametrize("text, count", [(COMPLETE_4, 20), (PARALLEL_SIGNS, 2)])
+def test_cap_boundary(text, count):
+    g = transformed(text)
+    (v,) = find_virtual_nodes(g)
+    assert sum(cycle_stats(g, cap=count)) == count
+    assert len(enumerate_cycles(v, g, cap=count)) == count
+    with pytest.raises(CycleExplosionError) as err:
+        cycle_stats(g, cap=count - 1)
+    assert err.value.partial_count > count - 1
+    with pytest.raises(CycleExplosionError) as err:
+        enumerate_cycles(v, g, cap=count - 1)
+    assert err.value.partial_count > count - 1
+
+
+def test_import_loads_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import aspgraph; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'aspgraph'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", f"import sys; sys.path.insert(0, {str(src)!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
+    tomllib = pytest.importorskip("tomllib")
+    with open(src.parent / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []

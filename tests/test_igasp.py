@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from aspgraph.cycles import CycleKind
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
@@ -12,11 +11,9 @@ from aspgraph.igasp import (
     ProofBranch,
     QueryAtomUnknown,
     build_causal_map,
-    detect_branch_cycle,
     ensure_constraints,
     forward_propagate,
     merge_conjunctive,
-    merge_disjunctive,
     prove,
     solve_igasp,
     solve_query,
@@ -144,24 +141,6 @@ def test_prove_ruleless_atom():
     assert keys(prove("q", False, ProofBranch(), g)) == {frozenset({("q", False)})}
 
 
-# --- detect_branch_cycle ----------------------------------------------------
-
-
-def test_even_revisit_through_negation():
-    branch = ProofBranch((("p", True), ("q", False)))
-    assert detect_branch_cycle(branch, "p") is CycleKind.EVEN
-
-
-def test_positive_revisit_all_true():
-    branch = ProofBranch((("p", True), ("q", True)))
-    assert detect_branch_cycle(branch, "p") is CycleKind.POSITIVE
-
-
-def test_self_loop_revisit():
-    assert detect_branch_cycle(ProofBranch((("p", True),)), "p") is CycleKind.POSITIVE
-    assert detect_branch_cycle(ProofBranch((("p", False),)), "p") is CycleKind.EVEN
-
-
 # --- model merging ----------------------------------------------------------
 
 
@@ -242,24 +221,6 @@ def test_merge_conjunctive_equals_nested_loop_reference():
             merged = merge_conjunctive(x, y)
             expected = nested_loop_conjunctive(x, y)
             assert [m.values for m in merged] == [m.values for m in expected]
-
-
-def test_merge_disjunctive_worked_example():
-    merged = merge_disjunctive(WORKED_A, WORKED_B)
-    assert keys(merged) == {
-        frozenset({("a", True), ("c", True), ("d", True), ("b", False)}),
-        frozenset({("a", False), ("b", True)}),
-    }
-
-
-def test_merge_disjunctive_empty_side():
-    m = pm({"x": True})
-    assert keys(merge_disjunctive([], [m])) == {m.key()}
-
-
-def test_merge_disjunctive_idempotent():
-    m = pm({"x": True})
-    assert keys(merge_disjunctive([m], [m])) == {m.key()}
 
 
 # --- forward propagation ----------------------------------------------------
