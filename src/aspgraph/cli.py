@@ -68,6 +68,9 @@ def _print_models(models: list[frozenset[str]], as_json: bool, **extra) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.max_models is not None and args.max_models < 1:
+        print(f"--max-models must be at least 1, got {args.max_models}", file=sys.stderr)
+        return EXIT_ERROR
     program = _load_program(args.file)
     models = SOLVERS[args.solver](program)
     if args.max_models is not None:

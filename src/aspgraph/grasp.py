@@ -1,26 +1,34 @@
 """Bottom-up solver over the transformed dependency graph.
 
-Solving walks the strongly-connected-component condensation layer by layer
-in topological order. The layers come from Kahn's algorithm: each handle (a
-regular node or a virtual node wrapping an SCC) counts its in-edges from
-other handles once, removing a layer decrements the counters of its
-successors, and the handles whose counter reaches zero form the next layer.
+Solving walks the strongly-connected-component condensation in topological
+order, by Kahn's algorithm: each handle (a regular node or a virtual node
+wrapping an SCC) counts its in-edges from other handles once, and removing
+a handle decrements the counters of its successors; a handle whose counter
+reaches zero is ready.
 
-Each layer's roots contribute small delta worlds holding only the values
-they add: an unfixed regular root defaults to False, and a virtual root is
-broken into every stable labeling of its members. The deltas of all roots
-are merged, each combination is applied to one copy of the parent world,
-and the two value rules
+The ready handles are taken in batches that propagate before they branch.
+Every ready regular node is taken at once, since a regular node never
+branches: an unfixed one defaults to False. Only when no regular node is
+ready is one virtual node taken, the one with the smallest key, and broken
+into every stable labeling of its members. So a constraint's conjunction
+node is processed as soon as its body is decided, and it kills bad worlds
+before the next component multiplies them.
+
+Each handle of a batch contributes small delta worlds holding only the
+values it adds; the deltas are merged, each combination is applied to one
+copy of the parent world, and the two value rules
 
     (i)  a True node makes every positive out-neighbour True,
     (ii) a False node makes every negative out-neighbour True,
 
-are propagated transitively from the roots. A True demand arriving at a
+are propagated transitively from the batch. A True demand arriving at a
 False node (in particular a constraint node) marks the world inconsistent;
 unsatisfiability shows up as zero surviving worlds.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .cycles import VirtualNode, find_virtual_nodes
 from .graph import DepGraph, NodeKind, Sign, build_cnr, cnr_to_dg, node_kind
@@ -33,7 +41,10 @@ class GraphView:
 
     Handles are identified by their key (a regular node's name, a virtual
     node's smallest member). Each live handle keeps the count of its live
-    in-edges from other handles; those at zero are the current roots.
+    in-edges from other handles; those at zero are ready. Ready regular keys
+    are kept in a list and ready virtual keys in a heap, so that taking the
+    next batch and removing it cost time in proportion to the batch and its
+    successors.
     """
 
     def __init__(self, g: DepGraph, virtual: list[VirtualNode] | None = None):
@@ -58,34 +69,54 @@ class GraphView:
                 if dst != src:
                     self._waiting[dst] += 1
                     self._succ[src].append(dst)
-        self._ready = {key for key, count in self._waiting.items() if count == 0}
+        self._regular: list[str] = []
+        self._virtual: list[str] = []
+        for key, count in self._waiting.items():
+            if count == 0:
+                self._make_ready(key)
 
     def __bool__(self) -> bool:
         return bool(self._succ)
 
+    def _make_ready(self, key: str) -> None:
+        if isinstance(self._handles[key], VirtualNode):
+            heapq.heappush(self._virtual, key)
+        else:
+            self._regular.append(key)
+
     def remove(self, handles) -> None:
-        # The ready set is rebuilt rather than emptied: a set keeps its table
-        # size after deletions, and the next find_roots would iterate it.
-        ready = list(self._ready)
+        """Take handles out of the view and ready their successors."""
+        regular = self._regular
+        self._regular = []
         for h in handles:
             key = h.key if isinstance(h, VirtualNode) else h
             for dst in self._succ.pop(key, ()):
                 self._waiting[dst] -= 1
-                if self._waiting[dst] == 0:
-                    ready.append(dst)
-        self._ready = {key for key in ready if key in self._succ}
+                if self._waiting[dst] == 0 and dst in self._succ:
+                    self._make_ready(dst)
+        # Removing a whole batch empties the old regular list or pops the
+        # heap's top; anything else keeps its place until it is removed.
+        self._regular += [key for key in regular if key in self._succ]
+        while self._virtual and self._virtual[0] not in self._succ:
+            heapq.heappop(self._virtual)
 
 
 def find_roots(view: GraphView) -> list:
-    """Handles (regular nodes or virtual nodes) with no live in-edge, in key
-    order.
+    """The next batch of handles with no live in-edge, in key order: every
+    ready regular node, or else the ready virtual node with the smallest key.
 
-    The condensation is acyclic, so a nonempty view always has roots; a
-    rootless nonempty view signals a wrapping bug.
+    A regular node never branches, so all of them are taken before the next
+    component multiplies the worlds. The condensation is acyclic, so a
+    nonempty view always has roots; a rootless nonempty view signals a
+    wrapping bug.
     """
-    if view and not view._ready:
+    if view._regular:
+        return sorted(view._regular)
+    if view._virtual:
+        return [view._handles[view._virtual[0]]]
+    if view:
         raise RuntimeError("nonempty view has no roots: cycle wrapping is broken")
-    return [view._handles[key] for key in sorted(view._ready)]
+    return []
 
 
 def propagate(node: str, value: bool, w: World, g: DepGraph) -> World:
@@ -116,15 +147,19 @@ def fix_root(node: str, w: World) -> World:
 
 def merge_root_worlds(per_root: list[list[World]]) -> list[World]:
     """Cartesian merge of the delta worlds produced by each root this
-    iteration; combinations with conflicting assignments are dropped."""
+    iteration; combinations with conflicting assignments are dropped. The
+    input worlds are left unchanged."""
     if not per_root:
         return []
     merged = per_root[0]
-    for worlds in per_root[1:]:
+    for step, worlds in enumerate(per_root[1:]):
         next_merged = []
         for a in merged:
-            for b in worlds:
-                c = a.copy()
+            for i, b in enumerate(worlds):
+                # After the first step a is a copy made here and not needed
+                # after its last combination: extend it in place, so that a
+                # batch of single-delta roots costs linear time.
+                c = a if step and i == len(worlds) - 1 else a.copy()
                 for node, value in b.values.items():
                     if not c.assign(node, value):
                         break

@@ -290,7 +290,7 @@ def _decided_atoms(g: DepGraph, program: Program) -> set[str]:
     return decided
 
 
-def synthesized_constraints(g: DepGraph, program: Program) -> list[Rule]:
+def synthesized_constraints(program: Program) -> list[Rule]:
     """Constraints to add so every atom is decided by some proof or by
     propagation.
 
@@ -320,7 +320,7 @@ def synthesized_constraints(g: DepGraph, program: Program) -> list[Rule]:
 def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
     """Transformed graph extended with synthesized constraints; unchanged
     when the program's own constraints already cover every atom."""
-    additions = synthesized_constraints(g, program)
+    additions = synthesized_constraints(program)
     if not additions:
         return g
     return cnr_to_dg(build_cnr(program.extended(additions)))

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,26 @@ def test_solve_json_all_solvers(program_file, capsys):
 def test_solve_max_models(program_file, capsys):
     assert main(["solve", program_file(EVEN), "--max-models", "1"]) == 0
     assert capsys.readouterr().out == "{p}\n"
+
+
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_solve_max_models_below_one_exits_2(program_file, capsys, limit):
+    assert main(["solve", program_file(EVEN), "--max-models", limit]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--max-models" in err
+
+
+def test_python_dash_m_runs_the_cli(program_file):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for text, code, out in ((EVEN, 0, "{p}\n{q}\n"), (ODD, 1, "")):
+        run = subprocess.run(
+            [sys.executable, "-m", "aspgraph", "solve", program_file(text)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (run.returncode, run.stdout) == (code, out), run.stderr
 
 
 def test_solve_empty_answer_set_renders_braces(program_file, capsys):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from aspgraph import grasp
 from aspgraph.cycles import VirtualNode, find_virtual_nodes
+from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import build_cnr, cnr_to_dg
 from aspgraph.grasp import (
     GraphView,
@@ -71,13 +73,15 @@ def test_find_roots_empty_view():
     assert find_roots(view) == []
 
 
-def _brute_force_roots(g, view_virtual, removed):
-    """Keys of the live handles with no in-edge from a live node of
-    another handle."""
+def _brute_force_batch(g, view_virtual, removed):
+    """Keys of the next batch: the live handles with no in-edge from a live
+    node of another handle, taking the regular ones if there are any and
+    else the virtual one with the smallest key."""
     handle_of = {n: n for n in g.nodes}
     for v in view_virtual:
         for m in v.members:
             handle_of[m] = v.key
+    virtual_keys = {v.key for v in view_virtual}
     live = {n for n in g.nodes if handle_of[n] not in removed}
     roots = set()
     for n in live:
@@ -89,7 +93,8 @@ def _brute_force_roots(g, view_virtual, removed):
             for e in g.in_edges(m)
         ):
             roots.add(handle)
-    return sorted(roots)
+    regular = sorted(roots - virtual_keys)
+    return regular or sorted(roots)[:1]
 
 
 def test_find_roots_matches_brute_force_every_layer():
@@ -101,7 +106,7 @@ def test_find_roots_matches_brute_force_every_layer():
         while True:
             roots = find_roots(view)
             keys = [r.key if isinstance(r, VirtualNode) else r for r in roots]
-            assert keys == _brute_force_roots(g, view.virtual, removed)
+            assert keys == _brute_force_batch(g, view.virtual, removed)
             if not roots:
                 break
             view.remove(roots)
@@ -134,6 +139,34 @@ def test_long_pos_chain_one_model():
 def test_long_mixed_chain_one_model():
     (model,) = solve_grasp(parse_program(_chain("mixed", 5000)))
     assert model == {f"a{i}" for i in range(5001)}
+
+
+def test_coloring_c8_fixes_few_roots(monkeypatch):
+    # Breaking one component at a time lets each constraint kill its worlds
+    # before the next component multiplies them. Crossing all 8 vertex
+    # components at once costs 163,656 calls, far above the bound.
+    calls = 0
+    original = grasp.fix_root
+
+    def counted(node, w):
+        nonlocal calls
+        calls += 1
+        return original(node, w)
+
+    monkeypatch.setattr(grasp, "fix_root", counted)
+    assert len(solve_grasp(gen_coloring(8, cycle_graph(8)))) == 258
+    assert 0 < calls <= 20_000
+
+
+def test_closed_form_counts():
+    # 3-colorings of C_n: 2^n + 2 (-1)^n; Hamiltonian cycles of K_n: (n-1)!
+    assert len(solve_grasp(gen_coloring(10, cycle_graph(10)))) == 1026
+    assert len(solve_grasp(gen_hamiltonian(5))) == 24
+
+
+def test_wide_independent_positive_loops_one_model():
+    text = "\n".join(f"a{i} :- b{i}. b{i} :- a{i}." for i in range(3000))
+    assert solve_grasp(parse_program(text)) == [frozenset()]
 
 
 def test_fix_root_defaults_unfixed_to_false():
@@ -265,6 +298,19 @@ def test_merge_root_worlds_conflicts_dropped():
     a = [World({"x": True})]
     b = [World({"x": False})]
     assert merge_root_worlds([a, b]) == []
+
+
+def test_merge_root_worlds_many_roots_leaves_inputs_unchanged():
+    per_root = [[World({f"r{i}": False})] for i in range(50)]
+    per_root[7] = [World({"x": True}), World({"x": False})]
+    per_root[30] = [World({"x": True}), World({"r3": True})]
+    before = [[dict(w.values) for w in worlds] for worlds in per_root]
+    merged = merge_root_worlds(per_root)
+    assert [dict(w.values) for worlds in per_root for w in worlds] == [
+        values for worlds in before for values in worlds
+    ]
+    expected = {f"r{i}": False for i in range(50) if i not in (7, 30)}
+    assert [w.values for w in merged] == [{**expected, "x": True}]
 
 
 def test_monotone_worlds():
