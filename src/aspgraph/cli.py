@@ -154,14 +154,23 @@ def cmd_graph(args) -> int:
     return EXIT_MODELS
 
 
+class SolverFailed(RuntimeError):
+    """A bench child's solver raised; the message names the error."""
+
+
 def _bench_worker(text: str, solver: str, conn) -> None:
-    program = parse_program(text)
-    models = SOLVERS[solver](program)
-    conn.send([sorted(m) for m in models])
+    try:
+        models = SOLVERS[solver](parse_program(text))
+    except Exception as err:
+        conn.send(("error", f"{type(err).__name__}: {err}"))
+    else:
+        conn.send(("models", [sorted(m) for m in models]))
 
 
 def _run_with_timeout(text: str, solver: str, timeout: float):
-    """(wall_time, models | None); None means the solver timed out or failed.
+    """(wall_time, models | None); None means the solver timed out or its
+    process died without a result. An exception the solver raised comes
+    back as SolverFailed.
 
     The result is read before the child is joined: a child blocks on a
     result larger than the pipe buffer until it is read."""
@@ -170,18 +179,23 @@ def _run_with_timeout(text: str, solver: str, timeout: float):
     start = time.perf_counter()
     proc.start()
     sender.close()
-    models = None
+    result = None
     if multiprocessing.connection.wait([receiver, proc.sentinel], timeout):
         try:
-            models = receiver.recv()
+            result = receiver.recv()
         except EOFError:  # the child exited without a result
             pass
     elapsed = time.perf_counter() - start
-    if models is None:
+    if result is None:
         proc.terminate()
     proc.join()
     receiver.close()
-    return elapsed, models
+    if result is None:
+        return elapsed, None
+    kind, payload = result
+    if kind == "error":
+        raise SolverFailed(payload)
+    return elapsed, payload
 
 
 def _bench_config(args) -> GenConfig:
@@ -234,7 +248,15 @@ def cmd_bench(args) -> int:
                 overflow += 1
             results = {}
             for solver in solvers:
-                elapsed, models = _run_with_timeout(text, solver, args.timeout)
+                try:
+                    elapsed, models = _run_with_timeout(text, solver, args.timeout)
+                except SolverFailed as err:
+                    print(
+                        f"solver {solver} failed on round {round_no} program {index}: "
+                        f"{err}",
+                        file=sys.stderr,
+                    )
+                    return EXIT_ERROR
                 if models is None:
                     timeouts[solver] += 1
                 else:

@@ -12,17 +12,34 @@ split on a. Finished models are forward-propagated, totalized (atoms never
 reached default to False) and kept only if the resulting world passes the
 effective-edge/foundedness validation.
 
+The proof search works on one node index, built once per solve from the
+graph the proofs walk (the program's graph with the synthesized
+constraints): every node gets a bit, its fixed value and its in-edges,
+sorted once, as (source, effective-when-true) pairs. A partial model is a
+pair of ints, (known, true): bit i of known says node i is decided, bit i
+of true that it is True (true is always a subset of known). Two models
+conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero, and their union is
+two ORs. The proof branch is a dict from node to presumed value, pushed and
+popped around the recursive calls. Names are decoded only when answer sets
+are extracted.
+
 Partial models are combined by a hash join on the nodes that every model
-on both sides decides: the right-hand models are bucketed by their values
-on those nodes, so each left model is unioned only with the right models
-that agree with it there, the only ones whose union can succeed.
+on both sides decides: the right-hand models are bucketed by their true
+bits on those nodes, so each left model is unioned only with the right
+models that agree with it there, the only ones whose union can succeed.
+
+Forward propagation is a worklist over the causal map, compiled to one
+(pos_mask, neg_mask) pair per rule body and, per atom, the heads whose
+bodies mention it: after one pass over every head, only the heads watching
+a newly decided atom are checked again (Dowling & Gallier's linear-time
+Horn propagation, 1984, with the "all bodies false" rule added).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 from .graph import (
     DepGraph,
@@ -38,94 +55,80 @@ from .justify import check_justified
 from .syntax import Literal, Program, Rule
 from .worlds import world_from_atoms
 
+# (known, true) bit masks over a NodeIndex; true is a subset of known.
+PartialModel = tuple[int, int]
+
 
 class QueryAtomUnknown(ValueError):
     """Query atom does not occur in the program."""
 
 
-@dataclass
-class PartialModel:
-    """Consistent partial assignment built during proof search."""
+class NodeIndex(NamedTuple):
+    """One bit per node of the graph the proofs walk."""
 
-    values: dict[str, bool] = field(default_factory=dict)
-
-    def value(self, node: str) -> bool | None:
-        return self.values.get(node)
-
-    def key(self) -> frozenset:
-        return frozenset(self.values.items())
-
-    def with_entry(self, node: str, value: bool) -> PartialModel | None:
-        current = self.values.get(node)
-        if current is not None and current != value:
-            return None
-        if current is not None:
-            return self
-        values = dict(self.values)
-        values[node] = value
-        return PartialModel(values)
-
-    def union(self, other: PartialModel) -> PartialModel | None:
-        if any(self.values.get(n) not in (None, v) for n, v in other.values.items()):
-            return None
-        values = dict(self.values)
-        values.update(other.values)
-        return PartialModel(values)
+    names: tuple[str, ...]
+    bits: dict[str, int]
+    fixed: tuple[bool | None, ...]
+    # (source, value) per in-edge, sorted by source name, then sign: the edge
+    # is effective when its source takes that value (True for a positive edge).
+    in_edges: tuple[tuple[tuple[int, bool], ...], ...]
+    atoms: int
+    constraints: tuple[int, ...]
 
 
-def _dedup(models: list[PartialModel]) -> list[PartialModel]:
-    seen = set()
-    unique = []
-    for m in models:
-        k = m.key()
-        if k not in seen:
-            seen.add(k)
-            unique.append(m)
-    return unique
+def build_index(g: DepGraph) -> NodeIndex:
+    names = tuple(g.nodes)
+    bits = {name: i for i, name in enumerate(names)}
+    in_edges = []
+    for name in names:
+        edges = sorted((e.src, e.sign is Sign.POSITIVE) for e in g.in_edges(name))
+        in_edges.append(tuple((bits[src], positive) for src, positive in edges))
+    atoms = 0
+    for atom in atoms_of(g):
+        atoms |= 1 << bits[atom]
+    return NodeIndex(
+        names=names,
+        bits=bits,
+        fixed=tuple(g.fixed_value(name) for name in names),
+        in_edges=tuple(in_edges),
+        atoms=atoms,
+        constraints=tuple(bits[n] for n in _constraint_nodes(g)),
+    )
 
 
-@dataclass(frozen=True)
-class ProofBranch:
-    """Presumed (node, value) pairs along the current proof path."""
-
-    path: tuple[tuple[str, bool], ...] = ()
-
-    def find(self, node: str) -> bool | None:
-        for n, v in self.path:
-            if n == node:
-                return v
-        return None
-
-    def extend(self, node: str, value: bool) -> ProofBranch:
-        return ProofBranch(self.path + ((node, value),))
+def _names(index: NodeIndex, mask: int) -> frozenset[str]:
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(index.names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
 
 
 def _join(
-    left: list[PartialModel], right: list[PartialModel]
+    left: Iterable[PartialModel], right: list[PartialModel]
 ) -> Callable[[PartialModel], list[PartialModel]]:
     """Hash join of two model lists on the nodes every model of both lists
     decides. Returns the probe for one left model: its successful unions
     with the right models, in right's order. A right model that disagrees
     with the left one on a shared node is never tried, since its union
-    would fail; union still checks every other node."""
-    shared = set(left[0].values) if left else set()
-    for m in left:
-        shared &= m.values.keys()
-    for m in right:
-        shared &= m.values.keys()
-    nodes = sorted(shared)
-    buckets: dict[tuple[bool, ...], list[PartialModel]] = {}
-    for m in right:
-        buckets.setdefault(tuple(map(m.values.__getitem__, nodes)), []).append(m)
+    would fail; the conflict test still covers every other node."""
+    shared = -1
+    for known, _ in left:
+        shared &= known
+    for known, _ in right:
+        shared &= known
+    buckets: dict[int, list[PartialModel]] = {}
+    for model in right:
+        buckets.setdefault(model[1] & shared, []).append(model)
 
     def probe(model: PartialModel) -> list[PartialModel]:
-        bucket = buckets.get(tuple(map(model.values.__getitem__, nodes)), ())
-        unions = []
-        for other in bucket:
-            union = model.union(other)
-            if union is not None:
-                unions.append(union)
-        return unions
+        known, true = model
+        return [
+            (known | k, true | t)
+            for k, t in buckets.get(true & shared, ())
+            if not known & k & (true ^ t)
+        ]
 
     return probe
 
@@ -135,62 +138,75 @@ def merge_conjunctive(
 ) -> list[PartialModel]:
     """Pairwise unions of compatible models; conflicting pairs are dropped."""
     unions_with_b = _join(a, b)
-    return _dedup([union for ma in a for union in unions_with_b(ma)])
+    return list(dict.fromkeys(union for ma in a for union in unions_with_b(ma)))
 
 
-def build_causal_map(program: Program) -> dict[str, tuple[tuple[Literal, ...], ...]]:
-    """Rule bodies per head atom: the conditions that force each atom True."""
-    cmap: dict[str, list[tuple[Literal, ...]]] = {}
+class CausalMap(NamedTuple):
+    """Rule bodies per head atom, the conditions that force it True, as
+    (pos_mask, neg_mask) pairs; watchers maps each atom to the heads whose
+    bodies mention it. Repeated rules repeat entries, which costs a repeated
+    check and changes no result."""
+
+    bodies: dict[int, list[tuple[int, int]]]
+    watchers: dict[int, list[int]]
+
+
+def build_causal_map(program: Program, index: NodeIndex) -> CausalMap:
+    causal = CausalMap({}, {})
     for rule in program.rules:
-        if rule.head is not None:
-            cmap.setdefault(rule.head, []).append(rule.body)
-    return {atom: tuple(bodies) for atom, bodies in cmap.items()}
+        if rule.head is None:
+            continue
+        head = index.bits[rule.head]
+        pos = neg = 0
+        for lit in rule.body:
+            atom = index.bits[lit.atom]
+            if lit.negated:
+                neg |= 1 << atom
+            else:
+                pos |= 1 << atom
+            causal.watchers.setdefault(atom, []).append(head)
+        causal.bodies.setdefault(head, []).append((pos, neg))
+    return causal
 
 
-def _body_state(
-    body: tuple[Literal, ...], values: dict[str, bool]
-) -> bool | None:
-    state = True
-    for lit in body:
-        value = values.get(lit.atom)
-        if value is None:
-            state = None
-        elif value == lit.negated:
-            return False
-    return state
-
-
-def forward_propagate(
-    m: PartialModel, cmap: dict[str, tuple[tuple[Literal, ...], ...]]
-) -> PartialModel | None:
+def forward_propagate(m: PartialModel, causal: CausalMap) -> PartialModel | None:
     """Least fixpoint of the causal map over m: a rule whose body is fully
     decided true forces its head True, and an atom all of whose bodies are
     decided false is forced False. Returns None when a forced value
     contradicts an existing entry (the caller drops the model)."""
-    current = m
-    changed = True
-    while changed:
-        changed = False
-        for atom, bodies in cmap.items():
-            known = current.values.get(atom)
-            states = [_body_state(body, current.values) for body in bodies]
-            if any(s is True for s in states):
-                if known is False:
-                    return None
-                if known is None:
-                    current = current.with_entry(atom, True)
-                    changed = True
-            elif all(s is False for s in states):
-                if known is True:
-                    return None
-                if known is None:
-                    current = current.with_entry(atom, False)
-                    changed = True
-    return current
+    known, true = m
+    false = known ^ true
+    bodies, watchers = causal.bodies, causal.watchers
+    # Every head once, then only the heads watching a newly decided atom.
+    pending = list(bodies)
+    while pending:
+        head = pending.pop()
+        forced = False
+        for pos, neg in bodies[head]:
+            if pos & false or neg & true:
+                continue
+            if pos & true == pos and neg & false == neg:
+                forced = True
+                break
+            forced = None
+        if forced is None:
+            continue
+        bit = 1 << head
+        if known & bit:
+            if bool(true & bit) is not forced:
+                return None
+            continue
+        known |= bit
+        if forced:
+            true |= bit
+        else:
+            false |= bit
+        pending.extend(watchers.get(head, ()))
+    return known, true
 
 
 def prove(
-    node: str, presumed: bool, branch: ProofBranch, g: DepGraph
+    node: int, presumed: bool, branch: dict[int, bool], index: NodeIndex
 ) -> list[PartialModel]:
     """All partial models under which the node carries the presumed value.
 
@@ -202,50 +218,46 @@ def prove(
     discards unfounded positive loops); an opposite presumption is a
     contradiction and yields no models.
     """
-    prior = branch.find(node)
+    prior = branch.get(node)
     if prior is not None:
-        if prior != presumed:
-            return []
-        return [PartialModel()]
-    fixed = g.fixed_value(node)
+        return [(0, 0)] if prior == presumed else []
+    bit = 1 << node
+    fixed = index.fixed[node]
     if fixed is True:
-        return [PartialModel({node: True})] if presumed else []
+        return [(bit, bit)] if presumed else []
     if fixed is False and presumed:
         return []
-    in_edges = sorted(g.in_edges(node), key=lambda e: (e.src, e.sign.value))
+    in_edges = index.in_edges[node]
     if not in_edges:
-        if presumed:
-            return []
-        return [PartialModel({node: False})]
+        return [] if presumed else [(bit, 0)]
 
-    sub_branch = branch.extend(node, presumed)
-    start = PartialModel({node: presumed})
-    # (model, has_effective_edge) pairs; an edge is effective when its source
-    # carries True across a positive edge or False across a negative one.
-    states: list[tuple[PartialModel, bool]] = [(start, False)]
-    for edge in in_edges:
-        effective_value = edge.sign is Sign.POSITIVE
-        options: list[tuple[list[PartialModel], bool]] = []
-        if presumed:
-            options.append((prove(edge.src, effective_value, sub_branch, g), True))
-        options.append((prove(edge.src, not effective_value, sub_branch, g), False))
-        models = [model for model, _ in states]
-        joins = [(_join(models, subs), effective) for subs, effective in options]
-        next_states = []
-        seen = set()
-        for model, has_effective in states:
-            for unions_with, makes_effective in joins:
-                for union in unions_with(model):
+    # model -> has_effective_edge; a model reached both with and without an
+    # effective edge keeps True, since every union of the one without is
+    # also a union of the one with.
+    states: dict[PartialModel, bool] = {(bit, bit if presumed else 0): False}
+    branch[node] = presumed
+    try:
+        for src, effective_value in in_edges:
+            options = []
+            if presumed:
+                options.append((prove(src, effective_value, branch, index), True))
+            options.append((prove(src, not effective_value, branch, index), False))
+            joins = [
+                (_join(states, subs), effective) for subs, effective in options if subs
+            ]
+            next_states: dict[PartialModel, bool] = {}
+            for model, has_effective in states.items():
+                for unions_with, makes_effective in joins:
                     flag = has_effective or makes_effective
-                    k = (union.key(), flag)
-                    if k not in seen:
-                        seen.add(k)
-                        next_states.append((union, flag))
-        states = next_states
-        if not states:
-            return []
-    required = True if presumed else False
-    return _dedup([m for m, flag in states if flag is required])
+                    for union in unions_with(model):
+                        if flag or union not in next_states:
+                            next_states[union] = flag
+            states = next_states
+            if not states:
+                return []
+    finally:
+        del branch[node]
+    return [model for model, flag in states.items() if flag is presumed]
 
 
 def _constraint_nodes(g: DepGraph) -> list[str]:
@@ -274,19 +286,27 @@ def _decided_atoms(g: DepGraph, program: Program) -> set[str]:
     rule-less atoms (structurally decided), constraint-cone atoms (decided
     by the proofs), and the closure of atoms whose every rule body mentions
     only decided atoms (decided either way by forward propagation)."""
-    cmap = build_causal_map(program)
+    heads = {rule.head for rule in program.rules if rule.head is not None}
     decided = _ancestor_atoms(g, _constraint_nodes(g))
     decided |= program.facts
-    decided |= {atom for atom in atoms_of(g) if atom not in cmap}
-    changed = True
-    while changed:
-        changed = False
-        for atom, bodies in cmap.items():
-            if atom in decided:
-                continue
-            if all(lit.atom in decided for body in bodies for lit in body):
-                decided.add(atom)
-                changed = True
+    decided |= {atom for atom in atoms_of(g) if atom not in heads}
+    # Per undecided head, a count of its (rule, body atom) pairs still
+    # undecided; a head is decided when its count reaches zero.
+    undecided_inputs = dict.fromkeys(heads - decided, 0)
+    watchers: dict[str, list[str]] = {}
+    for rule in program.rules:
+        if rule.head in undecided_inputs:
+            for atom in {lit.atom for lit in rule.body} - decided:
+                undecided_inputs[rule.head] += 1
+                watchers.setdefault(atom, []).append(rule.head)
+    stack = [head for head, count in undecided_inputs.items() if count == 0]
+    decided.update(stack)
+    while stack:
+        for head in watchers.get(stack.pop(), ()):
+            undecided_inputs[head] -= 1
+            if undecided_inputs[head] == 0:
+                decided.add(head)
+                stack.append(head)
     return decided
 
 
@@ -326,55 +346,55 @@ def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
     return cnr_to_dg(build_cnr(program.extended(additions)))
 
 
-def _finished_models(
-    base_graph: DepGraph, g: DepGraph, cmap: dict[str, tuple[tuple[Literal, ...], ...]]
-) -> list[PartialModel]:
-    """Forward-propagated partial models that falsify every constraint of g."""
-    ruleless = sorted(atoms_of(base_graph) - set(cmap))
-    seed = forward_propagate(PartialModel({a: False for a in ruleless}), cmap)
+def _finished_models(index: NodeIndex, causal: CausalMap) -> list[PartialModel]:
+    """Forward-propagated partial models that falsify every constraint."""
+    ruleless = index.atoms
+    for head in causal.bodies:
+        ruleless &= ~(1 << head)
+    seed = forward_propagate((ruleless, 0), causal)
     models = [seed] if seed is not None else []
-    for constraint in _constraint_nodes(g):
+    for constraint in index.constraints:
         alternatives = []
-        for m in prove(constraint, False, ProofBranch(), g):
-            propagated = forward_propagate(m, cmap)
+        for m in prove(constraint, False, {}, index):
+            propagated = forward_propagate(m, causal)
             if propagated is not None:
                 alternatives.append(propagated)
         merged = []
-        for m in merge_conjunctive(models, _dedup(alternatives)):
-            propagated = forward_propagate(m, cmap)
+        for m in merge_conjunctive(models, list(dict.fromkeys(alternatives))):
+            propagated = forward_propagate(m, causal)
             if propagated is not None:
                 merged.append(propagated)
-        models = _dedup(merged)
+        models = list(dict.fromkeys(merged))
         if not models:
             return []
     return models
 
 
-def solve_igasp(program: Program) -> list[frozenset[str]]:
-    """Answer sets computed top-down, sorted lexicographically."""
-    base_graph = cnr_to_dg(build_cnr(program))
-    g = ensure_constraints(base_graph, program)
-    cmap = build_causal_map(program)
+def _candidates(program: Program, base_graph: DepGraph) -> list[frozenset[str]]:
+    """The program atoms True in each finished model, without repeats. The
+    index and causal map are freed on return, before validation."""
+    index = build_index(ensure_constraints(base_graph, program))
+    causal = build_causal_map(program, index)
     # prove recurses once per node of a proof path; the caller's limit is
     # restored on the way out.
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * len(g.nodes) + 1000))
+    sys.setrecursionlimit(max(limit, 4 * len(index.names) + 1000))
     try:
-        models = _finished_models(base_graph, g, cmap)
+        models = _finished_models(index, causal)
     finally:
         sys.setrecursionlimit(limit)
+    true_atoms = dict.fromkeys(true & index.atoms for _, true in models)
+    return [_names(index, mask) for mask in true_atoms]
 
-    answer_sets = set()
-    program_atoms = atoms_of(base_graph)
-    for m in models:
-        candidate = frozenset(
-            a for a, v in m.values.items() if v and a in program_atoms
-        )
-        if candidate in answer_sets:
-            continue
+
+def solve_igasp(program: Program) -> list[frozenset[str]]:
+    """Answer sets computed top-down, sorted lexicographically."""
+    base_graph = cnr_to_dg(build_cnr(program))
+    answer_sets = []
+    for candidate in _candidates(program, base_graph):
         world = world_from_atoms(base_graph, candidate)
         if check_justified(base_graph, world):
-            answer_sets.add(candidate)
+            answer_sets.append(candidate)
     return sorted(answer_sets, key=sorted)
 
 

@@ -240,3 +240,25 @@ def test_run_with_timeout_reads_large_result():
     elapsed, models = _run_with_timeout(text, "grasp", 30.0)
     assert models is not None
     assert len(models) == 4096
+
+
+def test_bench_solver_error_exits_2(tmp_path, capsys):
+    # 25 atoms is over the oracle's exhaustive-search cap: the child raises
+    # TooManyAtoms, which must not be counted as a timeout.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"num_atoms": 25, "num_rules": 25, "seed": 1}))
+    assert main([
+        "bench", "--rounds", "1", "--programs-per-round", "1",
+        "--gen-config", str(config_path), "--solvers", "grasp,oracle",
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "oracle" in err and "round 1 program 0" in err and "TooManyAtoms" in err
+
+
+def test_run_with_timeout_real_timeout_stays_none():
+    # 2^16 models of independent even loops take grasp seconds, not 50 ms
+    text = "".join(f"p{i} :- not q{i}. q{i} :- not p{i}.\n" for i in range(16))
+    elapsed, models = _run_with_timeout(text, "grasp", 0.05)
+    assert models is None

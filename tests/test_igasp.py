@@ -3,14 +3,15 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
-    PartialModel,
-    ProofBranch,
     QueryAtomUnknown,
     build_causal_map,
+    build_index,
     ensure_constraints,
     forward_propagate,
     merge_conjunctive,
@@ -34,12 +35,28 @@ def models(text):
     return [sorted(m) for m in solve_igasp(parse_program(text))]
 
 
-def pm(entries):
-    return PartialModel(dict(entries))
+# Bits of the named nodes in the model-merging tests, which need no graph.
+BITS = {name: bit for bit, name in enumerate("abcdex")}
 
 
-def keys(model_list):
-    return {m.key() for m in model_list}
+def pm(entries, bits=BITS):
+    """Partial model (known, true) of a name -> value dict."""
+    known = true = 0
+    for name, value in entries.items():
+        known |= 1 << bits[name]
+        if value:
+            true |= 1 << bits[name]
+    return known, true
+
+
+def values(model, bits=BITS):
+    """The name -> value dict a partial model decides."""
+    known, true = model
+    return {name: bool(true >> bit & 1) for name, bit in bits.items() if known >> bit & 1}
+
+
+def keys(model_list, bits=BITS):
+    return {frozenset(values(m, bits).items()) for m in model_list}
 
 
 # --- solve_igasp -----------------------------------------------------------
@@ -117,28 +134,39 @@ def test_prove_constraint_program_five():
     text = "m :- p. m :- not q. m :- r. :- not m. :- n."
     p = parse_program(text)
     g = ensure_constraints(transformed(text), p)
+    index = build_index(g)
     # ":- not m." is __constraint_0; falsifying it needs m True
-    results = prove("__constraint_0", False, ProofBranch(), g)
+    results = prove(index.bits["__constraint_0"], False, {}, index)
     assert len(g.in_edges("m")) == 3
     assert len(results) == 1
-    m = results[0]
-    assert m.value("m") is True
-    assert m.value("p") is False and m.value("q") is False and m.value("r") is False
+    m = values(results[0], index.bits)
+    assert m["m"] is True
+    assert m["p"] is False and m["q"] is False and m["r"] is False
     # ":- n." is __constraint_1; falsifying it needs n False
-    (n_model,) = prove("__constraint_1", False, ProofBranch(), g)
-    assert n_model.value("n") is False
+    (n_model,) = prove(index.bits["__constraint_1"], False, {}, index)
+    assert values(n_model, index.bits)["n"] is False
 
 
 def test_prove_fact_leaf():
-    g = transformed("q.")
-    assert keys(prove("q", True, ProofBranch(), g)) == {frozenset({("q", True)})}
-    assert prove("q", False, ProofBranch(), g) == []
+    index = build_index(transformed("q."))
+    q = index.bits["q"]
+    assert keys(prove(q, True, {}, index), index.bits) == {frozenset({("q", True)})}
+    assert prove(q, False, {}, index) == []
 
 
 def test_prove_ruleless_atom():
-    g = transformed("p :- q.")
-    assert prove("q", True, ProofBranch(), g) == []
-    assert keys(prove("q", False, ProofBranch(), g)) == {frozenset({("q", False)})}
+    index = build_index(transformed("p :- q."))
+    q = index.bits["q"]
+    assert prove(q, True, {}, index) == []
+    assert keys(prove(q, False, {}, index), index.bits) == {frozenset({("q", False)})}
+
+
+def test_prove_leaves_branch_as_it_found_it():
+    text = "p :- not q. q :- not p. :- p, q."
+    index = build_index(transformed(text))
+    branch = {index.bits["q"]: False}
+    assert prove(index.bits["__constraint_0"], False, branch, index)
+    assert branch == {index.bits["q"]: False}
 
 
 # --- model merging ----------------------------------------------------------
@@ -182,13 +210,17 @@ def test_merge_conjunctive_commutative_associative():
 
 
 def nested_loop_conjunctive(a, b):
-    """Reference: every pair tried, a outer, first occurrence of a key kept."""
+    """Reference on name -> value dicts: every pair tried, a outer, first
+    occurrence of a union kept."""
     merged, seen = [], set()
-    for ma in a:
-        for mb in b:
-            union = ma.union(mb)
-            if union is not None and union.key() not in seen:
-                seen.add(union.key())
+    for ma in map(values, a):
+        for mb in map(values, b):
+            if any(ma.get(n) not in (None, v) for n, v in mb.items()):
+                continue
+            union = {**ma, **mb}
+            key = frozenset(union.items())
+            if key not in seen:
+                seen.add(key)
                 merged.append(union)
     return merged
 
@@ -220,41 +252,49 @@ def test_merge_conjunctive_equals_nested_loop_reference():
                 x.append(pm({}))
             merged = merge_conjunctive(x, y)
             expected = nested_loop_conjunctive(x, y)
-            assert [m.values for m in merged] == [m.values for m in expected]
+            assert [values(m) for m in merged] == expected
 
 
 # --- forward propagation ----------------------------------------------------
 
 
+def causal_map(text):
+    """The program's causal map and the bits of its graph's nodes."""
+    index = build_index(transformed(text))
+    return build_causal_map(parse_program(text), index), index.bits
+
+
 def test_forward_propagate_fires_rules():
-    cmap = build_causal_map(parse_program("c :- a. d :- not b."))
-    out = forward_propagate(pm({"a": True, "b": False}), cmap)
-    assert out.values == {"a": True, "b": False, "c": True, "d": True}
+    cmap, bits = causal_map("c :- a. d :- not b.")
+    out = forward_propagate(pm({"a": True, "b": False}, bits), cmap)
+    assert values(out, bits) == {"a": True, "b": False, "c": True, "d": True}
 
 
 def test_forward_propagate_fixpoint_when_nothing_applies():
-    cmap = build_causal_map(parse_program("c :- a."))
-    start = pm({"b": True})
-    assert forward_propagate(start, cmap).values == start.values
+    cmap, bits = causal_map("c :- a. :- b.")
+    start = pm({"b": True}, bits)
+    assert forward_propagate(start, cmap) == start
 
 
 def test_forward_propagate_contradiction_drops_model():
-    cmap = build_causal_map(parse_program("x :- a."))
-    assert forward_propagate(pm({"a": True, "x": False}), cmap) is None
+    cmap, bits = causal_map("x :- a.")
+    assert forward_propagate(pm({"a": True, "x": False}, bits), cmap) is None
 
 
 def test_forward_propagate_idempotent():
     rng = random.Random(32)
     for _ in range(60):
-        program = parse_program(random_program_text(rng, 4, rng.randint(1, 6)))
-        cmap = build_causal_map(program)
+        text = random_program_text(rng, 4, rng.randint(1, 6))
+        program = parse_program(text)
+        cmap, bits = causal_map(text)
         start = pm(
-            {a: rng.random() < 0.5 for a in list(program.atoms)[: rng.randint(0, 3)]}
+            {a: rng.random() < 0.5 for a in list(program.atoms)[: rng.randint(0, 3)]},
+            bits,
         )
         once = forward_propagate(start, cmap)
         if once is not None:
             twice = forward_propagate(once, cmap)
-            assert twice is not None and twice.values == once.values
+            assert twice is not None and twice == once
 
 
 # --- queries ----------------------------------------------------------------
@@ -280,6 +320,16 @@ def test_query_negative():
 def test_query_unknown_atom():
     with pytest.raises(QueryAtomUnknown):
         solve_query(parse_program(QUERY_TEXT), "r")
+
+
+def test_query_last_atom_of_long_chain():
+    # A presumed-True link proves its source both ways, so the query makes
+    # n^2/2 proof calls; each must find its node on the branch in O(1).
+    n = 800
+    text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, n + 1))
+    assert solve_query(parse_program(text), f"a{n}") == [
+        frozenset(f"a{i}" for i in range(n + 1))
+    ]
 
 
 def test_query_soundness_random():
@@ -325,7 +375,7 @@ def test_effective_edge_soundness():
 
 def test_classic_model_counts():
     # 3-colorings of C_n: 2^n + 2(-1)^n; Hamiltonian cycles of K_n: (n-1)!
-    for n in (5, 6):
+    for n in (5, 6, 7, 8, 10):
         colorings = solve_igasp(gen_coloring(n, cycle_graph(n)))
         assert len(colorings) == 2**n + 2 * (-1) ** n
     for n in (3, 4):
@@ -355,3 +405,49 @@ def test_positive_loop_rejection():
         )
         for model in solve_igasp(program):
             assert is_stable(program, model)
+
+
+def test_reversed_positive_chain_one_model():
+    # Rules listed last link first: a sweep over the causal map in rule
+    # order decides one link per pass; the worklist decides all in one.
+    n = 2000
+    text = "".join(f"a{i} :- a{i - 1}.\n" for i in range(n, 0, -1)) + "a0.\n"
+    assert solve_igasp(parse_program(text)) == [
+        frozenset(f"a{i}" for i in range(n + 1))
+    ]
+
+
+PROPERTY_ATOMS = [f"x{i}" for i in range(8)]
+
+
+@st.composite
+def _programs(draw):
+    """Programs over up to 8 atoms with constraints, repeated rules and
+    rules whose body holds an atom and its negation."""
+    atoms = PROPERTY_ATOMS[: draw(st.integers(1, len(PROPERTY_ATOMS)))]
+    heads = st.none() | st.sampled_from(atoms)
+    literals = st.lists(st.tuples(st.sampled_from(atoms), st.booleans()), max_size=3)
+    rules = [
+        (head, body)
+        for head, body in draw(st.lists(st.tuples(heads, literals), max_size=10))
+        if head is not None or body
+    ]
+    if rules:
+        rules += draw(st.lists(st.sampled_from(rules), max_size=3))
+    for head, atom in draw(st.lists(st.tuples(heads, st.sampled_from(atoms)), max_size=2)):
+        rules.append((head, [(atom, False), (atom, True)]))
+    lines = []
+    for head, body in draw(st.permutations(rules)):
+        body_text = ", ".join(f"not {a}" if negated else a for a, negated in body)
+        if not body_text:
+            lines.append(f"{head}.")
+        else:
+            lines.append(f"{head or ''} :- {body_text}.")
+    return "\n".join(lines)
+
+
+@given(_programs())
+@settings(max_examples=300, deadline=None)
+def test_igasp_equals_oracle_property(text):
+    program = parse_program(text)
+    assert solve_igasp(program) == enumerate_stable(program)
