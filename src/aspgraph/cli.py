@@ -45,7 +45,7 @@ SOLVERS = {
 
 
 def _load_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_program(handle.read())
 
 

@@ -105,11 +105,11 @@ def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     """Virtual nodes for every SCC of size >= 2 or single node with a
     self-loop; wrapping them leaves the condensation acyclic."""
     virtual = []
-    successors = lambda node: [e.dst for e in g.out_edges(node)]
-    for component in _strong_components(g.nodes, successors):
+    successors = {node: [e.dst for e in g.out_edges(node)] for node in g.nodes}
+    for component in _strong_components(successors, successors.__getitem__):
         if len(component) == 1:
             (node,) = component
-            if node not in successors(node):
+            if node not in successors[node]:
                 continue
         virtual.append(VirtualNode(frozenset(component)))
     return sorted(virtual, key=lambda v: v.key)

@@ -7,6 +7,15 @@ nodes standing for the (always false) head of a headless constraint.
 sign of every edge touching a conjunction node (De Morgan), which yields a
 proper dependency graph: after the flip a conjunction node is true exactly
 when its rule body fails.
+
+Both stages are single passes, and both graphs share one canonical order.
+Nodes come as the sorted atoms, then the helper nodes in the order their
+rules appear. Each out-list is sorted by (dst, sign) and each in-list by
+(src, sign), with the negative sign first. ``cnr_to_dg`` maps every list in
+place, so in the transformed graph parallel edges between the same two
+nodes keep the order of their signs before the flip. ``justify``,
+``cycles.enumerate_cycles`` and igasp's ``build_index`` walk the transformed
+graph in this order, so their answers depend on it.
 """
 
 from __future__ import annotations
@@ -62,49 +71,38 @@ class Edge:
 
 
 class DepGraph:
-    """Node/edge store; immutable by convention once built."""
+    """Nodes with their in- and out-edge lists; immutable by convention.
 
-    def __init__(self, transformed: bool = False, rule_count: int = 0):
-        self._fixed: dict[str, bool] = {}
-        self._node_order: dict[str, None] = {}
-        self._edges: set[Edge] = set()
-        self._out: dict[str, list[Edge]] = {}
-        self._in: dict[str, list[Edge]] = {}
-        self.origin: dict[str, tuple[Rule, ...]] = {}
+    Each edge is one object, held in its source's out-list and in its
+    target's in-list.
+    """
+
+    def __init__(
+        self,
+        out: dict[str, list[Edge]],
+        in_: dict[str, list[Edge]],
+        fixed: dict[str, bool],
+        origin: dict[str, tuple[Rule, ...]],
+        transformed: bool = False,
+        rule_count: int = 0,
+    ):
+        self._out = out  # its key order is the node order
+        self._in = in_
+        self._fixed = fixed
+        self.origin = origin
         self.transformed = transformed
         self.rule_count = rule_count
 
     @property
     def nodes(self) -> list[str]:
-        return list(self._node_order)
+        return list(self._out)
 
     @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(self._edges)
+        return frozenset(e for edges in self._out.values() for e in edges)
 
     def has_node(self, node: str) -> bool:
-        return node in self._node_order
-
-    def add_node(self, node: str, fixed: bool | None = None) -> None:
-        if node not in self._node_order:
-            self._node_order[node] = None
-            self._out[node] = []
-            self._in[node] = []
-        if fixed is not None:
-            self._fixed[node] = fixed
-
-    def add_edge(self, src: str, dst: str, sign: Sign) -> None:
-        edge = Edge(src, dst, sign)
-        if edge in self._edges:
-            return
-        self.add_node(src)
-        self.add_node(dst)
-        self._edges.add(edge)
-        self._out[src].append(edge)
-        self._in[dst].append(edge)
-
-    def record_origin(self, node: str, rule: Rule) -> None:
-        self.origin[node] = self.origin.get(node, ()) + (rule,)
+        return node in self._out
 
     def fixed_value(self, node: str) -> bool | None:
         return self._fixed.get(node)
@@ -123,18 +121,14 @@ class DepGraph:
         if not isinstance(other, DepGraph):
             return NotImplemented
         return (
-            set(self._node_order) == set(other._node_order)
+            self._out.keys() == other._out.keys()
             and self._fixed == other._fixed
-            and self._edges == other._edges
+            and self.edges == other.edges
             and self.transformed == other.transformed
         )
 
     def __hash__(self):
         raise TypeError("DepGraph is not hashable")
-
-
-def _rule_key(rule: Rule):
-    return (rule.head, frozenset(rule.body))
 
 
 def build_cnr(program: Program) -> DepGraph:
@@ -147,63 +141,73 @@ def build_cnr(program: Program) -> DepGraph:
     body set) collapse onto one node/edge set, with every source rule kept
     in the origin map.
     """
-    g = DepGraph(transformed=False, rule_count=len(program.rules))
-    for atom in sorted(program.atoms):
-        g.add_node(atom)
-
-    conj_count = 0
-    constraint_count = 0
+    nodes = sorted(program.atoms)
+    facts: set[str] = set()
+    constraints: dict[str, bool] = {}  # constraint node -> False
+    origin: dict[str, tuple[Rule, ...]] = {}
+    triples: set[tuple[str, str, bool]] = set()  # (src, dst, positive)
     seen: dict[tuple, tuple[str, ...]] = {}
+    conj_count = 0
     for rule in program.rules:
-        key = _rule_key(rule)
-        if key in seen:
-            for helper in seen[key]:
-                g.record_origin(helper, rule)
+        key = (rule.head, frozenset(rule.body))
+        helpers = seen.get(key)
+        if helpers is not None:
+            for helper in helpers:
+                origin[helper] += (rule,)
             continue
 
-        helpers = []
-        if rule.head is None:
-            head_node = f"{CONSTRAINT_PREFIX}{constraint_count}"
-            constraint_count += 1
-            g.add_node(head_node, fixed=False)
-            g.record_origin(head_node, rule)
-            helpers.append(head_node)
-        else:
-            head_node = rule.head
-            if not rule.body:
-                g.add_node(head_node, fixed=True)
-                seen[key] = ()
-                continue
+        helpers = ()
+        head_node = rule.head
+        if head_node is None:
+            head_node = f"{CONSTRAINT_PREFIX}{len(constraints)}"
+            nodes.append(head_node)
+            constraints[head_node] = False
+            origin[head_node] = (rule,)
+            helpers = (head_node,)
+        elif not rule.body:
+            facts.add(head_node)
+            seen[key] = ()
+            continue
 
         if len(rule.body) == 1:
             lit = rule.body[0]
-            g.add_edge(lit.atom, head_node, Sign.NEGATIVE if lit.negated else Sign.POSITIVE)
+            triples.add((lit.atom, head_node, not lit.negated))
         else:
             conj = f"{CONJ_PREFIX}{conj_count}"
             conj_count += 1
-            g.add_node(conj)
-            g.record_origin(conj, rule)
-            helpers.append(conj)
+            nodes.append(conj)
+            origin[conj] = (rule,)
+            helpers += (conj,)
             for lit in rule.body:
-                g.add_edge(lit.atom, conj, Sign.NEGATIVE if lit.negated else Sign.POSITIVE)
-            g.add_edge(conj, head_node, Sign.POSITIVE)
-        seen[key] = tuple(helpers)
-    return g
+                triples.add((lit.atom, conj, not lit.negated))
+            triples.add((conj, head_node, True))
+        seen[key] = helpers
+
+    out: dict[str, list[Edge]] = {node: [] for node in nodes}
+    in_: dict[str, list[Edge]] = {node: [] for node in nodes}
+    sign = (Sign.NEGATIVE, Sign.POSITIVE)
+    for src, dst, positive in sorted(triples):
+        edge = Edge(src, dst, sign[positive])
+        out[src].append(edge)
+        in_[dst].append(edge)
+    fixed = {**dict.fromkeys(sorted(facts), True), **constraints}  # node order
+    return DepGraph(out, in_, fixed, origin, rule_count=len(program.rules))
 
 
 def flip_conjunction_signs(g: DepGraph) -> DepGraph:
-    """Copy of g with every conjunction-incident edge sign-flipped."""
-    out = DepGraph(transformed=g.transformed, rule_count=g.rule_count)
-    for node in g.nodes:
-        out.add_node(node, fixed=g.fixed_value(node))
-    for edge in sorted(g.edges, key=lambda e: (e.src, e.dst, e.sign.value)):
-        touches_conj = (
-            node_kind(edge.src) is NodeKind.CONJ or node_kind(edge.dst) is NodeKind.CONJ
-        )
-        sign = edge.sign.flipped() if touches_conj else edge.sign
-        out.add_edge(edge.src, edge.dst, sign)
-    out.origin = dict(g.origin)
-    return out
+    """Copy of g with every conjunction-incident edge sign-flipped.
+
+    Every list keeps its order, and an edge that touches no conjunction
+    node is the same object in both graphs.
+    """
+    flipped: dict[int, Edge] = {}  # id of an edge of g -> its flipped copy
+    for node in g._out:
+        if node.startswith(CONJ_PREFIX):
+            for e in g._in[node] + g._out[node]:
+                flipped[id(e)] = Edge(e.src, e.dst, e.sign.flipped())
+    out = {n: [flipped.get(id(e), e) for e in edges] for n, edges in g._out.items()}
+    in_ = {n: [flipped.get(id(e), e) for e in edges] for n, edges in g._in.items()}
+    return DepGraph(out, in_, dict(g._fixed), dict(g.origin), g.transformed, g.rule_count)
 
 
 def cnr_to_dg(g: DepGraph) -> DepGraph:

@@ -11,6 +11,11 @@ Concrete syntax is Prolog-style with ``not`` for negation as failure:
 lines and is terminated by ``.``. ``not`` is a reserved word and cannot be
 used as an atom name. A headless rule is an integrity constraint and must
 have a non-empty body.
+
+``parse_program`` takes the tokens as plain strings with one ``findall``,
+in which a character no token can start comes out as a token of its own;
+if there is none, it parses that list. Token positions are not tracked: the line and column of an error
+are worked out from the text only when a ``ParseError`` is raised.
 """
 
 from __future__ import annotations
@@ -107,133 +112,95 @@ class Program:
         return print_program(self)
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<ident>[a-z][a-zA-Z0-9_]*)
-  | (?P<implied>:-)
-  | (?P<comma>,)
-  | (?P<dot>\.)
-    """,
-    re.VERBOSE,
-)
+# A comment, an identifier, ':-', ',' or '.'; the last alternative takes a
+# character no token can start, so scanning skips nothing but whitespace.
+_TOKEN_RE = re.compile(r"%[^\n]*|[a-z][a-zA-Z0-9_]*|:-|[,.]|\S")
+_TOKEN_START = frozenset("abcdefghijklmnopqrstuvwxyz%,.")
+
+# Tokens that cannot name an atom; "" stands for the end of input.
+_NOT_ATOM = frozenset(("not", ":-", ",", ".", ""))
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # ident | not | implied | comma | dot | eof
-    text: str
-    line: int
-    column: int
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset pos."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return text.count("\n", 0, pos) + 1, pos - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        value = m.group()
-        column = pos - line_start + 1
-        if kind == "ident":
-            tokens.append(_Token("not" if value == "not" else "ident", value, line, column))
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, column))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "eof":
-            self.index += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = repr(tok.text) if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {what}, found {found}", tok.line, tok.column)
-        return self.advance()
-
-    def parse_literal(self) -> Literal:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.advance()
-            atom = self.expect("ident", "atom after 'not'")
-            return Literal(atom.text, negated=True)
-        if tok.kind == "ident":
-            self.advance()
-            return Literal(tok.text, negated=False)
-        found = repr(tok.text) if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected literal, found {found}", tok.line, tok.column)
-
-    def parse_body(self) -> tuple[Literal, ...]:
-        literals = [self.parse_literal()]
-        while self.peek().kind == "comma":
-            self.advance()
-            literals.append(self.parse_literal())
-        # duplicate (atom, negated) pairs are redundant conjuncts
-        seen: set[Literal] = set()
-        deduped = []
-        for lit in literals:
-            if lit not in seen:
-                seen.add(lit)
-                deduped.append(lit)
-        return tuple(deduped)
-
-    def parse_rule(self, source_index: int) -> Rule:
-        tok = self.peek()
-        if tok.kind == "implied":
-            self.advance()
-            if self.peek().kind == "dot":
-                raise EmptyConstraintError(
-                    "constraint must have a non-empty body", tok.line, tok.column
-                )
-            body = self.parse_body()
-            self.expect("dot", "'.'")
-            return Rule(None, body, source_index)
-        head = self.expect("ident", "rule head or ':-'")
-        tok = self.peek()
-        if tok.kind == "dot":
-            self.advance()
-            return Rule(head.text, (), source_index)
-        self.expect("implied", "':-' or '.'")
-        body = self.parse_body()
-        self.expect("dot", "'.'")
-        return Rule(head.text, body, source_index)
+def _token_error(text: str, index: int, message: str, error=ParseError):
+    """error at the index-th token of text, comments not counted, or at the
+    end of text when the tokens run out."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text) if m[0][0] != "%"]
+    pos = starts[index] if index < len(starts) else len(text)
+    return error(message, *_position(text, pos))
 
 
 def parse_program(text: str) -> Program:
     """Parse program text, returning rules in textual order.
 
     Raises ParseError (with line/column of the first offending token) on
-    ill-formed input and EmptyConstraintError for a bare ':- .'.
+    ill-formed input and EmptyConstraintError for a bare ':- .'. A character
+    no token can start is reported before any syntax error.
     """
-    parser = _Parser(_tokenize(text))
+    tokens = _TOKEN_RE.findall(text)
+    bad = {t for t in set(tokens) if t[0] not in _TOKEN_START and t != ":-"}
+    if bad:
+        first = next(m for m in _TOKEN_RE.finditer(text) if m[0] in bad)
+        raise ParseError(
+            f"unexpected character {first[0]!r}", *_position(text, first.start())
+        )
+    tokens = [t for t in tokens if t[0] != "%"]
+    last = len(tokens)
+    tokens.append("")
+
+    def expected(what: str, i: int):
+        found = repr(tokens[i]) if i < last else "end of input"
+        return _token_error(text, i, f"expected {what}, found {found}")
+
     rules = []
-    while parser.peek().kind != "eof":
-        rules.append(parser.parse_rule(len(rules)))
+    i = 0
+    while i < last:
+        head = tokens[i]
+        if head == ":-":
+            head = None
+            i += 1
+            if tokens[i] == ".":
+                raise _token_error(
+                    text, i - 1, "constraint must have a non-empty body",
+                    EmptyConstraintError,
+                )
+        elif head in _NOT_ATOM:
+            raise expected("rule head or ':-'", i)
+        elif tokens[i + 1] == ".":
+            rules.append(Rule(head, (), len(rules)))
+            i += 2
+            continue
+        elif tokens[i + 1] != ":-":
+            raise expected("':-' or '.'", i + 1)
+        else:
+            i += 2
+        body: dict[tuple[str, bool], Literal] = {}  # drops repeated conjuncts
+        while True:
+            atom = tokens[i]
+            negated = atom == "not"
+            if negated:
+                i += 1
+                atom = tokens[i]
+                if atom in _NOT_ATOM:
+                    raise expected("atom after 'not'", i)
+            elif atom in _NOT_ATOM:
+                raise expected("literal", i)
+            key = (atom, negated)
+            if key not in body:
+                body[key] = Literal(atom, negated)
+            i += 1
+            if tokens[i] != ",":
+                break
+            i += 1
+        if tokens[i] != ".":
+            raise expected("'.'", i)
+        i += 1
+        rules.append(Rule(head, tuple(body.values()), len(rules)))
     return Program(tuple(rules))
 
 

@@ -44,6 +44,13 @@ def test_solve_parse_error(program_file, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_solve_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.lp"
+    path.write_bytes("\ufeffa.\n".encode("utf-8"))
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "{a}\n"
+
+
 def test_solve_json_all_solvers(program_file, capsys):
     path = program_file(EVEN)
     for solver in ("grasp", "igasp", "oracle"):

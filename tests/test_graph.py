@@ -4,6 +4,7 @@ import pytest
 
 from aspgraph.graph import (
     DoubleTransformError,
+    Edge,
     NodeKind,
     Sign,
     atoms_of,
@@ -190,3 +191,55 @@ def test_build_deterministic():
     a = build_cnr(parse_program(text))
     b = build_cnr(parse_program(text))
     assert a == b and a.nodes == b.nodes
+
+
+def _reference_flip(cnr):
+    """Adjacency of the transformed graph as first built: every edge of cnr
+    in (src, dst, sign) order, conjunction-incident signs flipped after the
+    sort, so parallel edges keep the order of their original signs."""
+    out = {n: [] for n in cnr.nodes}
+    in_ = {n: [] for n in cnr.nodes}
+    for e in sorted(cnr.edges, key=lambda e: (e.src, e.dst, e.sign.value)):
+        touches = NodeKind.CONJ in (node_kind(e.src), node_kind(e.dst))
+        edge = Edge(e.src, e.dst, e.sign.flipped() if touches else e.sign)
+        out[e.src].append(edge)
+        in_[e.dst].append(edge)
+    return out, in_
+
+
+def test_transformed_adjacency_order_matches_reference():
+    rng = random.Random(8)
+    texts = [
+        "p :- q, not q, r. s :- not q, q. :- q, not q.",
+        "a :- not b, b. b :- a, not a, c. c. :- not c, a.",
+    ] + [random_program_text(rng, rng.randint(1, 8), rng.randint(1, 14)) for _ in range(200)]
+    for text in texts:
+        program = parse_program(text)
+        cnr = build_cnr(program)
+        dg = cnr_to_dg(cnr)
+        out, in_ = _reference_flip(cnr)
+        assert dg.nodes == cnr.nodes
+        assert dg.nodes[: len(program.atoms)] == sorted(program.atoms)
+        for n in dg.nodes:
+            assert dg.out_edges(n) == out[n]
+            assert dg.in_edges(n) == in_[n]
+        assert dg.fixed == cnr.fixed
+        assert list(dg.fixed) == [n for n in dg.nodes if n in dg.fixed]
+        assert dg.origin == cnr.origin
+        for g in (cnr, dg):
+            listed = [e for n in g.nodes for e in g.out_edges(n)]
+            assert len(listed) == len(g.edges)
+            assert g.edges == set(listed) == {e for n in g.nodes for e in g.in_edges(n)}
+
+
+def test_parallel_edges_keep_original_sign_order():
+    dg = cnr_to_dg(build_cnr(parse_program("p :- q, not q, r.")))
+    assert [(e.dst, e.sign) for e in dg.out_edges("q")] == [
+        ("__conj_0", Sign.POSITIVE),
+        ("__conj_0", Sign.NEGATIVE),
+    ]
+    assert [(e.src, e.sign) for e in dg.in_edges("__conj_0")] == [
+        ("q", Sign.POSITIVE),
+        ("q", Sign.NEGATIVE),
+        ("r", Sign.NEGATIVE),
+    ]

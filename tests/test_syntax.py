@@ -52,6 +52,43 @@ def test_error_carries_position():
     assert err.value.column == 6
 
 
+# input -> (error class, message, line, column); one row per message kind,
+# plus positions after comments, line breaks, tabs and CRLF
+PARSE_ERRORS = [
+    ("p :- q@.", ParseError, "unexpected character '@'", 1, 7),
+    ("P.", ParseError, "unexpected character 'P'", 1, 1),
+    ("p :- . @", ParseError, "unexpected character '@'", 1, 8),
+    ("p : q.", ParseError, "unexpected character ':'", 1, 3),
+    ("p :- q. -", ParseError, "unexpected character '-'", 1, 9),
+    ("pX_1 :- 1q.", ParseError, "unexpected character '1'", 1, 9),
+    (", p.", ParseError, "expected rule head or ':-', found ','", 1, 1),
+    ("not.", ParseError, "expected rule head or ':-', found 'not'", 1, 1),
+    ("p q.", ParseError, "expected ':-' or '.', found 'q'", 1, 3),
+    ("p :- .", ParseError, "expected literal, found '.'", 1, 6),
+    ("p :- not .", ParseError, "expected atom after 'not', found '.'", 1, 10),
+    ("p :- not not q.", ParseError, "expected atom after 'not', found 'not'", 1, 10),
+    ("p :- q r.", ParseError, "expected '.', found 'r'", 1, 8),
+    ("p :- q", ParseError, "expected '.', found end of input", 1, 7),
+    (":- .", EmptyConstraintError, "constraint must have a non-empty body", 1, 1),
+    ("q.\n:-\n  .", EmptyConstraintError, "constraint must have a non-empty body", 2, 1),
+    ("% a comment\np :- q r.", ParseError, "expected '.', found 'r'", 2, 8),
+    ("p :-\n  q,\n  not r. s", ParseError, "expected ':-' or '.', found end of input", 3, 11),
+    ("\tp q.", ParseError, "expected ':-' or '.', found 'q'", 1, 4),
+    ("p.\r\nq r.", ParseError, "expected ':-' or '.', found 'r'", 2, 3),
+    ("p :- q % no dot", ParseError, "expected '.', found end of input", 1, 16),
+    ("p :- q % no dot\n", ParseError, "expected '.', found end of input", 2, 1),
+]
+
+
+@pytest.mark.parametrize("text, error, message, line, column", PARSE_ERRORS)
+def test_parse_error_contract(text, error, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert type(err.value) is error
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_duplicate_body_literals_deduplicated():
     program = parse_program("p :- q, q, not q.")
     assert program.rules[0].body == (Literal("q"), Literal("q", True))
@@ -152,3 +189,24 @@ def test_parse_total_over_unicode(text):
         parse_program(text)
     except ParseError:
         pass
+
+
+_soup = st.lists(
+    st.sampled_from(
+        ["p", "q", "not", "ab_1", ":-", ",", ".", " ", "\t", "\n", "\r\n", "% c\n", "%", "@", "X"]
+    ),
+    max_size=25,
+).map("".join)
+
+
+@given(_soup)
+@settings(max_examples=400, deadline=None)
+def test_parse_round_trips_or_error_lies_in_text(text):
+    try:
+        program = parse_program(text)
+    except ParseError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+    else:
+        assert parse_program(print_program(program)) == program
