@@ -213,6 +213,15 @@ def _bench_config(args) -> GenConfig:
 
 
 def cmd_bench(args) -> int:
+    rounds, per_round = args.rounds, args.programs_per_round
+    for flag, value, ok, bound in (
+        ("--rounds", rounds, rounds >= 1, "at least 1"),
+        ("--programs-per-round", per_round, per_round >= 1, "at least 1"),
+        ("--timeout", args.timeout, args.timeout > 0, "above 0"),
+    ):
+        if not ok:
+            print(f"{flag} must be {bound}, got {value}", file=sys.stderr)
+            return EXIT_ERROR
     base = _bench_config(args)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     unknown = [s for s in solvers if s not in SOLVERS]

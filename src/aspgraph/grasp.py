@@ -14,6 +14,19 @@ into every stable labeling of its members. So a constraint's conjunction
 node is processed as soon as its body is decided, and it kills bad worlds
 before the next component multiplies them.
 
+By the splitting-set theorem (Lifschitz & Turner, "Splitting a logic
+program", ICLP 1994) a component's labelings depend only on the values it
+reads from below: its members, the sources of their in-edges and the body
+atoms of a conjunction-node source. So a virtual batch keys each world by
+its values on those nodes and breaks the component once per distinct key;
+the worlds that share a key share its read-only delta list, for that batch
+only. The labeling search itself keeps counters (Dowling & Gallier's
+linear-time Horn propagation, 1984): each member body counts its false and
+its undecided literals and each head its true and its non-false bodies, so
+checking a head takes constant time and a decision touches only the bodies
+that mention it. Foundedness, at a leaf of the search and for a component
+without negation inside, is one counter-based least fixpoint.
+
 Each handle of a batch contributes small delta worlds holding only the
 values it adds; the deltas are merged, each combination is applied to one
 copy of the parent world, and the two value rules
@@ -171,46 +184,29 @@ def merge_root_worlds(per_root: list[list[World]]) -> list[World]:
     return merged
 
 
-def _member_rules(g: DepGraph, atoms: list[str]):
-    bodies = {a: node_bodies(g, a) for a in atoms}
-    mentions: dict[str, set[str]] = {a: set() for a in atoms}
-    for head, heads_bodies in bodies.items():
-        for body in heads_bodies:
-            for lit_atom, _ in body:
-                if lit_atom in mentions:
-                    mentions[lit_atom].add(head)
-    return bodies, mentions
-
-
-def _founded(
-    atom_values: dict[str, bool],
-    members: frozenset[str],
-    bodies,
-    external_true: set[str],
-    value_of,
-) -> bool:
-    """True members must be derivable without relying on the positive cycle
-    itself: a least-fixpoint restricted to the component, seeded from
-    externally supported members."""
-    founded = set(external_true)
-    changed = True
-    while changed:
-        changed = False
-        for atom, val in atom_values.items():
-            if not val or atom in founded:
-                continue
-            for body in bodies[atom]:
-                if eval_body(body, value_of) is not True:
-                    continue
-                if all(
-                    lit in founded
-                    for lit, negated in body
-                    if not negated and lit in members
-                ):
-                    founded.add(atom)
-                    changed = True
-                    break
-    return all(atom in founded for atom, val in atom_values.items() if val)
+def _least_fixpoint(seeds, head_of, pos_members, pos_uses, enabled) -> set[int]:
+    """The seeds plus, transitively, the head of every enabled body whose
+    positive member literals are all in the set: counter-based Horn
+    propagation (Dowling & Gallier 1984), linear in the bodies' size."""
+    founded = set(seeds)
+    waiting: dict[int, int] = {}
+    ready = []
+    for i in enabled:
+        count = sum(1 for j in pos_members[i] if j not in founded)
+        waiting[i] = count
+        if count == 0:
+            ready.append(i)
+    while ready:
+        head = head_of[ready.pop()]
+        if head in founded:
+            continue
+        founded.add(head)
+        for i in pos_uses[head]:
+            if i in waiting:
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    ready.append(i)
+    return founded
 
 
 def _component_labelings(
@@ -221,76 +217,122 @@ def _component_labelings(
     Candidates are enumerated with support pruning (a False atom may not
     have a satisfied body; a True atom needs a satisfiable one) and filtered
     for foundedness.
+
+    Member atoms are numbered in name order and their bodies in order. Each
+    body counts its false and its undecided literals, and each head its true
+    and its non-false bodies, so a head is checked in constant time and a
+    decision, or its undoing, touches only the bodies that mention it.
     """
     atoms = sorted(m for m in v.members if node_kind(m) is NodeKind.ATOM)
-    bodies, mentions = _member_rules(g, atoms)
-    external_true = {a for a in atoms if w.value(a) is True}
-    decisions = [a for a in atoms if a not in external_true]
-
-    cand: dict[str, bool] = {a: True for a in external_true}
-
-    def value_of(atom: str) -> bool | None:
-        if atom in cand:
-            return cand[atom]
-        if atom in bodies:
-            return None
-        return w.value(atom)
-
-    def head_ok(head: str) -> bool:
-        val = cand.get(head)
-        if val is None:
-            return True
-        states = [eval_body(b, value_of) for b in bodies[head]]
-        if val is False:
-            return not any(s is True for s in states)
-        if head in external_true:
-            return True
-        return any(s is not False for s in states)
+    number = {a: j for j, a in enumerate(atoms)}
+    value: list[bool | None] = [True if w.value(a) is True else None for a in atoms]
+    external = [val is True for val in value]
+    seeds = [j for j, val in enumerate(value) if val]
+    head_of: list[int] = []
+    pos_members: list[list[int]] = []  # positive member literals per body
+    false: list[int] = []
+    undecided: list[int] = []
+    outside_ok: list[int] = []  # bodies whose outside literals all hold
+    uses: list[list[tuple[int, bool]]] = [[] for _ in atoms]  # (body, negated)
+    pos_uses: list[list[int]] = [[] for _ in atoms]
+    member_naf = False
+    for head, atom in enumerate(atoms):
+        for body in node_bodies(g, atom):
+            i = len(head_of)
+            head_of.append(head)
+            pos = []
+            f = u = 0
+            blocked = False
+            for lit, negated in body:
+                j = number.get(lit)
+                if j is None:
+                    val = w.value(lit)
+                    if val is None:
+                        u += 1
+                        blocked = True
+                    elif val == negated:
+                        f += 1
+                        blocked = True
+                    continue
+                member_naf = member_naf or negated
+                if not negated:
+                    pos.append(j)
+                    pos_uses[j].append(i)
+                if value[j] is None:
+                    u += 1
+                    uses[j].append((i, negated))
+                elif negated:
+                    f += 1
+            pos_members.append(pos)
+            false.append(f)
+            undecided.append(u)
+            if not blocked:
+                outside_ok.append(i)
+    decisions = [j for j, val in enumerate(value) if val is None]
 
     # A component whose member atoms never occur negated in member bodies
     # has positive internal cycles only, hence exactly one stable labeling:
     # the support fixpoint from externally true members, all else False.
-    member_naf = any(
-        negated and lit in bodies
-        for a in atoms
-        for body in bodies[a]
-        for lit, negated in body
-    )
     if not member_naf:
-        fixed = set(external_true)
-        changed = True
-        while changed:
-            changed = False
-            for atom in decisions:
-                if atom in fixed:
-                    continue
-                for body in bodies[atom]:
-                    outside = tuple((l, n) for l, n in body if l not in bodies)
-                    inside_ok = all(
-                        lit in fixed for lit, _ in body if lit in bodies
-                    )
-                    if inside_ok and eval_body(outside, w.value) is True:
-                        fixed.add(atom)
-                        changed = True
-                        break
-        return [{a: (a in fixed) for a in atoms}]
+        fixed = _least_fixpoint(seeds, head_of, pos_members, pos_uses, outside_ok)
+        return [{a: (j in fixed) for j, a in enumerate(atoms)}]
+
+    true_bodies = [0] * len(atoms)
+    live_bodies = [0] * len(atoms)  # bodies that are not (yet) False
+    for i, head in enumerate(head_of):
+        if not false[i]:
+            live_bodies[head] += 1
+            if not undecided[i]:
+                true_bodies[head] += 1
+    watchers = [list(dict.fromkeys(head_of[i] for i, _ in body_uses)) for body_uses in uses]
+
+    def head_ok(head: int) -> bool:
+        val = value[head]
+        if val is None:
+            return True
+        if val:
+            return external[head] or live_bodies[head] > 0
+        return not true_bodies[head]
+
+    def decide(j: int, val: bool) -> None:
+        for i, negated in uses[j]:
+            undecided[i] -= 1
+            if val == negated:
+                if not false[i]:
+                    live_bodies[head_of[i]] -= 1
+                false[i] += 1
+            elif not undecided[i] and not false[i]:
+                true_bodies[head_of[i]] += 1
+
+    def undo(j: int, val: bool) -> None:
+        for i, negated in uses[j]:
+            if val == negated:
+                false[i] -= 1
+                if not false[i]:
+                    live_bodies[head_of[i]] += 1
+            elif not undecided[i] and not false[i]:
+                true_bodies[head_of[i]] -= 1
+            undecided[i] += 1
 
     results: list[dict[str, bool]] = []
 
     def search(index: int) -> None:
         if index == len(decisions):
-            if all(head_ok(a) for a in atoms) and _founded(
-                cand, v.members, bodies, external_true, value_of
-            ):
-                results.append(dict(cand))
+            true_bodies_now = [
+                i for i in range(len(head_of)) if not false[i] and not undecided[i]
+            ]
+            founded = _least_fixpoint(seeds, head_of, pos_members, pos_uses, true_bodies_now)
+            if all(j in founded for j, val in enumerate(value) if val):
+                results.append(dict(zip(atoms, value)))
             return
-        atom = decisions[index]
-        for value in (True, False):
-            cand[atom] = value
-            affected = {atom} | {h for h in mentions[atom] if h in cand}
-            if all(head_ok(h) for h in affected):
+        j = decisions[index]
+        for val in (True, False):
+            value[j] = val
+            decide(j, val)
+            if head_ok(j) and all(head_ok(h) for h in watchers[j]):
                 search(index + 1)
-            del cand[atom]
+            undo(j, val)
+        value[j] = None
 
     search(0)
     return results
@@ -320,6 +362,19 @@ def break_cycles(v: VirtualNode, g: DepGraph, w: World) -> list[World]:
     return worlds
 
 
+def _input_nodes(v: VirtualNode, g: DepGraph) -> list[str]:
+    """Every node whose value break_cycles reads: the members, the sources
+    of their in-edges, and the body atoms of a conjunction-node source."""
+    members = sorted(v.members)
+    nodes = dict.fromkeys(members)
+    for member in members:
+        for edge in g.in_edges(member):
+            nodes[edge.src] = None
+            if node_kind(edge.src) is NodeKind.CONJ:
+                nodes.update(dict.fromkeys(e.src for e in g.in_edges(edge.src)))
+    return list(nodes)
+
+
 def solve_graph(g: DepGraph, start: World | None = None) -> list[World]:
     """All completed consistent worlds of a transformed graph."""
     view = GraphView(g)
@@ -331,13 +386,21 @@ def solve_graph(g: DepGraph, start: World | None = None) -> list[World]:
             for root in roots
             for node in (sorted(root.members) if isinstance(root, VirtualNode) else [root])
         ]
+        # A virtual batch is one component. Its labelings depend only on the
+        # values it reads from below (the splitting-set theorem), so it is
+        # broken once per distinct context; the delta lists are read-only.
+        component = roots[0] if isinstance(roots[0], VirtualNode) else None
+        inputs = _input_nodes(component, g) if component is not None else []
+        labelings: dict[tuple, list[World]] = {}
         survivors = []
         for w in worlds:
-            per_root = [
-                break_cycles(root, g, w) if isinstance(root, VirtualNode) else [fix_root(root, w)]
-                for root in roots
-            ]
-            deltas = merge_root_worlds(per_root)
+            if component is None:
+                deltas = merge_root_worlds([[fix_root(root, w)] for root in roots])
+            else:
+                context = tuple(map(w.values.get, inputs))
+                deltas = labelings.get(context)
+                if deltas is None:
+                    deltas = labelings[context] = break_cycles(component, g, w)
             for i, delta in enumerate(deltas):
                 # w is not needed after its last combination: extend it in place
                 merged = w if i == len(deltas) - 1 else w.copy()

@@ -169,16 +169,31 @@ def build_causal_map(program: Program, index: NodeIndex) -> CausalMap:
     return causal
 
 
-def forward_propagate(m: PartialModel, causal: CausalMap) -> PartialModel | None:
+def forward_propagate(
+    m: PartialModel, causal: CausalMap, base: PartialModel | None = None
+) -> PartialModel | None:
     """Least fixpoint of the causal map over m: a rule whose body is fully
     decided true forces its head True, and an atom all of whose bodies are
     decided false is forced False. Returns None when a forced value
-    contradicts an existing entry (the caller drops the model)."""
+    contradicts an existing entry (the caller drops the model).
+
+    base, when given, is a model contained in m that is a fixpoint already.
+    A head none of whose bodies mentions a node m adds to base is forced in
+    m exactly as in base, where its value agrees, so only the heads watching
+    those nodes are checked first; the result is the same."""
     known, true = m
     false = known ^ true
     bodies, watchers = causal.bodies, causal.watchers
-    # Every head once, then only the heads watching a newly decided atom.
-    pending = list(bodies)
+    if base is None:
+        # Every head once, then only the heads watching a newly decided atom.
+        pending = list(bodies)
+    else:
+        pending = []
+        added = known & ~base[0]
+        while added:
+            low = added & -added
+            pending.extend(watchers.get(low.bit_length() - 1, ()))
+            added ^= low
     while pending:
         head = pending.pop()
         forced = False
@@ -346,6 +361,10 @@ def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
     return cnr_to_dg(build_cnr(program.extended(additions)))
 
 
+def _contains(m: PartialModel, part: PartialModel) -> bool:
+    return not part[0] & ~m[0] and m[1] & part[0] == part[1]
+
+
 def _finished_models(index: NodeIndex, causal: CausalMap) -> list[PartialModel]:
     """Forward-propagated partial models that falsify every constraint."""
     ruleless = index.atoms
@@ -359,9 +378,15 @@ def _finished_models(index: NodeIndex, causal: CausalMap) -> list[PartialModel]:
             propagated = forward_propagate(m, causal)
             if propagated is not None:
                 alternatives.append(propagated)
+        # merge_conjunctive lists the unions of each left model in the order
+        # of models, so one pointer finds, for each union, a left model that
+        # it contains; propagation starts from the nodes the union adds.
         merged = []
+        left = 0
         for m in merge_conjunctive(models, list(dict.fromkeys(alternatives))):
-            propagated = forward_propagate(m, causal)
+            while not _contains(m, models[left]):
+                left += 1
+            propagated = forward_propagate(m, causal, models[left])
             if propagated is not None:
                 merged.append(propagated)
         models = list(dict.fromkeys(merged))

@@ -12,7 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DepGraph, Edge, NodeKind, Sign, atoms_of, node_kind
+from .graph import (
+    CONJ_PREFIX,
+    CONSTRAINT_PREFIX,
+    DepGraph,
+    Edge,
+    NodeKind,
+    Sign,
+    atoms_of,
+    node_kind,
+)
 from .worlds import World
 
 
@@ -119,63 +128,69 @@ def check_justified(g: DepGraph, w: World) -> bool:
     """
     if not w.is_complete(g):
         return False
+    values = w.values
+    positive = Sign.POSITIVE
     for node in g.nodes:
+        value = values[node]
         fixed = g.fixed_value(node)
-        if fixed is not None and w.value(node) != fixed:
+        if fixed is not None and value != fixed:
             return False
-        value = w.value(node)
-        effective = [e for e in g.in_edges(node) if is_effective(e, w)]
-        if value and not effective and g.fixed_value(node) is not True:
+        effective = any(values[e.src] == (e.sign is positive) for e in g.in_edges(node))
+        if value and not effective and fixed is not True:
             return False
         if not value and effective:
             return False
     return _founded_atoms_ok(g, w)
 
 
-def _supports_via(g: DepGraph, edge: Edge, w: World, founded: set[str]) -> bool:
-    # A negative edge fires from a False node: negation-as-failure support
-    # needs no further derivation unless the source is a conjunction node,
-    # in which case the body's positive literals must themselves be founded.
-    src = edge.src
-    if node_kind(src) is not NodeKind.CONJ:
-        if edge.sign is Sign.POSITIVE:
-            return src in founded
-        return True
-    return all(
-        inner.src in founded
-        for inner in g.in_edges(src)
-        if inner.sign is Sign.NEGATIVE  # transformed sign of a positive literal
-    )
-
-
 def _founded_atoms_ok(g: DepGraph, w: World) -> bool:
     # One pass over the unfounded True atoms, then a worklist: an atom that
     # becomes founded can only newly support the atoms it feeds, directly or
     # through a conjunction node, so only those are checked again.
-    true_atoms = {n for n in atoms_of(g) if w.value(n)}
+    values = w.values
+    positive = Sign.POSITIVE
+    true_atoms = {
+        n
+        for n in g.nodes
+        if values[n] and not n.startswith((CONJ_PREFIX, CONSTRAINT_PREFIX))
+    }
     founded = {n for n in true_atoms if g.fixed_value(n) is True}
 
-    stack: list[str] = []
+    def supported(atom: str) -> bool:
+        # Some effective in-edge supports the atom. A negative edge fires
+        # from a False node: negation-as-failure support needs no further
+        # derivation unless the source is a conjunction node, in which case
+        # the body's positive literals (negative after the flip) must
+        # themselves be founded.
+        for edge in g.in_edges(atom):
+            src = edge.src
+            sign_positive = edge.sign is positive
+            if values[src] != sign_positive:
+                continue
+            if src.startswith(CONJ_PREFIX):
+                if all(
+                    inner.src in founded
+                    for inner in g.in_edges(src)
+                    if inner.sign is not positive
+                ):
+                    return True
+            elif not sign_positive or src in founded:
+                return True
+        return False
 
-    def check(atom: str) -> None:
-        if any(
-            is_effective(edge, w) and _supports_via(g, edge, w, founded)
-            for edge in g.in_edges(atom)
-        ):
+    stack = []
+    for atom in true_atoms - founded:
+        if supported(atom):
             founded.add(atom)
             stack.append(atom)
-
-    for atom in true_atoms - founded:
-        check(atom)
     while stack:
         for edge in g.out_edges(stack.pop()):
-            if node_kind(edge.dst) is NodeKind.CONJ:
-                fed = [out.dst for out in g.out_edges(edge.dst)]
-            else:
-                fed = [edge.dst]
+            dst = edge.dst
+            fed = [e.dst for e in g.out_edges(dst)] if dst.startswith(CONJ_PREFIX) else [dst]
             for atom in fed:
-                if atom in true_atoms and atom not in founded:
-                    check(atom)
+                if atom in true_atoms and atom not in founded and supported(atom):
+                    founded.add(atom)
+                    stack.append(atom)
     return founded == true_atoms
 
 

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import DepGraph, Edge, NodeKind, Sign, node_kind
+from .graph import (
+    CONJ_PREFIX,
+    CONSTRAINT_PREFIX,
+    DepGraph,
+    Edge,
+    NodeKind,
+    Sign,
+    node_kind,
+)
 
 
 @dataclass
@@ -94,20 +102,23 @@ def world_from_atoms(g: DepGraph, true_atoms) -> World:
     """Total world induced by an atom assignment.
 
     Conjunction nodes take the negation of their body's value (the
-    transformed-graph reading); constraint nodes stay False.
+    transformed-graph reading); constraint nodes stay False. After the flip
+    a conjunction node is True when any of its in-edges is effective (a
+    positive edge from a True node or a negative edge from a False one);
+    before it, when all of them are.
     """
     true_atoms = frozenset(true_atoms)
-    w = World()
+    values: dict[str, bool] = {}
+    conjunctions = []
     for node in g.nodes:
-        kind = node_kind(node)
-        if kind is NodeKind.ATOM:
-            w.values[node] = node in true_atoms
-        elif kind is NodeKind.CONSTRAINT:
-            w.values[node] = False
-    value_of = lambda a: w.values.get(a)
-    for node in g.nodes:
-        if node_kind(node) is NodeKind.CONJ:
-            body = tuple(body_literal(e, g.transformed) for e in g.in_edges(node))
-            holds = bool(eval_body(body, value_of))
-            w.values[node] = not holds if g.transformed else holds
-    return w
+        if node.startswith(CONJ_PREFIX):
+            conjunctions.append(node)
+        elif node.startswith(CONSTRAINT_PREFIX):
+            values[node] = False
+        else:
+            values[node] = node in true_atoms
+    positive = Sign.POSITIVE
+    for node in conjunctions:
+        effective = [values[e.src] == (e.sign is positive) for e in g.in_edges(node)]
+        values[node] = any(effective) if g.transformed else all(effective)
+    return World(values)

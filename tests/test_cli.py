@@ -269,3 +269,19 @@ def test_run_with_timeout_real_timeout_stays_none():
     text = "".join(f"p{i} :- not q{i}. q{i} :- not p{i}.\n" for i in range(16))
     elapsed, models = _run_with_timeout(text, "grasp", 0.05)
     assert models is None
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rounds", "0"), ("--programs-per-round", "0"), ("--timeout", "0"), ("--timeout", "-1")],
+)
+def test_bench_argument_out_of_range_exits_2(capsys, flag, value):
+    # A non-positive timeout would report every solve as a timeout and exit 0.
+    args = {"--rounds": "1", "--programs-per-round": "1", "--timeout": "5"}
+    args[flag] = value
+    argv = ["bench"] + [item for pair in args.items() for item in pair]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert flag in err

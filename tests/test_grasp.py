@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aspgraph import grasp
 from aspgraph.cycles import VirtualNode, find_virtual_nodes
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
-from aspgraph.graph import build_cnr, cnr_to_dg
+from aspgraph.graph import NodeKind, build_cnr, cnr_to_dg, node_kind
 from aspgraph.grasp import (
     GraphView,
     break_cycles,
@@ -18,7 +20,7 @@ from aspgraph.grasp import (
 )
 from aspgraph.oracle import enumerate_stable
 from aspgraph.syntax import parse_program
-from aspgraph.worlds import World, initial_world
+from aspgraph.worlds import World, eval_body, initial_world, node_bodies
 
 from conftest import random_program_text
 
@@ -376,3 +378,158 @@ def test_stratification_matches_oracle_on_layered_programs():
             lines.append(f"{head} :- {rendered}.")
         program = parse_program("\n".join(lines))
         assert solve_grasp(program) == enumerate_stable(program)
+
+
+def test_coloring_c8_breaks_each_context_once(monkeypatch):
+    # Each vertex component is broken once per distinct valuation of the
+    # nodes it reads; breaking it once per live world costs 427 calls.
+    calls = 0
+    original = grasp.break_cycles
+
+    def counted(v, g, w):
+        nonlocal calls
+        calls += 1
+        return original(v, g, w)
+
+    monkeypatch.setattr(grasp, "break_cycles", counted)
+    assert len(solve_grasp(gen_coloring(8, cycle_graph(8)))) == 258
+    assert 0 < calls <= 8
+
+
+def reference_labelings(v, g, w):
+    """The re-evaluating labeling search: every affected head's bodies are
+    evaluated again at each decision, and foundedness is swept to a fixpoint."""
+    atoms = sorted(m for m in v.members if node_kind(m) is NodeKind.ATOM)
+    bodies = {a: node_bodies(g, a) for a in atoms}
+    mentions = {a: set() for a in atoms}
+    for head, heads_bodies in bodies.items():
+        for body in heads_bodies:
+            for lit_atom, _ in body:
+                if lit_atom in mentions:
+                    mentions[lit_atom].add(head)
+    external_true = {a for a in atoms if w.value(a) is True}
+    decisions = [a for a in atoms if a not in external_true]
+    cand = {a: True for a in external_true}
+
+    def value_of(atom):
+        if atom in cand:
+            return cand[atom]
+        if atom in bodies:
+            return None
+        return w.value(atom)
+
+    def head_ok(head):
+        val = cand.get(head)
+        if val is None:
+            return True
+        states = [eval_body(b, value_of) for b in bodies[head]]
+        if val is False:
+            return not any(s is True for s in states)
+        if head in external_true:
+            return True
+        return any(s is not False for s in states)
+
+    def founded_ok():
+        founded = set(external_true)
+        changed = True
+        while changed:
+            changed = False
+            for atom, val in cand.items():
+                if not val or atom in founded:
+                    continue
+                for body in bodies[atom]:
+                    if eval_body(body, value_of) is True and all(
+                        lit in founded for lit, neg in body if not neg and lit in bodies
+                    ):
+                        founded.add(atom)
+                        changed = True
+                        break
+        return all(atom in founded for atom, val in cand.items() if val)
+
+    member_naf = any(
+        neg and lit in bodies for a in atoms for body in bodies[a] for lit, neg in body
+    )
+    if not member_naf:
+        fixed = set(external_true)
+        changed = True
+        while changed:
+            changed = False
+            for atom in decisions:
+                if atom in fixed:
+                    continue
+                for body in bodies[atom]:
+                    outside = tuple((l, n) for l, n in body if l not in bodies)
+                    inside_ok = all(lit in fixed for lit, _ in body if lit in bodies)
+                    if inside_ok and eval_body(outside, w.value) is True:
+                        fixed.add(atom)
+                        changed = True
+                        break
+        return [{a: (a in fixed) for a in atoms}]
+
+    results = []
+
+    def search(index):
+        if index == len(decisions):
+            if all(head_ok(a) for a in atoms) and founded_ok():
+                results.append(dict(cand))
+            return
+        atom = decisions[index]
+        for value in (True, False):
+            cand[atom] = value
+            affected = {atom} | {h for h in mentions[atom] if h in cand}
+            if all(head_ok(h) for h in affected):
+                search(index + 1)
+            del cand[atom]
+
+    search(0)
+    return results
+
+
+def test_component_labelings_match_reference():
+    rng = random.Random(26)
+    components = 0
+    counts = set()
+    while components < 400:
+        g = transformed(random_program_text(rng, rng.randint(2, 10), rng.randint(2, 18)))
+        for v in find_virtual_nodes(g):
+            for _ in range(3):
+                w = World()
+                for node in grasp._input_nodes(v, g):
+                    value = rng.choice((True, False, None))
+                    if value is not None:
+                        w.assign(node, value)
+                labelings = grasp._component_labelings(v, g, w)
+                assert labelings == reference_labelings(v, g, w)
+                components += 1
+                counts.add(min(len(labelings), 2))
+    assert counts == {0, 1, 2}
+
+
+@st.composite
+def _shared_loop_programs(draw):
+    """Even loops whose rules share body atoms: every loop is broken under
+    contexts that repeat across worlds and differ between them. Each shared
+    atom is free (an even loop of its own), and constraints and positive
+    links tie the loops together."""
+    shared = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    lines = [f"{s} :- not n{s}. n{s} :- not {s}." for s in shared]
+    literal = st.tuples(st.sampled_from(shared), st.booleans())
+    literals = st.lists(literal, max_size=2, unique=True)
+    loops = draw(st.integers(2, 4))
+    for i in range(loops):
+        for head, other in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}")):
+            body = [f"not {other}"] + [f"not {a}" if neg else a for a, neg in draw(literals)]
+            lines.append(f"{head} :- {', '.join(body)}.")
+    loop_atoms = st.sampled_from([f"{x}{i}" for i in range(loops) for x in "ab"])
+    for atom, (lit, neg) in draw(st.lists(st.tuples(loop_atoms, literal), max_size=2)):
+        lines.append(f":- {atom}, {'not ' if neg else ''}{lit}.")
+    for head, source in draw(st.lists(st.tuples(loop_atoms, loop_atoms), max_size=2)):
+        lines.append(f"{head} :- {source}.")
+    return "\n".join(lines)
+
+
+@given(_shared_loop_programs())
+@settings(max_examples=100, deadline=None)
+def test_shared_loops_equal_oracle_property(text):
+    program = parse_program(text)
+    assert solve_grasp(program) == enumerate_stable(program)

@@ -297,6 +297,38 @@ def test_forward_propagate_idempotent():
             assert twice is not None and twice == once
 
 
+def test_forward_propagate_from_base_equals_full_pass():
+    # A union of two propagated models re-checks only the heads watching the
+    # nodes it adds to either side, and ends where the full pass ends.
+    cmap, bits = causal_map("c :- a, b. d :- c.")
+    left, right = pm({"a": True}, bits), pm({"b": True}, bits)
+    union = pm({"a": True, "b": True}, bits)
+    assert forward_propagate(union, cmap, left) == forward_propagate(union, cmap)
+    assert values(forward_propagate(union, cmap, right), bits)["d"] is True
+
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(300):
+        text = random_program_text(rng, rng.randint(2, 6), rng.randint(1, 10))
+        cmap, bits = causal_map(text)
+        atoms = sorted(parse_program(text).atoms)
+        for _ in range(6):
+            sides = [{}, {}]
+            for atom in atoms:
+                pick = rng.random()
+                if pick < 0.6:
+                    sides[pick < 0.3][atom] = rng.random() < 0.5
+            left, right = (forward_propagate(pm(side, bits), cmap) for side in sides)
+            if left is None or right is None or left[0] & right[0] & (left[1] ^ right[1]):
+                continue
+            union = (left[0] | right[0], left[1] | right[1])
+            full = forward_propagate(union, cmap)
+            assert forward_propagate(union, cmap, left) == full
+            assert forward_propagate(union, cmap, right) == full
+            outcomes.add("dropped" if full is None else "same" if full == union else "extended")
+    assert outcomes == {"dropped", "same", "extended"}
+
+
 # --- queries ----------------------------------------------------------------
 
 

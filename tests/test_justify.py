@@ -3,13 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from aspgraph.graph import atoms_of, build_cnr, cnr_to_dg
+from aspgraph.graph import NodeKind, Sign, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.grasp import solve_grasp_worlds
 from aspgraph.justify import (
     AtomUnknown,
     WorldIncomplete,
     _founded_atoms_ok,
-    _supports_via,
     check_justified,
     is_effective,
     export_dot_world,
@@ -162,6 +161,22 @@ def test_check_justified_rejects_unfounded_positive_loop():
     g = transformed("p :- q. q :- p.")
     assert not check_justified(g, world_from_atoms(g, {"p", "q"}))
     assert check_justified(g, world_from_atoms(g, set()))
+
+
+def _supports_via(g, edge, w, founded):
+    # A negative edge fires from a False node: negation-as-failure support
+    # needs no further derivation unless the source is a conjunction node,
+    # in which case the body's positive literals must themselves be founded.
+    src = edge.src
+    if node_kind(src) is not NodeKind.CONJ:
+        if edge.sign is Sign.POSITIVE:
+            return src in founded
+        return True
+    return all(
+        inner.src in founded
+        for inner in g.in_edges(src)
+        if inner.sign is Sign.NEGATIVE  # transformed sign of a positive literal
+    )
 
 
 def sweep_founded_atoms_ok(g, w):
