@@ -12,7 +12,7 @@ even (> 0 and even), odd, or positive (none).
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -61,26 +61,30 @@ class VirtualNode:
 
 
 def _strong_components(
-    roots: Iterable[Hashable], successors: Callable[[Hashable], Iterable[Hashable]]
-) -> Iterator[list]:
-    """Tarjan's strongly connected components of the part of the graph
-    reachable from roots, each yielded as soon as it closes. An explicit
-    stack of successor iterators stands in for the recursion."""
-    index: dict = {}
-    low: dict = {}
-    done = float("inf")  # low value of a node whose component is closed
+    size: int, roots: Iterable[int], successors: Callable[[int], Iterable[int]]
+) -> Iterator[list[int]]:
+    """Tarjan's strongly connected components of the part of a graph over
+    the nodes 0 .. size - 1 reachable from roots, each yielded as soon as it
+    closes. An explicit stack of successor iterators stands in for the
+    recursion."""
+    index = [-1] * size
+    low = [0] * size
+    count = 0
+    done = size  # low value of a node whose component is closed
     stack = []
     for root in roots:
-        if root in index:
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
         work = [(root, iter(successors(root)))]
         while work:
             v, edges = work[-1]
             for w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
                     stack.append(w)
                     work.append((w, iter(successors(w))))
                     break
@@ -105,13 +109,15 @@ def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     """Virtual nodes for every SCC of size >= 2 or single node with a
     self-loop; wrapping them leaves the condensation acyclic."""
     virtual = []
-    successors = {node: [e.dst for e in g.out_edges(node)] for node in g.nodes}
-    for component in _strong_components(successors, successors.__getitem__):
+    names = g.names
+    successors = [[e >> 1 for e in entries] for entries in g.succ]
+    size = len(names)
+    for component in _strong_components(size, range(size), successors.__getitem__):
         if len(component) == 1:
             (node,) = component
             if node not in successors[node]:
                 continue
-        virtual.append(VirtualNode(frozenset(component)))
+        virtual.append(VirtualNode(frozenset([names[i] for i in component])))
     return sorted(virtual, key=lambda v: v.key)
 
 
@@ -127,13 +133,13 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
     them.
     """
     names = sorted(v.members)
-    number = {name: i for i, name in enumerate(names)}
+    number = {g.number[name]: i for i, name in enumerate(names)}
     flags: dict[tuple[int, int], list[bool]] = {}
     for i, name in enumerate(names):
-        for e in g.out_edges(name):
-            j = number.get(e.dst)
+        for e in g.succ[g.number[name]]:
+            j = number.get(e >> 1)
             if j is not None:
-                flags.setdefault((i, j), []).append(e.negative)
+                flags.setdefault((i, j), []).append(not e & 1)
     succ: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in names]
     for (i, j), negatives in flags.items():
         succ[i].append((j, tuple(sorted(negatives))))
@@ -143,7 +149,7 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
         ahead = lambda i: [j for j, _ in succ[i] if j >= s]
         cyclic = [
             c
-            for c in _strong_components(range(s, len(names)), ahead)
+            for c in _strong_components(len(names), range(s, len(names)), ahead)
             if len(c) > 1 or c[0] in ahead(c[0])
         ]
         if not cyclic:

@@ -8,14 +8,22 @@ sign of every edge touching a conjunction node (De Morgan), which yields a
 proper dependency graph: after the flip a conjunction node is true exactly
 when its rule body fails.
 
-Both stages are single passes, and both graphs share one canonical order.
-Nodes come as the sorted atoms, then the helper nodes in the order their
-rules appear. Each out-list is sorted by (dst, sign) and each in-list by
-(src, sign), with the negative sign first. ``cnr_to_dg`` maps every list in
-place, so in the transformed graph parallel edges between the same two
-nodes keep the order of their signs before the flip. ``justify``,
-``cycles.enumerate_cycles`` and igasp's ``build_index`` walk the transformed
-graph in this order, so their answers depend on it.
+The graph is integers at its core. Nodes are numbered once, in node order:
+the sorted atoms (so an atom's number is its rank by name), then the helper
+nodes in the order their rules appear. Each node has an out-list ``succ``
+and an in-list ``pred`` of entries ``2 * node + positive``, so a sign is
+one bit. Each out-list is sorted by (dst name, sign) and each in-list by
+(src name, sign), with the negative sign first. ``cnr_to_dg`` flips that
+bit on every entry that touches a conjunction node, into new lists of the
+same order, so in the transformed graph parallel edges between the same
+two nodes keep the order of their signs before the flip.
+
+The engines and the model checks read the integer lists: cycles'
+``find_virtual_nodes`` and cycle enumeration, grasp, igasp's node index,
+``worlds.world_from_atoms`` and ``justify.check_justified``. Names are for
+the edges of the outside world: ``out_edges``, ``in_edges`` and ``edges``
+build ``Edge`` objects on demand, on every call, for justification trees,
+DOT and JSON export, and tests.
 """
 
 from __future__ import annotations
@@ -47,6 +55,10 @@ class Sign(Enum):
         return Sign.NEGATIVE if self is Sign.POSITIVE else Sign.POSITIVE
 
 
+# The sign of an adjacency entry, indexed by its low bit.
+SIGNS = (Sign.NEGATIVE, Sign.POSITIVE)
+
+
 def node_kind(node_id: str) -> NodeKind:
     if node_id.startswith(CONJ_PREFIX):
         return NodeKind.CONJ
@@ -71,58 +83,71 @@ class Edge:
 
 
 class DepGraph:
-    """Nodes with their in- and out-edge lists; immutable by convention.
+    """Numbered nodes with signed adjacency lists; immutable by convention.
 
-    Each edge is one object, held in its source's out-list and in its
-    target's in-list.
+    ``names[i]`` is node i and ``number`` maps a name back. ``succ[i]`` and
+    ``pred[i]`` hold the out- and in-entries ``2 * node + positive`` of node
+    i. Nodes below ``atom_count`` are the atoms, ``conj[i]`` says whether
+    node i is a conjunction node, and ``fixed_nodes`` maps the fixed nodes
+    to their values, in node order.
     """
 
     def __init__(
         self,
-        out: dict[str, list[Edge]],
-        in_: dict[str, list[Edge]],
-        fixed: dict[str, bool],
+        names: tuple[str, ...],
+        succ: list[list[int]],
+        pred: list[list[int]],
+        fixed_nodes: dict[int, bool],
+        conj: list[bool],
+        atom_count: int,
         origin: dict[str, tuple[Rule, ...]],
         transformed: bool = False,
         rule_count: int = 0,
     ):
-        self._out = out  # its key order is the node order
-        self._in = in_
-        self._fixed = fixed
+        self.names = names
+        self.number = {name: i for i, name in enumerate(names)}
+        self.succ = succ
+        self.pred = pred
+        self.fixed_nodes = fixed_nodes
+        self.conj = conj
+        self.atom_count = atom_count
         self.origin = origin
         self.transformed = transformed
         self.rule_count = rule_count
 
     @property
     def nodes(self) -> list[str]:
-        return list(self._out)
+        return list(self.names)
 
     @property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(e for edges in self._out.values() for e in edges)
+        """Every edge, built anew on each call."""
+        return frozenset(e for node in self.names for e in self.out_edges(node))
 
     def has_node(self, node: str) -> bool:
-        return node in self._out
+        return node in self.number
 
     def fixed_value(self, node: str) -> bool | None:
-        return self._fixed.get(node)
+        return self.fixed_nodes.get(self.number.get(node))
 
     @property
     def fixed(self) -> dict[str, bool]:
-        return dict(self._fixed)
+        return {self.names[i]: value for i, value in self.fixed_nodes.items()}
 
     def out_edges(self, node: str) -> list[Edge]:
-        return self._out[node]
+        names = self.names
+        return [Edge(node, names[e >> 1], SIGNS[e & 1]) for e in self.succ[self.number[node]]]
 
     def in_edges(self, node: str) -> list[Edge]:
-        return self._in[node]
+        names = self.names
+        return [Edge(names[e >> 1], node, SIGNS[e & 1]) for e in self.pred[self.number[node]]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DepGraph):
             return NotImplemented
         return (
-            self._out.keys() == other._out.keys()
-            and self._fixed == other._fixed
+            self.number.keys() == other.number.keys()
+            and self.fixed == other.fixed
             and self.edges == other.edges
             and self.transformed == other.transformed
         )
@@ -141,13 +166,15 @@ def build_cnr(program: Program) -> DepGraph:
     body set) collapse onto one node/edge set, with every source rule kept
     in the origin map.
     """
-    nodes = sorted(program.atoms)
-    facts: set[str] = set()
-    constraints: dict[str, bool] = {}  # constraint node -> False
+    names = sorted(program.atoms)
+    atom_count = len(names)
+    number = {name: i for i, name in enumerate(names)}
+    facts: set[int] = set()
+    constraints: list[int] = []
+    conjunctions: list[int] = []
     origin: dict[str, tuple[Rule, ...]] = {}
-    triples: set[tuple[str, str, bool]] = set()  # (src, dst, positive)
+    edges: list[tuple[int, int, bool]] = []  # (src, dst, positive)
     seen: dict[tuple, tuple[str, ...]] = {}
-    conj_count = 0
     for rule in program.rules:
         key = (rule.head, frozenset(rule.body))
         helpers = seen.get(key)
@@ -157,57 +184,80 @@ def build_cnr(program: Program) -> DepGraph:
             continue
 
         helpers = ()
-        head_node = rule.head
-        if head_node is None:
-            head_node = f"{CONSTRAINT_PREFIX}{len(constraints)}"
-            nodes.append(head_node)
-            constraints[head_node] = False
-            origin[head_node] = (rule,)
-            helpers = (head_node,)
-        elif not rule.body:
-            facts.add(head_node)
+        body = rule.body
+        if rule.head is None:
+            helper = f"{CONSTRAINT_PREFIX}{len(constraints)}"
+            head = len(names)
+            names.append(helper)
+            constraints.append(head)
+            origin[helper] = (rule,)
+            helpers = (helper,)
+        elif not body:
+            facts.add(number[rule.head])
             seen[key] = ()
             continue
-
-        if len(rule.body) == 1:
-            lit = rule.body[0]
-            triples.add((lit.atom, head_node, not lit.negated))
         else:
-            conj = f"{CONJ_PREFIX}{conj_count}"
-            conj_count += 1
-            nodes.append(conj)
-            origin[conj] = (rule,)
-            helpers += (conj,)
-            for lit in rule.body:
-                triples.add((lit.atom, conj, not lit.negated))
-            triples.add((conj, head_node, True))
+            head = number[rule.head]
+
+        if len(body) == 1:
+            lit = body[0]
+            edges.append((number[lit.atom], head, not lit.negated))
+        else:
+            helper = f"{CONJ_PREFIX}{len(conjunctions)}"
+            conj = len(names)
+            names.append(helper)
+            conjunctions.append(conj)
+            origin[helper] = (rule,)
+            helpers += (helper,)
+            for lit in key[1]:  # the body without repeated literals
+                edges.append((number[lit.atom], conj, not lit.negated))
+            edges.append((conj, head, True))
         seen[key] = helpers
 
-    out: dict[str, list[Edge]] = {node: [] for node in nodes}
-    in_: dict[str, list[Edge]] = {node: [] for node in nodes}
-    sign = (Sign.NEGATIVE, Sign.POSITIVE)
-    for src, dst, positive in sorted(triples):
-        edge = Edge(src, dst, sign[positive])
-        out[src].append(edge)
-        in_[dst].append(edge)
-    fixed = {**dict.fromkeys(sorted(facts), True), **constraints}  # node order
-    return DepGraph(out, in_, fixed, origin, rule_count=len(program.rules))
+    # Every edge in (src name, dst name, sign) order fills the out-lists in
+    # (dst, sign) order and the in-lists in (src, sign) order.
+    size = len(names)
+    rank = [0] * size
+    for r, i in enumerate(sorted(range(size), key=names.__getitem__)):
+        rank[i] = r
+    edges.sort(key=lambda e: (rank[e[0]] * size + rank[e[1]]) * 2 + e[2])
+    succ: list[list[int]] = [[] for _ in range(size)]
+    pred: list[list[int]] = [[] for _ in range(size)]
+    for src, dst, positive in edges:
+        succ[src].append(2 * dst + positive)
+        pred[dst].append(2 * src + positive)
+    fixed = {**dict.fromkeys(sorted(facts), True), **dict.fromkeys(constraints, False)}
+    conj = [False] * size
+    for i in conjunctions:
+        conj[i] = True
+    return DepGraph(
+        tuple(names), succ, pred, fixed, conj, atom_count, origin, rule_count=len(program.rules)
+    )
 
 
 def flip_conjunction_signs(g: DepGraph) -> DepGraph:
-    """Copy of g with every conjunction-incident edge sign-flipped.
-
-    Every list keeps its order, and an edge that touches no conjunction
-    node is the same object in both graphs.
-    """
-    flipped: dict[int, Edge] = {}  # id of an edge of g -> its flipped copy
-    for node in g._out:
-        if node.startswith(CONJ_PREFIX):
-            for e in g._in[node] + g._out[node]:
-                flipped[id(e)] = Edge(e.src, e.dst, e.sign.flipped())
-    out = {n: [flipped.get(id(e), e) for e in edges] for n, edges in g._out.items()}
-    in_ = {n: [flipped.get(id(e), e) for e in edges] for n, edges in g._in.items()}
-    return DepGraph(out, in_, dict(g._fixed), dict(g.origin), g.transformed, g.rule_count)
+    """Copy of g with the sign bit of every conjunction-incident entry
+    flipped; every list keeps its order."""
+    conj = g.conj
+    succ = [
+        [e ^ 1 for e in entries] if conj[i] else [e ^ conj[e >> 1] for e in entries]
+        for i, entries in enumerate(g.succ)
+    ]
+    pred = [
+        [e ^ 1 for e in entries] if conj[i] else [e ^ conj[e >> 1] for e in entries]
+        for i, entries in enumerate(g.pred)
+    ]
+    return DepGraph(
+        g.names,
+        succ,
+        pred,
+        dict(g.fixed_nodes),
+        g.conj,
+        g.atom_count,
+        dict(g.origin),
+        g.transformed,
+        g.rule_count,
+    )
 
 
 def cnr_to_dg(g: DepGraph) -> DepGraph:
@@ -221,7 +271,7 @@ def cnr_to_dg(g: DepGraph) -> DepGraph:
 
 def atoms_of(g: DepGraph) -> frozenset[str]:
     """Atom node names; helper nodes are never reported in answer sets."""
-    return frozenset(n for n in g.nodes if node_kind(n) is NodeKind.ATOM)
+    return frozenset(g.names[: g.atom_count])
 
 
 _KIND_ORDER = {NodeKind.ATOM: 0, NodeKind.CONJ: 1, NodeKind.CONSTRAINT: 2}

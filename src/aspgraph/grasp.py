@@ -37,6 +37,14 @@ copy of the parent world, and the two value rules
 are propagated transitively from the batch. A True demand arriving at a
 False node (in particular a constraint node) marks the world inconsistent;
 unsatisfiability shows up as zero surviving worlds.
+
+Everything here works on node numbers and the graph's integer adjacency
+lists, and builds no Edge. A world being solved is a list of node values
+indexed by number, a delta world a dict from node number to value, and a
+virtual node is handled as its sorted member numbers. ``solve_grasp_worlds``
+decodes the surviving worlds to names once, at the end. The labeling search
+walks its tree with an explicit stack, so a component's size is not bounded
+by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -44,79 +52,91 @@ from __future__ import annotations
 import heapq
 
 from .cycles import VirtualNode, find_virtual_nodes
-from .graph import DepGraph, NodeKind, Sign, build_cnr, cnr_to_dg, node_kind
+from .graph import DepGraph, build_cnr, cnr_to_dg
 from .syntax import Program
-from .worlds import World, body_literal, eval_body, initial_world, node_bodies
+from .worlds import World, eval_body, initial_world
 
 
 class GraphView:
     """The not-yet-processed part of a graph, with SCCs wrapped.
 
-    Handles are identified by their key (a regular node's name, a virtual
-    node's smallest member). Each live handle keeps the count of its live
-    in-edges from other handles; those at zero are ready. Ready regular keys
-    are kept in a list and ready virtual keys in a heap, so that taking the
-    next batch and removing it cost time in proportion to the batch and its
-    successors.
+    A handle is a node number: a regular node's own, or for a virtual node
+    the smallest number among its members. Each live handle keeps the count
+    of its live in-edges from other handles; those at zero are ready. Ready
+    regular handles are kept in a list and ready virtual ones in a heap, in
+    the order of their virtual nodes' keys, so that taking the next batch
+    and removing it cost time in proportion to the batch and its successors.
     """
 
     def __init__(self, g: DepGraph, virtual: list[VirtualNode] | None = None):
         self.virtual = find_virtual_nodes(g) if virtual is None else virtual
-        key_of: dict[str, str] = {}
-        self._handles: dict[str, object] = {}
-        for v in self.virtual:
-            key = v.key
-            self._handles[key] = v
-            for m in v.members:
-                key_of[m] = key
-        for n in g.nodes:
-            if n not in key_of:
-                key_of[n] = n
-                self._handles[n] = n
-        self._waiting = dict.fromkeys(self._handles, 0)
-        self._succ: dict[str, list[str]] = {key: [] for key in self._handles}
-        for n in g.nodes:
-            src = key_of[n]
-            for edge in g.out_edges(n):
-                dst = key_of[edge.dst]
+        size = len(g.names)
+        handle = list(range(size))
+        self._number = g.number
+        self._virtual_handles: list[int] = []
+        self._virtual_rank: dict[int, int] = {}  # handle -> place in self.virtual
+        for rank, v in enumerate(self.virtual):
+            members = [g.number[m] for m in v.members]
+            h = min(members)
+            self._virtual_handles.append(h)
+            self._virtual_rank[h] = rank
+            for m in members:
+                handle[m] = h
+        self._handle = handle
+        self._live = [h == i for i, h in enumerate(handle)]
+        self._left = sum(self._live)
+        self._waiting = [0] * size
+        self._succ: list[list[int]] = [[] for _ in range(size)]
+        for n, entries in enumerate(g.succ):
+            src = handle[n]
+            for e in entries:
+                dst = handle[e >> 1]
                 if dst != src:
                     self._waiting[dst] += 1
                     self._succ[src].append(dst)
-        self._regular: list[str] = []
-        self._virtual: list[str] = []
-        for key, count in self._waiting.items():
-            if count == 0:
-                self._make_ready(key)
+        self._regular: list[int] = []
+        self._ready_virtual: list[int] = []  # heap of places in self.virtual
+        for h, live in enumerate(self._live):
+            if live and not self._waiting[h]:
+                self._make_ready(h)
 
     def __bool__(self) -> bool:
-        return bool(self._succ)
+        return self._left > 0
 
-    def _make_ready(self, key: str) -> None:
-        if isinstance(self._handles[key], VirtualNode):
-            heapq.heappush(self._virtual, key)
+    def _make_ready(self, h: int) -> None:
+        rank = self._virtual_rank.get(h)
+        if rank is None:
+            self._regular.append(h)
         else:
-            self._regular.append(key)
+            heapq.heappush(self._ready_virtual, rank)
 
     def remove(self, handles) -> None:
         """Take handles out of the view and ready their successors."""
         regular = self._regular
         self._regular = []
+        live, waiting = self._live, self._waiting
         for h in handles:
-            key = h.key if isinstance(h, VirtualNode) else h
-            for dst in self._succ.pop(key, ()):
-                self._waiting[dst] -= 1
-                if self._waiting[dst] == 0 and dst in self._succ:
+            if isinstance(h, VirtualNode):
+                h = self._handle[self._number[next(iter(h.members))]]
+            if not live[h]:
+                continue
+            live[h] = False
+            self._left -= 1
+            for dst in self._succ[h]:
+                waiting[dst] -= 1
+                if waiting[dst] == 0 and live[dst]:
                     self._make_ready(dst)
         # Removing a whole batch empties the old regular list or pops the
         # heap's top; anything else keeps its place until it is removed.
-        self._regular += [key for key in regular if key in self._succ]
-        while self._virtual and self._virtual[0] not in self._succ:
-            heapq.heappop(self._virtual)
+        self._regular += [h for h in regular if live[h]]
+        ready = self._ready_virtual
+        while ready and not live[self._virtual_handles[ready[0]]]:
+            heapq.heappop(ready)
 
 
 def find_roots(view: GraphView) -> list:
-    """The next batch of handles with no live in-edge, in key order: every
-    ready regular node, or else the ready virtual node with the smallest key.
+    """The next batch of handles with no live in-edge: every ready regular
+    node, by number, or else the ready virtual node with the smallest key.
 
     A regular node never branches, so all of them are taken before the next
     component multiplies the worlds. The condensation is acyclic, so a
@@ -125,36 +145,38 @@ def find_roots(view: GraphView) -> list:
     """
     if view._regular:
         return sorted(view._regular)
-    if view._virtual:
-        return [view._handles[view._virtual[0]]]
+    if view._ready_virtual:
+        return [view.virtual[view._ready_virtual[0]]]
     if view:
         raise RuntimeError("nonempty view has no roots: cycle wrapping is broken")
     return []
 
 
-def propagate(node: str, value: bool, w: World, g: DepGraph) -> World:
+def propagate(node: int, value: bool, w: World, g: DepGraph) -> World:
     """Transitively apply the propagation rules from one fixed node."""
+    succ = g.succ
+    values = w.values
     stack = [(node, value)]
     while stack and w.consistent:
         n, v = stack.pop()
-        for edge in g.out_edges(n):
-            effective = (edge.sign is Sign.POSITIVE) == v
-            if not effective:
+        for e in succ[n]:
+            if e & 1 != v:  # not effective
                 continue
-            current = w.value(edge.dst)
+            dst = e >> 1
+            current = values[dst]
             if current is False:
                 w.consistent = False
                 return w
             if current is None:
-                w.assign(edge.dst, True)
-                stack.append((edge.dst, True))
+                values[dst] = True
+                stack.append((dst, True))
     return w
 
 
-def fix_root(node: str, w: World) -> World:
+def fix_root(node: int, w: World) -> World:
     """Delta world holding a regular root's value in w: an unfixed root
     defaults to False, a fixed value is kept."""
-    value = w.value(node)
+    value = w.values[node]
     return World({node: False if value is None else value})
 
 
@@ -209,9 +231,30 @@ def _least_fixpoint(seeds, head_of, pos_members, pos_uses, enabled) -> set[int]:
     return founded
 
 
-def _component_labelings(
-    v: VirtualNode, g: DepGraph, w: World
-) -> list[dict[str, bool]]:
+def _conj_body(g: DepGraph, conj: int) -> list[tuple[int, bool]]:
+    """The (atom, negated) literals of a conjunction node's rule body in a
+    transformed graph: the flip has turned the signs of its in-edges, so a
+    positive in-edge is a negated literal."""
+    return [(e >> 1, e & 1 == 1) for e in g.pred[conj]]
+
+
+def _bodies(g: DepGraph, node: int) -> list[list[tuple[int, bool]]]:
+    """Rule bodies feeding a node of a transformed graph, as (atom, negated)
+    pairs: a conjunction-node source expands to its body, and a direct atom
+    source is a one-literal body."""
+    bodies = []
+    for entry in g.pred[node]:
+        src = entry >> 1
+        if g.conj[src]:
+            bodies.append(_conj_body(g, src))
+        else:
+            bodies.append([(src, entry & 1 == 0)])
+    return bodies
+
+
+def _stable_labelings(
+    members: list[int], g: DepGraph, w: World
+) -> list[dict[int, bool]]:
     """Stable labelings of a component's atom members, given outside values.
 
     Candidates are enumerated with support pruning (a False atom may not
@@ -221,11 +264,13 @@ def _component_labelings(
     Member atoms are numbered in name order and their bodies in order. Each
     body counts its false and its undecided literals, and each head its true
     and its non-false bodies, so a head is checked in constant time and a
-    decision, or its undoing, touches only the bodies that mention it.
+    decision, or its undoing, touches only the bodies that mention it. The
+    search tree is walked depth first with an explicit stack, True before
+    False at each decision.
     """
-    atoms = sorted(m for m in v.members if node_kind(m) is NodeKind.ATOM)
+    atoms = sorted(m for m in members if m < g.atom_count)
     number = {a: j for j, a in enumerate(atoms)}
-    value: list[bool | None] = [True if w.value(a) is True else None for a in atoms]
+    value: list[bool | None] = [True if w.values[a] is True else None for a in atoms]
     external = [val is True for val in value]
     seeds = [j for j, val in enumerate(value) if val]
     head_of: list[int] = []
@@ -237,7 +282,7 @@ def _component_labelings(
     pos_uses: list[list[int]] = [[] for _ in atoms]
     member_naf = False
     for head, atom in enumerate(atoms):
-        for body in node_bodies(g, atom):
+        for body in _bodies(g, atom):
             i = len(head_of)
             head_of.append(head)
             pos = []
@@ -246,7 +291,7 @@ def _component_labelings(
             for lit, negated in body:
                 j = number.get(lit)
                 if j is None:
-                    val = w.value(lit)
+                    val = w.values[lit]
                     if val is None:
                         u += 1
                         blocked = True
@@ -314,32 +359,40 @@ def _component_labelings(
                 true_bodies[head_of[i]] -= 1
             undecided[i] += 1
 
-    results: list[dict[str, bool]] = []
-
-    def search(index: int) -> None:
-        if index == len(decisions):
+    results: list[dict[int, bool]] = []
+    # tries[d]: how many values decision d has taken on the current path;
+    # its value stays set while the search is below it.
+    tries = [0] * len(decisions)
+    depth = 0
+    while depth >= 0:
+        if depth == len(decisions):
             true_bodies_now = [
                 i for i in range(len(head_of)) if not false[i] and not undecided[i]
             ]
             founded = _least_fixpoint(seeds, head_of, pos_members, pos_uses, true_bodies_now)
             if all(j in founded for j, val in enumerate(value) if val):
                 results.append(dict(zip(atoms, value)))
-            return
-        j = decisions[index]
-        for val in (True, False):
-            value[j] = val
-            decide(j, val)
-            if head_ok(j) and all(head_ok(h) for h in watchers[j]):
-                search(index + 1)
-            undo(j, val)
-        value[j] = None
-
-    search(0)
+            depth -= 1
+            continue
+        j = decisions[depth]
+        if value[j] is not None:
+            undo(j, value[j])
+            value[j] = None
+        if tries[depth] == 2:
+            tries[depth] = 0
+            depth -= 1
+            continue
+        val = tries[depth] == 0  # True first
+        tries[depth] += 1
+        value[j] = val
+        decide(j, val)
+        if head_ok(j) and all(head_ok(h) for h in watchers[j]):
+            depth += 1
     return results
 
 
-def break_cycles(v: VirtualNode, g: DepGraph, w: World) -> list[World]:
-    """Delta worlds of every stable labeling of the virtual node's members.
+def break_cycles(members: list[int], g: DepGraph, w: World) -> list[World]:
+    """Delta worlds of every stable labeling of a virtual node's members.
 
     Even cycles contribute their alternative labelings, odd cycles without a
     True member kill the candidate, and purely positive components get the
@@ -347,69 +400,90 @@ def break_cycles(v: VirtualNode, g: DepGraph, w: World) -> list[World]:
     members take the complement of their body's value. Each delta holds
     member values only; labelings that contradict a value of w are dropped.
     """
-    conj_bodies = [
-        (member, tuple(body_literal(e, g.transformed) for e in g.in_edges(member)))
-        for member in sorted(v.members)
-        if node_kind(member) is NodeKind.CONJ
-    ]
+    conj_bodies = [(member, _conj_body(g, member)) for member in members if g.conj[member]]
     worlds = []
-    for labeling in _component_labelings(v, g, w):
-        value_of = lambda a: labeling[a] if a in labeling else w.value(a)
+    values = w.values
+    for labeling in _stable_labelings(members, g, w):
+        value_of = lambda a: labeling[a] if a in labeling else values[a]
         for member, body in conj_bodies:
             labeling[member] = not eval_body(body, value_of)
-        if all(w.value(node) in (None, value) for node, value in labeling.items()):
+        if all(values[node] in (None, value) for node, value in labeling.items()):
             worlds.append(World(labeling))
     return worlds
 
 
-def _input_nodes(v: VirtualNode, g: DepGraph) -> list[str]:
+def _context_nodes(members: list[int], g: DepGraph) -> list[int]:
     """Every node whose value break_cycles reads: the members, the sources
     of their in-edges, and the body atoms of a conjunction-node source."""
-    members = sorted(v.members)
+    pred, conj = g.pred, g.conj
     nodes = dict.fromkeys(members)
     for member in members:
-        for edge in g.in_edges(member):
-            nodes[edge.src] = None
-            if node_kind(edge.src) is NodeKind.CONJ:
-                nodes.update(dict.fromkeys(e.src for e in g.in_edges(edge.src)))
+        for entry in pred[member]:
+            src = entry >> 1
+            nodes[src] = None
+            if conj[src]:
+                nodes.update(dict.fromkeys([e >> 1 for e in pred[src]]))
     return list(nodes)
 
 
-def solve_graph(g: DepGraph, start: World | None = None) -> list[World]:
-    """All completed consistent worlds of a transformed graph."""
+# The two helpers above for a caller that holds a virtual node and a world
+# keyed by name, as the tests' name-level reference does.
+
+
+def _component_labelings(v: VirtualNode, g: DepGraph, w: World) -> list[dict[str, bool]]:
+    number, names = g.number, g.names
+    by_number = World([w.value(name) for name in names])
+    members = [number[m] for m in v.members]
+    return [
+        {names[a]: value for a, value in labeling.items()}
+        for labeling in _stable_labelings(members, g, by_number)
+    ]
+
+
+def _input_nodes(v: VirtualNode, g: DepGraph) -> list[str]:
+    members = [g.number[m] for m in sorted(v.members)]
+    return [g.names[n] for n in _context_nodes(members, g)]
+
+
+def solve_graph(g: DepGraph) -> list[World]:
+    """All completed consistent worlds of a transformed graph, as lists of
+    node values by number."""
     view = GraphView(g)
-    worlds = [start.copy() if start is not None else initial_world(g)]
+    worlds = [initial_world(g)]
     while view and worlds:
         roots = find_roots(view)
-        order = [
-            node
-            for root in roots
-            for node in (sorted(root.members) if isinstance(root, VirtualNode) else [root])
-        ]
         # A virtual batch is one component. Its labelings depend only on the
         # values it reads from below (the splitting-set theorem), so it is
         # broken once per distinct context; the delta lists are read-only.
-        component = roots[0] if isinstance(roots[0], VirtualNode) else None
-        inputs = _input_nodes(component, g) if component is not None else []
+        component = isinstance(roots[0], VirtualNode)
+        if component:
+            order = sorted(g.number[m] for m in roots[0].members)
+            inputs = _context_nodes(order, g)
+        else:
+            order = roots
         labelings: dict[tuple, list[World]] = {}
         survivors = []
         for w in worlds:
-            if component is None:
+            if not component:
                 deltas = merge_root_worlds([[fix_root(root, w)] for root in roots])
             else:
-                context = tuple(map(w.values.get, inputs))
+                context = tuple(map(w.values.__getitem__, inputs))
                 deltas = labelings.get(context)
                 if deltas is None:
-                    deltas = labelings[context] = break_cycles(component, g, w)
+                    deltas = labelings[context] = break_cycles(order, g, w)
             for i, delta in enumerate(deltas):
                 # w is not needed after its last combination: extend it in place
                 merged = w if i == len(deltas) - 1 else w.copy()
+                values = merged.values
                 for node, value in delta.values.items():
-                    merged.assign(node, value)
+                    if values[node] is None:
+                        values[node] = value
+                    elif values[node] != value:
+                        merged.consistent = False
                 for node in order:
                     if not merged.consistent:
                         break
-                    propagate(node, merged.value(node), merged, g)
+                    propagate(node, values[node], merged, g)
                 if merged.consistent:
                     survivors.append(merged)
         worlds = survivors
@@ -419,13 +493,16 @@ def solve_graph(g: DepGraph, start: World | None = None) -> list[World]:
 
 def solve_grasp_worlds(program: Program):
     """Solve bottom-up; returns the transformed graph and completed worlds,
-    ordered by their projected answer set."""
+    keyed by name and ordered by their projected answer set."""
     g = cnr_to_dg(build_cnr(program))
-    worlds = solve_graph(g)
+    names = g.names
+    atoms = range(g.atom_count)  # numbered in name order
     keyed = {}
-    for w in worlds:
-        keyed.setdefault(tuple(sorted(w.true_atoms(g))), w)
+    for w in solve_graph(g):
+        keyed.setdefault(tuple(names[n] for n in atoms if w.values[n]), w)
     ordered = [keyed[key] for key in sorted(keyed)]
+    for w in ordered:
+        w.values = dict(zip(names, w.values))
     return g, ordered
 
 

@@ -14,8 +14,11 @@ effective-edge/foundedness validation.
 
 The proof search works on one node index, built once per solve from the
 graph the proofs walk (the program's graph with the synthesized
-constraints): every node gets a bit, its fixed value and its in-edges,
-sorted once, as (source, effective-when-true) pairs. A partial model is a
+constraints): node i of the graph is bit i, with its fixed value and its
+in-edges, read off the graph's integer in-lists, as (source,
+effective-when-true) pairs. That graph is built once: the synthesis that
+decides which constraints to add hands over the last graph it checked, and
+reuses the program's own graph when it adds nothing. A partial model is a
 pair of ints, (known, true): bit i of known says node i is decided, bit i
 of true that it is True (true is always a subset of known). Two models
 conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero, and their union is
@@ -41,16 +44,7 @@ import sys
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from .graph import (
-    DepGraph,
-    NodeKind,
-    Sign,
-    atoms_of,
-    build_cnr,
-    cnr_to_dg,
-    helper_ordinal,
-    node_kind,
-)
+from .graph import DepGraph, atoms_of, build_cnr, cnr_to_dg
 from .justify import check_justified
 from .syntax import Literal, Program, Rule
 from .worlds import world_from_atoms
@@ -69,30 +63,23 @@ class NodeIndex(NamedTuple):
     names: tuple[str, ...]
     bits: dict[str, int]
     fixed: tuple[bool | None, ...]
-    # (source, value) per in-edge, sorted by source name, then sign: the edge
-    # is effective when its source takes that value (True for a positive edge).
+    # (source, value) per in-edge, in the graph's in-list order: the edge is
+    # effective when its source takes that value (True for a positive edge).
     in_edges: tuple[tuple[tuple[int, bool], ...], ...]
     atoms: int
     constraints: tuple[int, ...]
 
 
 def build_index(g: DepGraph) -> NodeIndex:
-    names = tuple(g.nodes)
-    bits = {name: i for i, name in enumerate(names)}
-    in_edges = []
-    for name in names:
-        edges = sorted((e.src, e.sign is Sign.POSITIVE) for e in g.in_edges(name))
-        in_edges.append(tuple((bits[src], positive) for src, positive in edges))
-    atoms = 0
-    for atom in atoms_of(g):
-        atoms |= 1 << bits[atom]
+    """The graph's own node numbers are the bits."""
+    fixed = g.fixed_nodes
     return NodeIndex(
-        names=names,
-        bits=bits,
-        fixed=tuple(g.fixed_value(name) for name in names),
-        in_edges=tuple(in_edges),
-        atoms=atoms,
-        constraints=tuple(bits[n] for n in _constraint_nodes(g)),
+        names=g.names,
+        bits=g.number,
+        fixed=tuple(map(fixed.get, range(len(g.names)))),
+        in_edges=tuple(tuple((e >> 1, e & 1 == 1) for e in entries) for entries in g.pred),
+        atoms=(1 << g.atom_count) - 1,  # the atoms are the first nodes
+        constraints=tuple(_constraint_nodes(g)),
     )
 
 
@@ -275,25 +262,26 @@ def prove(
     return [model for model, flag in states.items() if flag is presumed]
 
 
-def _constraint_nodes(g: DepGraph) -> list[str]:
-    nodes = [n for n in g.nodes if node_kind(n) is NodeKind.CONSTRAINT]
-    return sorted(nodes, key=helper_ordinal)
+def _constraint_nodes(g: DepGraph) -> list[int]:
+    """The constraint nodes, the only ones fixed False, in ordinal order."""
+    return [n for n, value in g.fixed_nodes.items() if value is False]
 
 
-def _ancestor_atoms(g: DepGraph, seeds: list[str]) -> set[str]:
+def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[str]:
     # Proofs stop at fact nodes, so a fact's own rule ancestors are not
     # reached and must not count as covered.
     seen = set(seeds)
     stack = list(seeds)
     while stack:
         node = stack.pop()
-        if g.fixed_value(node) is True:
+        if g.fixed_nodes.get(node) is True:
             continue
-        for edge in g.in_edges(node):
-            if edge.src not in seen:
-                seen.add(edge.src)
-                stack.append(edge.src)
-    return {n for n in seen if node_kind(n) is NodeKind.ATOM}
+        for entry in g.pred[node]:
+            src = entry >> 1
+            if src not in seen:
+                seen.add(src)
+                stack.append(src)
+    return {g.names[n] for n in seen if n < g.atom_count}
 
 
 def _decided_atoms(g: DepGraph, program: Program) -> set[str]:
@@ -325,7 +313,9 @@ def _decided_atoms(g: DepGraph, program: Program) -> set[str]:
     return decided
 
 
-def synthesized_constraints(program: Program) -> list[Rule]:
+def synthesized_constraints(
+    program: Program, graph: DepGraph, built: list[DepGraph]
+) -> list[Rule]:
     """Constraints to add so every atom is decided by some proof or by
     propagation.
 
@@ -333,6 +323,10 @@ def synthesized_constraints(program: Program) -> list[Rule]:
     a constraint; atoms that neither a constraint cone nor propagation can
     decide get a vacuous ":- a, not a." anchor forcing a case split on a,
     most-depended-upon atom first, until all atoms are covered.
+
+    graph is the program's own transformed graph, used while no rule is
+    added. The transformed graph of the program with the returned rules is
+    appended to built, so that it is built only once.
     """
     additions: list[Rule] = []
     if not program.constraints:
@@ -340,25 +334,29 @@ def synthesized_constraints(program: Program) -> list[Rule]:
             Rule(None, (Literal(fact, negated=True),)) for fact in sorted(program.facts)
         )
     while True:
-        augmented_program = program.extended(additions)
-        augmented = cnr_to_dg(build_cnr(augmented_program))
+        if additions:
+            augmented_program = program.extended(additions)
+            augmented = cnr_to_dg(build_cnr(augmented_program))
+        else:
+            augmented_program, augmented = program, graph
         covered = _decided_atoms(augmented, augmented_program)
         candidates = [atom for atom in atoms_of(augmented) if atom not in covered]
         if not candidates:
+            built.append(augmented)
             return additions
-        anchor = min(candidates, key=lambda a: (-len(augmented.in_edges(a)), a))
+        in_degree = lambda a: len(augmented.pred[augmented.number[a]])
+        anchor = min(candidates, key=lambda a: (-in_degree(a), a))
         additions.append(
             Rule(None, (Literal(anchor, negated=False), Literal(anchor, negated=True)))
         )
 
 
 def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
-    """Transformed graph extended with synthesized constraints; unchanged
+    """Transformed graph extended with synthesized constraints; g itself
     when the program's own constraints already cover every atom."""
-    additions = synthesized_constraints(program)
-    if not additions:
-        return g
-    return cnr_to_dg(build_cnr(program.extended(additions)))
+    built: list[DepGraph] = []
+    synthesized_constraints(program, g, built)
+    return built[0]
 
 
 def _contains(m: PartialModel, part: PartialModel) -> bool:

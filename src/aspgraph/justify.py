@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
-    CONJ_PREFIX,
-    CONSTRAINT_PREFIX,
     DepGraph,
     Edge,
     NodeKind,
@@ -128,53 +126,53 @@ def check_justified(g: DepGraph, w: World) -> bool:
     """
     if not w.is_complete(g):
         return False
-    values = w.values
-    positive = Sign.POSITIVE
-    for node in g.nodes:
+    values = _node_values(g, w)
+    fixed_nodes = g.fixed_nodes
+    for node, entries in enumerate(g.pred):
         value = values[node]
-        fixed = g.fixed_value(node)
+        fixed = fixed_nodes.get(node)
         if fixed is not None and value != fixed:
             return False
-        effective = any(values[e.src] == (e.sign is positive) for e in g.in_edges(node))
+        effective = any(values[e >> 1] == e & 1 for e in entries)
         if value and not effective and fixed is not True:
             return False
         if not value and effective:
             return False
-    return _founded_atoms_ok(g, w)
+    return _founded(g, values)
+
+
+def _node_values(g: DepGraph, w: World) -> list[bool]:
+    """The values of a complete name-keyed world, by node number."""
+    return list(map(w.values.__getitem__, g.names))
 
 
 def _founded_atoms_ok(g: DepGraph, w: World) -> bool:
+    return _founded(g, _node_values(g, w))
+
+
+def _founded(g: DepGraph, values: list[bool]) -> bool:
     # One pass over the unfounded True atoms, then a worklist: an atom that
     # becomes founded can only newly support the atoms it feeds, directly or
     # through a conjunction node, so only those are checked again.
-    values = w.values
-    positive = Sign.POSITIVE
-    true_atoms = {
-        n
-        for n in g.nodes
-        if values[n] and not n.startswith((CONJ_PREFIX, CONSTRAINT_PREFIX))
-    }
-    founded = {n for n in true_atoms if g.fixed_value(n) is True}
+    pred, succ, conj = g.pred, g.succ, g.conj
+    true_atoms = {n for n in range(g.atom_count) if values[n]}
+    founded = {n for n in true_atoms if g.fixed_nodes.get(n) is True}
 
-    def supported(atom: str) -> bool:
+    def supported(atom: int) -> bool:
         # Some effective in-edge supports the atom. A negative edge fires
         # from a False node: negation-as-failure support needs no further
         # derivation unless the source is a conjunction node, in which case
         # the body's positive literals (negative after the flip) must
         # themselves be founded.
-        for edge in g.in_edges(atom):
-            src = edge.src
-            sign_positive = edge.sign is positive
-            if values[src] != sign_positive:
+        for entry in pred[atom]:
+            src = entry >> 1
+            positive = entry & 1
+            if values[src] != positive:
                 continue
-            if src.startswith(CONJ_PREFIX):
-                if all(
-                    inner.src in founded
-                    for inner in g.in_edges(src)
-                    if inner.sign is not positive
-                ):
+            if conj[src]:
+                if all(e >> 1 in founded for e in pred[src] if not e & 1):
                     return True
-            elif not sign_positive or src in founded:
+            elif not positive or src in founded:
                 return True
         return False
 
@@ -184,9 +182,9 @@ def _founded_atoms_ok(g: DepGraph, w: World) -> bool:
             founded.add(atom)
             stack.append(atom)
     while stack:
-        for edge in g.out_edges(stack.pop()):
-            dst = edge.dst
-            fed = [e.dst for e in g.out_edges(dst)] if dst.startswith(CONJ_PREFIX) else [dst]
+        for entry in succ[stack.pop()]:
+            dst = entry >> 1
+            fed = [e >> 1 for e in succ[dst]] if conj[dst] else [dst]
             for atom in fed:
                 if atom in true_atoms and atom not in founded and supported(atom):
                     founded.add(atom)

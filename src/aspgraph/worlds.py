@@ -3,26 +3,24 @@
 A World is a (possibly partial) assignment node -> True/False. Nodes not in
 the map are unfixed. Assignments are monotone: writing a conflicting value
 marks the world inconsistent instead of flipping the node.
+
+Worlds are keyed by node name everywhere but inside grasp, where nodes are
+numbers: a delta world maps a few node numbers to values, and a world being
+solved holds a list with one entry per node, None while the node is unfixed
+(a third of the size of a dict with int keys, and faster to copy). grasp
+decodes the worlds it returns to names once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import (
-    CONJ_PREFIX,
-    CONSTRAINT_PREFIX,
-    DepGraph,
-    Edge,
-    NodeKind,
-    Sign,
-    node_kind,
-)
+from .graph import DepGraph, NodeKind, node_kind
 
 
 @dataclass
 class World:
-    values: dict[str, bool] = field(default_factory=dict)
+    values: dict[str, bool] | list[bool | None] = field(default_factory=dict)
     consistent: bool = True
 
     def value(self, node: str) -> bool | None:
@@ -40,7 +38,7 @@ class World:
         return True
 
     def copy(self) -> World:
-        return World(dict(self.values), self.consistent)
+        return World(self.values.copy(), self.consistent)
 
     def true_atoms(self, g: DepGraph) -> frozenset[str]:
         return frozenset(
@@ -54,34 +52,12 @@ class World:
 
 
 def initial_world(g: DepGraph) -> World:
-    """World holding just the graph's fixed values (facts and constraints)."""
-    return World(dict(g.fixed))
-
-
-def body_literal(edge: Edge, transformed: bool) -> tuple[str, bool]:
-    """(atom, negated) encoded by an edge into a conjunction node, or by a
-    direct body-to-head edge. Direct edges keep their sign through the
-    transformation; conjunction in-edges carry the flipped sign afterwards."""
-    if node_kind(edge.dst) is NodeKind.CONJ and transformed:
-        return (edge.src, edge.sign is Sign.POSITIVE)
-    return (edge.src, edge.sign is Sign.NEGATIVE)
-
-
-def node_bodies(g: DepGraph, node: str) -> list[tuple[tuple[str, bool], ...]]:
-    """Rule bodies feeding a node, as (atom, negated) tuples.
-
-    One body per in-edge: a conjunction-node source expands to the literals
-    of its own in-edges, a direct atom source is a one-literal body.
-    """
-    bodies = []
-    for edge in g.in_edges(node):
-        if node_kind(edge.src) is NodeKind.CONJ:
-            bodies.append(
-                tuple(body_literal(e, g.transformed) for e in g.in_edges(edge.src))
-            )
-        else:
-            bodies.append((body_literal(edge, g.transformed),))
-    return bodies
+    """World over node numbers holding just the graph's fixed values (facts
+    and constraints): values[i] is node i's value, None while unfixed."""
+    values: list[bool | None] = [None] * len(g.names)
+    for node, value in g.fixed_nodes.items():
+        values[node] = value
+    return World(values)
 
 
 def eval_body(
@@ -108,17 +84,10 @@ def world_from_atoms(g: DepGraph, true_atoms) -> World:
     before it, when all of them are.
     """
     true_atoms = frozenset(true_atoms)
-    values: dict[str, bool] = {}
-    conjunctions = []
-    for node in g.nodes:
-        if node.startswith(CONJ_PREFIX):
-            conjunctions.append(node)
-        elif node.startswith(CONSTRAINT_PREFIX):
-            values[node] = False
-        else:
-            values[node] = node in true_atoms
-    positive = Sign.POSITIVE
-    for node in conjunctions:
-        effective = [values[e.src] == (e.sign is positive) for e in g.in_edges(node)]
-        values[node] = any(effective) if g.transformed else all(effective)
-    return World(values)
+    names = g.names
+    values = [i < g.atom_count and name in true_atoms for i, name in enumerate(names)]
+    combine = any if g.transformed else all
+    for node, entries in enumerate(g.pred):
+        if g.conj[node]:
+            values[node] = combine([values[e >> 1] == e & 1 for e in entries])
+    return World(dict(zip(names, values)))

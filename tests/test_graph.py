@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from aspgraph import grasp, igasp
+from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_random
 from aspgraph.graph import (
     DoubleTransformError,
     Edge,
@@ -243,3 +245,34 @@ def test_parallel_edges_keep_original_sign_order():
         ("q", Sign.NEGATIVE),
         ("r", Sign.NEGATIVE),
     ]
+
+
+# The settings of the paper's random benchmark programs.
+PAPER_CONFIG = dict(
+    num_atoms=300, num_rules=300, max_body_len=3, naf_probability=0.5, constraint_fraction=0.05
+)
+
+
+def test_solvers_build_no_edge_objects(monkeypatch):
+    # The engines and the model checks read the integer adjacency lists;
+    # Edge objects are built only by the name-level view.
+    created = 0
+    original = Edge.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal created
+        created += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Edge, "__init__", counted)
+    # seed 0 is one of the paper-configuration programs igasp refutes quickly
+    programs = [gen_random(GenConfig(seed=0, **PAPER_CONFIG)), gen_coloring(5, cycle_graph(5))]
+    for program in programs:
+        _, worlds = grasp.solve_grasp_worlds(program)
+        answer_sets = igasp.solve_igasp(program)
+        assert len(answer_sets) == len(worlds)
+    assert len(answer_sets) == 30
+    assert created == 0
+    g = build_cnr(programs[1])
+    g.in_edges(g.names[0])
+    assert created == len(g.pred[0]) > 0

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from aspgraph import grasp
 from aspgraph.cycles import VirtualNode, find_virtual_nodes
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
-from aspgraph.graph import NodeKind, build_cnr, cnr_to_dg, node_kind
+from aspgraph.graph import NodeKind, Sign, build_cnr, cnr_to_dg, node_kind
 from aspgraph.grasp import (
     GraphView,
     break_cycles,
@@ -20,7 +21,7 @@ from aspgraph.grasp import (
 )
 from aspgraph.oracle import enumerate_stable
 from aspgraph.syntax import parse_program
-from aspgraph.worlds import World, eval_body, initial_world, node_bodies
+from aspgraph.worlds import World, eval_body, initial_world
 
 from conftest import random_program_text
 
@@ -31,6 +32,19 @@ def transformed(text):
 
 def models(text, **kwargs):
     return [sorted(m) for m in solve_grasp(parse_program(text), **kwargs)]
+
+
+def members_of(g, v):
+    """A virtual node's members by number, as solve_graph passes them."""
+    return sorted(g.number[m] for m in v.members)
+
+
+def named(g, w):
+    """The fixed values of a world over node numbers, keyed by name: a delta
+    world maps node numbers to values, a world being solved lists them."""
+    values = w.values
+    pairs = enumerate(values) if isinstance(values, list) else values.items()
+    return {g.names[n]: value for n, value in pairs if value is not None}
 
 
 def test_even_cycle_two_worlds():
@@ -56,7 +70,7 @@ def test_empty_program_has_empty_model():
 def test_find_roots_fig3():
     g = transformed("p :- q, not r.")
     roots = find_roots(GraphView(g))
-    assert roots == ["q", "r"]
+    assert roots == [g.number["q"], g.number["r"]]
 
 
 def test_find_roots_wrapped_cycle():
@@ -95,7 +109,7 @@ def _brute_force_batch(g, view_virtual, removed):
             for e in g.in_edges(m)
         ):
             roots.add(handle)
-    regular = sorted(roots - virtual_keys)
+    regular = sorted(roots - virtual_keys, key=g.number.__getitem__)
     return regular or sorted(roots)[:1]
 
 
@@ -107,7 +121,7 @@ def test_find_roots_matches_brute_force_every_layer():
         removed = set()
         while True:
             roots = find_roots(view)
-            keys = [r.key if isinstance(r, VirtualNode) else r for r in roots]
+            keys = [r.key if isinstance(r, VirtualNode) else g.names[r] for r in roots]
             assert keys == _brute_force_batch(g, view.virtual, removed)
             if not roots:
                 break
@@ -143,6 +157,23 @@ def test_long_mixed_chain_one_model():
     assert model == {f"a{i}" for i in range(5001)}
 
 
+def test_long_even_negative_ring_within_recursion_limit():
+    # One 1200-atom component: the labeling search keeps its own stack, so
+    # its depth is not bounded by the interpreter's recursion limit.
+    n = 1200
+    text = "".join(f"p{i} :- not p{(i + 1) % n}.\n" for i in range(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        models = solve_grasp(parse_program(text))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert models == [
+        frozenset(f"p{i}" for i in range(0, n, 2)),
+        frozenset(f"p{i}" for i in range(1, n, 2)),
+    ]
+
+
 def test_coloring_c8_fixes_few_roots(monkeypatch):
     # Breaking one component at a time lets each constraint kill its worlds
     # before the next component multiplies them. Crossing all 8 vertex
@@ -172,37 +203,42 @@ def test_wide_independent_positive_loops_one_model():
 
 
 def test_fix_root_defaults_unfixed_to_false():
-    w = World()
-    assert fix_root("q", w).value("q") is False
+    g = transformed("p :- q.")
+    q = g.number["q"]
+    assert fix_root(q, initial_world(g)).value(q) is False
 
 
 def test_fix_root_keeps_fact():
     g = transformed("q.")
     w = initial_world(g)
-    assert fix_root("q", w).value("q") is True
+    q = g.number["q"]
+    assert fix_root(q, w).value(q) is True
 
 
 def test_fix_root_keeps_constraint_false():
     g = transformed(":- not q.")
     w = initial_world(g)
-    assert fix_root("__constraint_0", w).value("__constraint_0") is False
+    c = g.number["__constraint_0"]
+    assert fix_root(c, w).value(c) is False
 
 
 def test_propagate_false_fires_negative_edge():
     g = transformed("p :- q, not r.")
     w = initial_world(g)
-    w.assign("q", False)
-    propagate("q", False, w, g)
-    assert w.value("__conj_0") is True
+    q = g.number["q"]
+    w.values[q] = False
+    propagate(q, False, w, g)
+    assert named(g, w)["__conj_0"] is True
 
 
 def test_propagate_true_conj_does_not_reach_head():
     g = transformed("p :- q, not r.")
     w = initial_world(g)
-    w.assign("r", True)
-    propagate("r", True, w, g)
-    assert w.value("__conj_0") is True
-    assert w.value("p") is None
+    r = g.number["r"]
+    w.values[r] = True
+    propagate(r, True, w, g)
+    assert named(g, w)["__conj_0"] is True
+    assert "p" not in named(g, w)
 
 
 def test_propagate_into_constraint_marks_inconsistent():
@@ -211,10 +247,10 @@ def test_propagate_into_constraint_marks_inconsistent():
     g = transformed(":- not q, not r.")
     w = initial_world(g)
     for atom in ("q", "r"):
-        fix_root(atom, w)
-        propagate(atom, False, w, g)
-    fix_root("__conj_0", w)
-    propagate("__conj_0", False, w, g)
+        fix_root(g.number[atom], w)
+        propagate(g.number[atom], False, w, g)
+    fix_root(g.number["__conj_0"], w)
+    propagate(g.number["__conj_0"], False, w, g)
     assert w.consistent is False
     assert solve_grasp(parse_program(":- not q, not r.")) == []
 
@@ -222,8 +258,8 @@ def test_propagate_into_constraint_marks_inconsistent():
 def test_break_cycles_even_pair():
     g = transformed("p :- not q. q :- not p.")
     (v,) = find_virtual_nodes(g)
-    worlds = break_cycles(v, g, initial_world(g))
-    assert [(w.value("p"), w.value("q")) for w in worlds] == [
+    worlds = break_cycles(members_of(g, v), g, initial_world(g))
+    assert [(named(g, w)["p"], named(g, w)["q"]) for w in worlds] == [
         (True, False),
         (False, True),
     ]
@@ -233,9 +269,9 @@ def test_break_cycles_drops_labeling_conflicting_with_world():
     g = transformed("p :- not q. q :- not p.")
     (v,) = find_virtual_nodes(g)
     w = initial_world(g)
-    w.assign("p", False)
-    (delta,) = break_cycles(v, g, w)
-    assert delta.values == {"p": False, "q": True}
+    w.values[g.number["p"]] = False
+    (delta,) = break_cycles(members_of(g, v), g, w)
+    assert named(g, delta) == {"p": False, "q": True}
 
 
 def test_break_cycles_returns_member_values_only():
@@ -244,25 +280,25 @@ def test_break_cycles_returns_member_values_only():
     (v,) = find_virtual_nodes(g)
     w = initial_world(g)
     for node in ("s", "t"):
-        w.assign(node, True)
-    deltas = break_cycles(v, g, w)
+        w.values[g.number[node]] = True
+    deltas = break_cycles(members_of(g, v), g, w)
     assert len(deltas) == 2
     for delta in deltas:
-        assert set(delta.values) == set(v.members)
+        assert set(named(g, delta)) == set(v.members)
     assert models(text) == [["p", "s", "t"], ["q", "s", "t"]]
 
 
 def test_break_cycles_odd_dies():
     g = transformed("p :- not q. q :- not r. r :- not p.")
     (v,) = find_virtual_nodes(g)
-    assert break_cycles(v, g, initial_world(g)) == []
+    assert break_cycles(members_of(g, v), g, initial_world(g)) == []
 
 
 def test_break_cycles_positive_all_false():
     g = transformed("p :- q. q :- p.")
     (v,) = find_virtual_nodes(g)
-    (w,) = break_cycles(v, g, initial_world(g))
-    assert w.value("p") is False and w.value("q") is False
+    (w,) = break_cycles(members_of(g, v), g, initial_world(g))
+    assert named(g, w)["p"] is False and named(g, w)["q"] is False
 
 
 def test_break_cycles_overlapping_even_cycles():
@@ -270,9 +306,9 @@ def test_break_cycles_overlapping_even_cycles():
     text = "p :- not q. q :- not p. q :- not r. r :- not q."
     g = transformed(text)
     (v,) = find_virtual_nodes(g)
-    worlds = break_cycles(v, g, initial_world(g))
+    worlds = break_cycles(members_of(g, v), g, initial_world(g))
     labelings = {
-        tuple(sorted(a for a in ("p", "q", "r") if w.value(a))) for w in worlds
+        tuple(sorted(a for a in ("p", "q", "r") if named(g, w)[a])) for w in worlds
     }
     assert labelings == {("q",), ("p", "r")}
     assert models(text) == [["p", "r"], ["q"]]
@@ -394,6 +430,22 @@ def test_coloring_c8_breaks_each_context_once(monkeypatch):
     monkeypatch.setattr(grasp, "break_cycles", counted)
     assert len(solve_grasp(gen_coloring(8, cycle_graph(8)))) == 258
     assert 0 < calls <= 8
+
+
+def node_bodies(g, node):
+    """The rule bodies feeding a node of a transformed graph, as (atom,
+    negated) tuples read off its Edge view: a conjunction-node source
+    expands to the literals of its own in-edges, whose signs the flip has
+    turned, and a direct atom source is a one-literal body."""
+    bodies = []
+    for edge in g.in_edges(node):
+        if node_kind(edge.src) is NodeKind.CONJ:
+            bodies.append(
+                tuple((e.src, e.sign is Sign.POSITIVE) for e in g.in_edges(edge.src))
+            )
+        else:
+            bodies.append(((edge.src, edge.sign is Sign.NEGATIVE),))
+    return bodies
 
 
 def reference_labelings(v, g, w):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspgraph import igasp
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
@@ -125,6 +126,29 @@ def test_program_with_covering_constraints_unchanged():
     text = "p :- not q. q :- not p. :- p, q."
     g = transformed(text)
     assert ensure_constraints(g, parse_program(text)) is g
+
+
+@pytest.mark.parametrize(
+    "text, builds, answer_sets",
+    [
+        # the program's own constraints cover every atom: no rule is added
+        ("p :- not q. q :- not p. :- p, q.", 1, [{"p"}, {"q"}]),
+        # one rule is added (":- not a0."): the base graph and the augmented one
+        ("a0. a1 :- a0.", 2, [{"a0", "a1"}]),
+    ],
+)
+def test_solve_igasp_builds_each_graph_once(monkeypatch, text, builds, answer_sets):
+    calls = 0
+    original = igasp.build_cnr
+
+    def counted(program):
+        nonlocal calls
+        calls += 1
+        return original(program)
+
+    monkeypatch.setattr(igasp, "build_cnr", counted)
+    assert solve_igasp(parse_program(text)) == answer_sets
+    assert calls == builds
 
 
 # --- prove ------------------------------------------------------------------
