@@ -18,8 +18,16 @@ bit on every entry that touches a conjunction node, into new lists of the
 same order, so in the transformed graph parallel edges between the same
 two nodes keep the order of their signs before the flip.
 
-The engines and the model checks read the integer lists: cycles'
-``find_virtual_nodes`` and cycle enumeration, grasp, igasp's node index,
+The atoms' rule bodies are compiled from the lists once per graph, on
+first use, into one table (``DepGraph.bodies``): a conjunction-node source
+expands to its in-edges with the flip undone, a direct source is a
+one-literal body, and a fact is the empty body. Synthesized constraints
+are headless, so a program and its extensions by constraints share one
+table. ``least_fixpoint`` over that table is the one foundedness check:
+grasp's labeling search and ``justify.check_justified`` both use it.
+
+The engines and the model checks read the integer lists and the table:
+cycles' ``find_virtual_nodes`` and cycle enumeration, grasp, igasp,
 ``worlds.world_from_atoms`` and ``justify.check_justified``. Names are for
 the edges of the outside world: ``out_edges``, ``in_edges`` and ``edges``
 build ``Edge`` objects on demand, on every call, for justification trees,
@@ -30,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 from .syntax import Program, Rule
 
@@ -124,8 +134,10 @@ class DepGraph:
         """Every edge, built anew on each call."""
         return frozenset(e for node in self.names for e in self.out_edges(node))
 
-    def has_node(self, node: str) -> bool:
-        return node in self.number
+    @cached_property
+    def bodies(self) -> Bodies:
+        """The atoms' rule bodies, compiled on first use."""
+        return compile_bodies(self)
 
     def fixed_value(self, node: str) -> bool | None:
         return self.fixed_nodes.get(self.number.get(node))
@@ -154,6 +166,79 @@ class DepGraph:
 
     def __hash__(self):
         raise TypeError("DepGraph is not hashable")
+
+
+class Bodies(NamedTuple):
+    """Every distinct rule body of a graph's atoms, grouped by head atom.
+
+    Body i has head ``head[i]``, positive atoms ``pos[i]`` and negated atoms
+    ``neg[i]``, each atom once. Atom a's bodies are ``start[a]`` up to
+    ``start[a + 1]``, and ``pos_uses[a]`` lists the bodies in which a is a
+    positive literal. A fact is one empty body.
+    """
+
+    head: list[int]
+    pos: list[tuple[int, ...]]
+    neg: list[tuple[int, ...]]
+    start: list[int]
+    pos_uses: list[list[int]]
+
+
+def compile_bodies(g: DepGraph) -> Bodies:
+    """The body table of a graph, before or after the conjunction flip."""
+    pred, conj, flipped, fixed = g.pred, g.conj, g.transformed, g.fixed_nodes
+    t = Bodies([], [], [], [0], [[] for _ in range(g.atom_count)])
+    head, pos, neg, start, pos_uses = t
+    for atom in range(g.atom_count):
+        if fixed.get(atom) is True:
+            pos.append(())
+            neg.append(())
+        for entry in pred[atom]:
+            src = entry >> 1
+            if conj[src]:  # a literal is positive where its bit is not flipped
+                entries = pred[src]
+                pos.append(tuple([e >> 1 for e in entries if e & 1 != flipped]))
+                neg.append(tuple([e >> 1 for e in entries if e & 1 == flipped]))
+            elif entry & 1:
+                pos.append((src,))
+                neg.append(())
+            else:
+                pos.append(())
+                neg.append((src,))
+        head += [atom] * (len(pos) - len(head))
+        start.append(len(pos))
+    for i, lits in enumerate(pos):
+        for atom in lits:
+            pos_uses[atom].append(i)
+    return t
+
+
+def least_fixpoint(head, pos, pos_uses, holding) -> set[int]:
+    """The heads of the holding bodies whose positive atoms are all in the
+    set, to a fixpoint: counter-based Horn propagation (Dowling & Gallier
+    1984), linear in the bodies' size. head, pos and pos_uses are laid out
+    as in Bodies, each atom once per body; holding lists the bodies to use.
+
+    An atom is founded when it lies in this fixpoint: a fact's empty body
+    needs nothing, and a negated literal that holds needs no derivation."""
+    founded: set[int] = set()
+    waiting: dict[int, int] = {}
+    ready = []
+    for i in holding:
+        waiting[i] = len(pos[i])
+        if not pos[i]:
+            ready.append(i)
+    while ready:
+        atom = head[ready.pop()]
+        if atom in founded:
+            continue
+        founded.add(atom)
+        for i in pos_uses[atom]:
+            if i in waiting:
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    ready.append(i)
+    return founded
 
 
 def build_cnr(program: Program) -> DepGraph:

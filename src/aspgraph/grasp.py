@@ -24,8 +24,10 @@ only. The labeling search itself keeps counters (Dowling & Gallier's
 linear-time Horn propagation, 1984): each member body counts its false and
 its undecided literals and each head its true and its non-false bodies, so
 checking a head takes constant time and a decision touches only the bodies
-that mention it. Foundedness, at a leaf of the search and for a component
-without negation inside, is one counter-based least fixpoint.
+that mention it. The member bodies come from the graph's body table, where
+a fact is the empty body. Foundedness, at a leaf of the search and for a
+component without negation inside, is the graph module's one least
+fixpoint, the same one ``check_justified`` uses.
 
 Each handle of a batch contributes small delta worlds holding only the
 values it adds; the deltas are merged, each combination is applied to one
@@ -38,13 +40,14 @@ are propagated transitively from the batch. A True demand arriving at a
 False node (in particular a constraint node) marks the world inconsistent;
 unsatisfiability shows up as zero surviving worlds.
 
-Everything here works on node numbers and the graph's integer adjacency
-lists, and builds no Edge. A world being solved is a list of node values
-indexed by number, a delta world a dict from node number to value, and a
-virtual node is handled as its sorted member numbers. ``solve_grasp_worlds``
-decodes the surviving worlds to names once, at the end. The labeling search
-walks its tree with an explicit stack, so a component's size is not bounded
-by the interpreter's recursion limit.
+Everything here works on node numbers, the graph's integer adjacency
+lists and its body table, and builds no Edge. A world being solved is a
+list of node values indexed by number, a delta world a dict from node
+number to value, and a virtual node is handled as its sorted member
+numbers. ``solve_grasp_worlds`` decodes the surviving worlds to names
+once, at the end. The labeling search walks its tree with an explicit
+stack, so a component's size is not bounded by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import heapq
 
 from .cycles import VirtualNode, find_virtual_nodes
-from .graph import DepGraph, build_cnr, cnr_to_dg
+from .graph import DepGraph, build_cnr, cnr_to_dg, least_fixpoint
 from .syntax import Program
 from .worlds import World, eval_body, initial_world
 
@@ -206,52 +209,6 @@ def merge_root_worlds(per_root: list[list[World]]) -> list[World]:
     return merged
 
 
-def _least_fixpoint(seeds, head_of, pos_members, pos_uses, enabled) -> set[int]:
-    """The seeds plus, transitively, the head of every enabled body whose
-    positive member literals are all in the set: counter-based Horn
-    propagation (Dowling & Gallier 1984), linear in the bodies' size."""
-    founded = set(seeds)
-    waiting: dict[int, int] = {}
-    ready = []
-    for i in enabled:
-        count = sum(1 for j in pos_members[i] if j not in founded)
-        waiting[i] = count
-        if count == 0:
-            ready.append(i)
-    while ready:
-        head = head_of[ready.pop()]
-        if head in founded:
-            continue
-        founded.add(head)
-        for i in pos_uses[head]:
-            if i in waiting:
-                waiting[i] -= 1
-                if waiting[i] == 0:
-                    ready.append(i)
-    return founded
-
-
-def _conj_body(g: DepGraph, conj: int) -> list[tuple[int, bool]]:
-    """The (atom, negated) literals of a conjunction node's rule body in a
-    transformed graph: the flip has turned the signs of its in-edges, so a
-    positive in-edge is a negated literal."""
-    return [(e >> 1, e & 1 == 1) for e in g.pred[conj]]
-
-
-def _bodies(g: DepGraph, node: int) -> list[list[tuple[int, bool]]]:
-    """Rule bodies feeding a node of a transformed graph, as (atom, negated)
-    pairs: a conjunction-node source expands to its body, and a direct atom
-    source is a one-literal body."""
-    bodies = []
-    for entry in g.pred[node]:
-        src = entry >> 1
-        if g.conj[src]:
-            bodies.append(_conj_body(g, src))
-        else:
-            bodies.append([(src, entry & 1 == 0)])
-    return bodies
-
-
 def _stable_labelings(
     members: list[int], g: DepGraph, w: World
 ) -> list[dict[int, bool]]:
@@ -261,18 +218,19 @@ def _stable_labelings(
     have a satisfied body; a True atom needs a satisfiable one) and filtered
     for foundedness.
 
-    Member atoms are numbered in name order and their bodies in order. Each
-    body counts its false and its undecided literals, and each head its true
-    and its non-false bodies, so a head is checked in constant time and a
-    decision, or its undoing, touches only the bodies that mention it. The
-    search tree is walked depth first with an explicit stack, True before
-    False at each decision.
+    Member atoms are numbered in name order and their bodies, read from the
+    graph's body table (a fact's is empty), in table order; a member True
+    from outside gets one more empty body, since its context supports it.
+    Each body counts its false and its undecided literals, and each head
+    its true and its non-false bodies, so a head is checked in constant
+    time and a decision, or its undoing, touches only the bodies that
+    mention it. The search tree is walked depth first with an explicit
+    stack, True before False at each decision.
     """
     atoms = sorted(m for m in members if m < g.atom_count)
     number = {a: j for j, a in enumerate(atoms)}
     value: list[bool | None] = [True if w.values[a] is True else None for a in atoms]
-    external = [val is True for val in value]
-    seeds = [j for j, val in enumerate(value) if val]
+    t = g.bodies
     head_of: list[int] = []
     pos_members: list[list[int]] = []  # positive member literals per body
     false: list[int] = []
@@ -282,32 +240,37 @@ def _stable_labelings(
     pos_uses: list[list[int]] = [[] for _ in atoms]
     member_naf = False
     for head, atom in enumerate(atoms):
-        for body in _bodies(g, atom):
+        lo, hi = t.start[atom], t.start[atom + 1]
+        bodies = list(zip(t.pos[lo:hi], t.neg[lo:hi]))
+        if value[head]:  # True from outside: its context is an empty body
+            bodies.append(((), ()))
+        for body_pos, body_neg in bodies:
             i = len(head_of)
             head_of.append(head)
             pos = []
             f = u = 0
             blocked = False
-            for lit, negated in body:
-                j = number.get(lit)
-                if j is None:
-                    val = w.values[lit]
-                    if val is None:
+            for negated, lits in ((False, body_pos), (True, body_neg)):
+                for lit in lits:
+                    j = number.get(lit)
+                    if j is None:
+                        val = w.values[lit]
+                        if val is None:
+                            u += 1
+                            blocked = True
+                        elif val == negated:
+                            f += 1
+                            blocked = True
+                        continue
+                    member_naf = member_naf or negated
+                    if not negated:
+                        pos.append(j)
+                        pos_uses[j].append(i)
+                    if value[j] is None:
                         u += 1
-                        blocked = True
-                    elif val == negated:
+                        uses[j].append((i, negated))
+                    elif negated:
                         f += 1
-                        blocked = True
-                    continue
-                member_naf = member_naf or negated
-                if not negated:
-                    pos.append(j)
-                    pos_uses[j].append(i)
-                if value[j] is None:
-                    u += 1
-                    uses[j].append((i, negated))
-                elif negated:
-                    f += 1
             pos_members.append(pos)
             false.append(f)
             undecided.append(u)
@@ -319,7 +282,7 @@ def _stable_labelings(
     # has positive internal cycles only, hence exactly one stable labeling:
     # the support fixpoint from externally true members, all else False.
     if not member_naf:
-        fixed = _least_fixpoint(seeds, head_of, pos_members, pos_uses, outside_ok)
+        fixed = least_fixpoint(head_of, pos_members, pos_uses, outside_ok)
         return [{a: (j in fixed) for j, a in enumerate(atoms)}]
 
     true_bodies = [0] * len(atoms)
@@ -336,7 +299,7 @@ def _stable_labelings(
         if val is None:
             return True
         if val:
-            return external[head] or live_bodies[head] > 0
+            return live_bodies[head] > 0
         return not true_bodies[head]
 
     def decide(j: int, val: bool) -> None:
@@ -369,7 +332,7 @@ def _stable_labelings(
             true_bodies_now = [
                 i for i in range(len(head_of)) if not false[i] and not undecided[i]
             ]
-            founded = _least_fixpoint(seeds, head_of, pos_members, pos_uses, true_bodies_now)
+            founded = least_fixpoint(head_of, pos_members, pos_uses, true_bodies_now)
             if all(j in founded for j, val in enumerate(value) if val):
                 results.append(dict(zip(atoms, value)))
             depth -= 1
@@ -400,7 +363,13 @@ def break_cycles(members: list[int], g: DepGraph, w: World) -> list[World]:
     members take the complement of their body's value. Each delta holds
     member values only; labelings that contradict a value of w are dropped.
     """
-    conj_bodies = [(member, _conj_body(g, member)) for member in members if g.conj[member]]
+    # After the flip a positive in-edge of a conjunction node is a negated
+    # literal of its body.
+    conj_bodies = [
+        (member, [(e >> 1, e & 1 == 1) for e in g.pred[member]])
+        for member in members
+        if g.conj[member]
+    ]
     worlds = []
     values = w.values
     for labeling in _stable_labelings(members, g, w):
@@ -424,25 +393,6 @@ def _context_nodes(members: list[int], g: DepGraph) -> list[int]:
             if conj[src]:
                 nodes.update(dict.fromkeys([e >> 1 for e in pred[src]]))
     return list(nodes)
-
-
-# The two helpers above for a caller that holds a virtual node and a world
-# keyed by name, as the tests' name-level reference does.
-
-
-def _component_labelings(v: VirtualNode, g: DepGraph, w: World) -> list[dict[str, bool]]:
-    number, names = g.number, g.names
-    by_number = World([w.value(name) for name in names])
-    members = [number[m] for m in v.members]
-    return [
-        {names[a]: value for a, value in labeling.items()}
-        for labeling in _stable_labelings(members, g, by_number)
-    ]
-
-
-def _input_nodes(v: VirtualNode, g: DepGraph) -> list[str]:
-    members = [g.number[m] for m in sorted(v.members)]
-    return [g.names[n] for n in _context_nodes(members, g)]
 
 
 def solve_graph(g: DepGraph) -> list[World]:

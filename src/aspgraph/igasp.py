@@ -12,30 +12,33 @@ split on a. Finished models are forward-propagated, totalized (atoms never
 reached default to False) and kept only if the resulting world passes the
 effective-edge/foundedness validation.
 
-The proof search works on one node index, built once per solve from the
-graph the proofs walk (the program's graph with the synthesized
-constraints): node i of the graph is bit i, with its fixed value and its
-in-edges, read off the graph's integer in-lists, as (source,
-effective-when-true) pairs. That graph is built once: the synthesis that
-decides which constraints to add hands over the last graph it checked, and
-reuses the program's own graph when it adds nothing. A partial model is a
-pair of ints, (known, true): bit i of known says node i is decided, bit i
-of true that it is True (true is always a subset of known). Two models
-conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero, and their union is
-two ORs. The proof branch is a dict from node to presumed value, pushed and
-popped around the recursive calls. Names are decoded only when answer sets
-are extracted.
+The proof search walks the graph's own integer lists: node i is bit i,
+its fixed value is read off ``fixed_nodes`` and its in-edges off ``pred``
+(a positive entry is effective when its source is True). That graph, the
+program's graph with the synthesized constraints, is built once: the
+synthesis that decides which constraints to add hands over the last graph
+it checked, and reuses the program's own graph when it adds nothing. A
+partial model is a pair of ints, (known, true): bit i of known says node i
+is decided, bit i of true that it is True (true is always a subset of
+known). Two models conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero,
+and their union is two ORs. The proof branch is a dict from node to
+presumed value, pushed and popped around the recursive calls. Names are
+decoded only when answer sets are extracted.
 
 Partial models are combined by a hash join on the nodes that every model
 on both sides decides: the right-hand models are bucketed by their true
 bits on those nodes, so each left model is unioned only with the right
 models that agree with it there, the only ones whose union can succeed.
 
-Forward propagation is a worklist over the causal map, compiled to one
-(pos_mask, neg_mask) pair per rule body and, per atom, the heads whose
-bodies mention it: after one pass over every head, only the heads watching
-a newly decided atom are checked again (Dowling & Gallier's linear-time
-Horn propagation, 1984, with the "all bodies false" rule added).
+Rule bodies come from the program graph's body table, compiled once per
+solve: synthesized constraints are headless, so every augmented graph has
+the same atoms and atom bodies, and synthesis, the causal map and
+validation all read the base graph's table. Forward propagation is a
+worklist over the causal map, compiled from that table to one (pos_mask,
+neg_mask) pair per rule body and, per atom, the heads whose bodies mention
+it: after one pass over every head, only the heads watching a newly
+decided atom are checked again (Dowling & Gallier's linear-time Horn
+propagation, 1984, with the "all bodies false" rule added).
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import sys
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from .graph import DepGraph, atoms_of, build_cnr, cnr_to_dg
+from .graph import Bodies, DepGraph, build_cnr, cnr_to_dg
 from .justify import check_justified
 from .syntax import Literal, Program, Rule
 from .worlds import world_from_atoms
 
-# (known, true) bit masks over a NodeIndex; true is a subset of known.
+# (known, true) bit masks over node numbers; true is a subset of known.
 PartialModel = tuple[int, int]
 
 
@@ -57,37 +60,11 @@ class QueryAtomUnknown(ValueError):
     """Query atom does not occur in the program."""
 
 
-class NodeIndex(NamedTuple):
-    """One bit per node of the graph the proofs walk."""
-
-    names: tuple[str, ...]
-    bits: dict[str, int]
-    fixed: tuple[bool | None, ...]
-    # (source, value) per in-edge, in the graph's in-list order: the edge is
-    # effective when its source takes that value (True for a positive edge).
-    in_edges: tuple[tuple[tuple[int, bool], ...], ...]
-    atoms: int
-    constraints: tuple[int, ...]
-
-
-def build_index(g: DepGraph) -> NodeIndex:
-    """The graph's own node numbers are the bits."""
-    fixed = g.fixed_nodes
-    return NodeIndex(
-        names=g.names,
-        bits=g.number,
-        fixed=tuple(map(fixed.get, range(len(g.names)))),
-        in_edges=tuple(tuple((e >> 1, e & 1 == 1) for e in entries) for entries in g.pred),
-        atoms=(1 << g.atom_count) - 1,  # the atoms are the first nodes
-        constraints=tuple(_constraint_nodes(g)),
-    )
-
-
-def _names(index: NodeIndex, mask: int) -> frozenset[str]:
+def _names(g: DepGraph, mask: int) -> frozenset[str]:
     names = []
     while mask:
         low = mask & -mask
-        names.append(index.names[low.bit_length() - 1])
+        names.append(g.names[low.bit_length() - 1])
         mask ^= low
     return frozenset(names)
 
@@ -131,28 +108,25 @@ def merge_conjunctive(
 class CausalMap(NamedTuple):
     """Rule bodies per head atom, the conditions that force it True, as
     (pos_mask, neg_mask) pairs; watchers maps each atom to the heads whose
-    bodies mention it. Repeated rules repeat entries, which costs a repeated
-    check and changes no result."""
+    bodies mention it."""
 
     bodies: dict[int, list[tuple[int, int]]]
     watchers: dict[int, list[int]]
 
 
-def build_causal_map(program: Program, index: NodeIndex) -> CausalMap:
+def build_causal_map(g: DepGraph) -> CausalMap:
+    """The causal map of the graph's body table."""
+    t = g.bodies
     causal = CausalMap({}, {})
-    for rule in program.rules:
-        if rule.head is None:
-            continue
-        head = index.bits[rule.head]
-        pos = neg = 0
-        for lit in rule.body:
-            atom = index.bits[lit.atom]
-            if lit.negated:
-                neg |= 1 << atom
-            else:
-                pos |= 1 << atom
+    for head, pos, neg in zip(t.head, t.pos, t.neg):
+        pos_mask = neg_mask = 0
+        for atom in pos:
+            pos_mask |= 1 << atom
+        for atom in neg:
+            neg_mask |= 1 << atom
+        for atom in pos + neg:
             causal.watchers.setdefault(atom, []).append(head)
-        causal.bodies.setdefault(head, []).append((pos, neg))
+        causal.bodies.setdefault(head, []).append((pos_mask, neg_mask))
     return causal
 
 
@@ -167,7 +141,11 @@ def forward_propagate(
     base, when given, is a model contained in m that is a fixpoint already.
     A head none of whose bodies mentions a node m adds to base is forced in
     m exactly as in base, where its value agrees, so only the heads watching
-    those nodes are checked first; the result is the same."""
+    those nodes are checked first; the result is the same.
+
+    This is not graph.least_fixpoint: it is three-valued, and it adds the
+    "all bodies false" rule, which a Horn fixpoint over True atoms cannot
+    express."""
     known, true = m
     false = known ^ true
     bodies, watchers = causal.bodies, causal.watchers
@@ -208,7 +186,7 @@ def forward_propagate(
 
 
 def prove(
-    node: int, presumed: bool, branch: dict[int, bool], index: NodeIndex
+    node: int, presumed: bool, branch: dict[int, bool], g: DepGraph
 ) -> list[PartialModel]:
     """All partial models under which the node carries the presumed value.
 
@@ -224,12 +202,12 @@ def prove(
     if prior is not None:
         return [(0, 0)] if prior == presumed else []
     bit = 1 << node
-    fixed = index.fixed[node]
+    fixed = g.fixed_nodes.get(node)
     if fixed is True:
         return [(bit, bit)] if presumed else []
     if fixed is False and presumed:
         return []
-    in_edges = index.in_edges[node]
+    in_edges = g.pred[node]
     if not in_edges:
         return [] if presumed else [(bit, 0)]
 
@@ -239,11 +217,13 @@ def prove(
     states: dict[PartialModel, bool] = {(bit, bit if presumed else 0): False}
     branch[node] = presumed
     try:
-        for src, effective_value in in_edges:
+        for entry in in_edges:
+            # the edge is effective when its source takes its sign's value
+            src, effective_value = entry >> 1, entry & 1 == 1
             options = []
             if presumed:
-                options.append((prove(src, effective_value, branch, index), True))
-            options.append((prove(src, not effective_value, branch, index), False))
+                options.append((prove(src, effective_value, branch, g), True))
+            options.append((prove(src, not effective_value, branch, g), False))
             joins = [
                 (_join(states, subs), effective) for subs, effective in options if subs
             ]
@@ -267,7 +247,7 @@ def _constraint_nodes(g: DepGraph) -> list[int]:
     return [n for n, value in g.fixed_nodes.items() if value is False]
 
 
-def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[str]:
+def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[int]:
     # Proofs stop at fact nodes, so a fact's own rule ancestors are not
     # reached and must not count as covered.
     seen = set(seeds)
@@ -281,27 +261,38 @@ def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[str]:
             if src not in seen:
                 seen.add(src)
                 stack.append(src)
-    return {g.names[n] for n in seen if n < g.atom_count}
+    return {n for n in seen if n < g.atom_count}
 
 
-def _decided_atoms(g: DepGraph, program: Program) -> set[str]:
+def _decided_atoms(g: DepGraph, t: Bodies) -> set[int]:
     """Atoms guaranteed a value in every finished partial model: facts and
     rule-less atoms (structurally decided), constraint-cone atoms (decided
     by the proofs), and the closure of atoms whose every rule body mentions
-    only decided atoms (decided either way by forward propagation)."""
-    heads = {rule.head for rule in program.rules if rule.head is not None}
+    only decided atoms (decided either way by forward propagation).
+
+    g is the graph the proofs walk and t the body table of its atoms. The
+    closure is not graph.least_fixpoint: a head is decided only once all
+    of its bodies are, where the fixpoint fires a head on any one body.
+    Written as that fixpoint it needs a synthetic clause per head, and it
+    measured slower than this loop."""
+    start = t.start
     decided = _ancestor_atoms(g, _constraint_nodes(g))
-    decided |= program.facts
-    decided |= {atom for atom in atoms_of(g) if atom not in heads}
-    # Per undecided head, a count of its (rule, body atom) pairs still
+    decided.update(n for n, value in g.fixed_nodes.items() if value)
+    decided.update(a for a in range(g.atom_count) if start[a] == start[a + 1])
+    # Per undecided head, a count of its (body, literal) pairs still
     # undecided; a head is decided when its count reaches zero.
-    undecided_inputs = dict.fromkeys(heads - decided, 0)
-    watchers: dict[str, list[str]] = {}
-    for rule in program.rules:
-        if rule.head in undecided_inputs:
-            for atom in {lit.atom for lit in rule.body} - decided:
-                undecided_inputs[rule.head] += 1
-                watchers.setdefault(atom, []).append(rule.head)
+    undecided_inputs: dict[int, int] = {}
+    watchers: dict[int, list[int]] = {}
+    for head in range(g.atom_count):
+        if head in decided:
+            continue
+        count = 0
+        for i in range(start[head], start[head + 1]):
+            for atom in t.pos[i] + t.neg[i]:
+                if atom not in decided:
+                    count += 1
+                    watchers.setdefault(atom, []).append(head)
+        undecided_inputs[head] = count
     stack = [head for head, count in undecided_inputs.items() if count == 0]
     decided.update(stack)
     while stack:
@@ -325,27 +316,28 @@ def synthesized_constraints(
     most-depended-upon atom first, until all atoms are covered.
 
     graph is the program's own transformed graph, used while no rule is
-    added. The transformed graph of the program with the returned rules is
-    appended to built, so that it is built only once.
+    added; its body table serves every augmented graph, since the added
+    rules are headless. The transformed graph of the program with the
+    returned rules is appended to built, so that it is built only once.
     """
     additions: list[Rule] = []
     if not program.constraints:
         additions.extend(
             Rule(None, (Literal(fact, negated=True),)) for fact in sorted(program.facts)
         )
+    table = graph.bodies
     while True:
         if additions:
-            augmented_program = program.extended(additions)
-            augmented = cnr_to_dg(build_cnr(augmented_program))
+            augmented = cnr_to_dg(build_cnr(program.extended(additions)))
         else:
-            augmented_program, augmented = program, graph
-        covered = _decided_atoms(augmented, augmented_program)
-        candidates = [atom for atom in atoms_of(augmented) if atom not in covered]
+            augmented = graph
+        covered = _decided_atoms(augmented, table)
+        candidates = [a for a in range(augmented.atom_count) if a not in covered]
         if not candidates:
             built.append(augmented)
             return additions
-        in_degree = lambda a: len(augmented.pred[augmented.number[a]])
-        anchor = min(candidates, key=lambda a: (-in_degree(a), a))
+        # atoms are numbered in name order, so ties go to the smallest name
+        anchor = augmented.names[min(candidates, key=lambda a: (-len(augmented.pred[a]), a))]
         additions.append(
             Rule(None, (Literal(anchor, negated=False), Literal(anchor, negated=True)))
         )
@@ -363,16 +355,16 @@ def _contains(m: PartialModel, part: PartialModel) -> bool:
     return not part[0] & ~m[0] and m[1] & part[0] == part[1]
 
 
-def _finished_models(index: NodeIndex, causal: CausalMap) -> list[PartialModel]:
+def _finished_models(g: DepGraph, causal: CausalMap) -> list[PartialModel]:
     """Forward-propagated partial models that falsify every constraint."""
-    ruleless = index.atoms
+    ruleless = (1 << g.atom_count) - 1  # the atoms are the first nodes
     for head in causal.bodies:
         ruleless &= ~(1 << head)
     seed = forward_propagate((ruleless, 0), causal)
     models = [seed] if seed is not None else []
-    for constraint in index.constraints:
+    for constraint in _constraint_nodes(g):
         alternatives = []
-        for m in prove(constraint, False, {}, index):
+        for m in prove(constraint, False, {}, g):
             propagated = forward_propagate(m, causal)
             if propagated is not None:
                 alternatives.append(propagated)
@@ -395,19 +387,20 @@ def _finished_models(index: NodeIndex, causal: CausalMap) -> list[PartialModel]:
 
 def _candidates(program: Program, base_graph: DepGraph) -> list[frozenset[str]]:
     """The program atoms True in each finished model, without repeats. The
-    index and causal map are freed on return, before validation."""
-    index = build_index(ensure_constraints(base_graph, program))
-    causal = build_causal_map(program, index)
+    causal map is freed on return, before validation."""
+    g = ensure_constraints(base_graph, program)
+    causal = build_causal_map(base_graph)
     # prove recurses once per node of a proof path; the caller's limit is
     # restored on the way out.
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * len(index.names) + 1000))
+    sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
     try:
-        models = _finished_models(index, causal)
+        models = _finished_models(g, causal)
     finally:
         sys.setrecursionlimit(limit)
-    true_atoms = dict.fromkeys(true & index.atoms for _, true in models)
-    return [_names(index, mask) for mask in true_atoms]
+    atoms = (1 << g.atom_count) - 1
+    true_atoms = dict.fromkeys(true & atoms for _, true in models)
+    return [_names(g, mask) for mask in true_atoms]
 
 
 def solve_igasp(program: Program) -> list[frozenset[str]]:

@@ -6,6 +6,10 @@ by its effective in-edges, a False atom by listing why each in-edge failed
 to fire. Conjunction nodes appear as internal tree nodes annotated with
 their source rule; recursion stops at facts, rule-less atoms, loop-backs
 onto the current path, and nodes already expanded elsewhere in the tree.
+
+``check_justified`` validates a whole world on the graph's integer lists
+and checks foundedness with the graph's one least fixpoint over its body
+table.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .graph import (
     NodeKind,
     Sign,
     atoms_of,
+    least_fixpoint,
     node_kind,
 )
 from .worlds import World
@@ -121,12 +126,13 @@ def check_justified(g: DepGraph, w: World) -> bool:
 
     Requires a complete world consistent with fixed values in which every
     True node is a fact or has an effective in-edge, no False node receives
-    an effective edge, and every True atom is founded: derivable from facts
-    and negation without resting on a positive cycle.
+    an effective edge, and every True atom is founded: it lies in the least
+    fixpoint of the graph's rule bodies that hold, so it is derivable from
+    facts and negation without resting on a positive cycle.
     """
     if not w.is_complete(g):
         return False
-    values = _node_values(g, w)
+    values = list(map(w.values.__getitem__, g.names))
     fixed_nodes = g.fixed_nodes
     for node, entries in enumerate(g.pred):
         value = values[node]
@@ -138,58 +144,19 @@ def check_justified(g: DepGraph, w: World) -> bool:
             return False
         if not value and effective:
             return False
-    return _founded(g, values)
-
-
-def _node_values(g: DepGraph, w: World) -> list[bool]:
-    """The values of a complete name-keyed world, by node number."""
-    return list(map(w.values.__getitem__, g.names))
-
-
-def _founded_atoms_ok(g: DepGraph, w: World) -> bool:
-    return _founded(g, _node_values(g, w))
-
-
-def _founded(g: DepGraph, values: list[bool]) -> bool:
-    # One pass over the unfounded True atoms, then a worklist: an atom that
-    # becomes founded can only newly support the atoms it feeds, directly or
-    # through a conjunction node, so only those are checked again.
-    pred, succ, conj = g.pred, g.succ, g.conj
-    true_atoms = {n for n in range(g.atom_count) if values[n]}
-    founded = {n for n in true_atoms if g.fixed_nodes.get(n) is True}
-
-    def supported(atom: int) -> bool:
-        # Some effective in-edge supports the atom. A negative edge fires
-        # from a False node: negation-as-failure support needs no further
-        # derivation unless the source is a conjunction node, in which case
-        # the body's positive literals (negative after the flip) must
-        # themselves be founded.
-        for entry in pred[atom]:
-            src = entry >> 1
-            positive = entry & 1
-            if values[src] != positive:
-                continue
-            if conj[src]:
-                if all(e >> 1 in founded for e in pred[src] if not e & 1):
-                    return True
-            elif not positive or src in founded:
-                return True
-        return False
-
-    stack = []
-    for atom in true_atoms - founded:
-        if supported(atom):
-            founded.add(atom)
-            stack.append(atom)
-    while stack:
-        for entry in succ[stack.pop()]:
-            dst = entry >> 1
-            fed = [e >> 1 for e in succ[dst]] if conj[dst] else [dst]
-            for atom in fed:
-                if atom in true_atoms and atom not in founded and supported(atom):
-                    founded.add(atom)
-                    stack.append(atom)
-    return founded == true_atoms
+    # After the checks above only a True atom has a body that holds, and
+    # only True atoms need a derivation.
+    t = g.bodies
+    value_of = values.__getitem__
+    true_atoms = [a for a in range(g.atom_count) if values[a]]
+    holding = [
+        i
+        for a in true_atoms
+        for i in range(t.start[a], t.start[a + 1])
+        if all(map(value_of, t.pos[i])) and not any(map(value_of, t.neg[i]))
+    ]
+    founded = least_fixpoint(t.head, t.pos, t.pos_uses, holding)
+    return all(a in founded for a in true_atoms)
 
 
 def render_text(tree: JustificationTree, indent: str = "") -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import DepGraph, NodeKind, node_kind
+from .graph import DepGraph
 
 
 @dataclass
@@ -41,11 +41,9 @@ class World:
         return World(self.values.copy(), self.consistent)
 
     def true_atoms(self, g: DepGraph) -> frozenset[str]:
-        return frozenset(
-            n
-            for n, v in self.values.items()
-            if v and node_kind(n) is NodeKind.ATOM and g.has_node(n)
-        )
+        """The graph's True atoms, which are its first atom_count nodes."""
+        values = self.values
+        return frozenset(n for n in g.names[: g.atom_count] if values.get(n))
 
     def is_complete(self, g: DepGraph) -> bool:
         return all(n in self.values for n in g.nodes)

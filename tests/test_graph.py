@@ -3,6 +3,7 @@ import random
 import pytest
 
 from aspgraph import grasp, igasp
+from aspgraph import graph as graph_module
 from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_random
 from aspgraph.graph import (
     DoubleTransformError,
@@ -234,6 +235,62 @@ def test_transformed_adjacency_order_matches_reference():
             assert g.edges == set(listed) == {e for n in g.nodes for e in g.in_edges(n)}
 
 
+def table_bodies(g):
+    """A graph's body table as (head, positive atoms, negated atoms) names,
+    after checking its layout: atom a's bodies are start[a] to start[a + 1],
+    each atom is listed once per body, and pos_uses inverts pos."""
+    t = g.bodies
+    assert t.start[0] == 0 and len(t.start) == g.atom_count + 1
+    for a in range(g.atom_count):
+        assert all(t.head[i] == a for i in range(t.start[a], t.start[a + 1]))
+    assert t.start[-1] == len(t.head) == len(t.pos) == len(t.neg)
+    for lits in t.pos + t.neg:
+        assert len(set(lits)) == len(lits)
+    assert [sorted(uses) for uses in t.pos_uses] == [
+        [i for i, pos in enumerate(t.pos) if a in pos] for a in range(g.atom_count)
+    ]
+    names = g.names
+    return [
+        (names[head], frozenset(names[a] for a in pos), frozenset(names[a] for a in neg))
+        for head, pos, neg in zip(t.head, t.pos, t.neg)
+    ]
+
+
+def program_bodies(program):
+    """The program's distinct headed rules as (head, positive atoms, negated
+    atoms); a fact has two empty sets."""
+    return {
+        (
+            rule.head,
+            frozenset(lit.atom for lit in rule.body if not lit.negated),
+            frozenset(lit.atom for lit in rule.body if lit.negated),
+        )
+        for rule in program.rules
+        if rule.head is not None
+    }
+
+
+def test_body_table_holds_the_distinct_headed_rules():
+    rng = random.Random(9)
+    texts = [
+        "p :- q, q. p :- q. q. q :- r, not r.",
+        "p :- q, not q. p :- not q, q. :- p, q. r :- p, s, not t.",
+    ] + [random_program_text(rng, rng.randint(1, 8), rng.randint(1, 14)) for _ in range(200)]
+    for text in texts:
+        program = parse_program(text)
+        cnr = build_cnr(program)
+        expected = program_bodies(program)
+        for g in (cnr, cnr_to_dg(cnr)):
+            bodies = table_bodies(g)
+            assert len(bodies) == len(expected) and set(bodies) == expected
+    first = table_bodies(cnr_to_dg(build_cnr(parse_program(texts[0]))))
+    assert sorted(first) == [
+        ("p", frozenset({"q"}), frozenset()),
+        ("q", frozenset(), frozenset()),
+        ("q", frozenset({"r"}), frozenset({"r"})),
+    ]
+
+
 def test_parallel_edges_keep_original_sign_order():
     dg = cnr_to_dg(build_cnr(parse_program("p :- q, not q, r.")))
     assert [(e.dst, e.sign) for e in dg.out_edges("q")] == [
@@ -276,3 +333,28 @@ def test_solvers_build_no_edge_objects(monkeypatch):
     g = build_cnr(programs[1])
     g.in_edges(g.names[0])
     assert created == len(g.pred[0]) > 0
+
+
+def test_one_igasp_solve_compiles_one_body_table(monkeypatch):
+    # Synthesis, the causal map and validation read the program graph's one
+    # table: the synthesized constraints are headless, so every augmented
+    # graph has the same atom bodies.
+    compiled = 0
+    original = graph_module.compile_bodies
+
+    def counted(g):
+        nonlocal compiled
+        compiled += 1
+        return original(g)
+
+    monkeypatch.setattr(graph_module, "compile_bodies", counted)
+    texts = [
+        "p :- not q. q :- not p. :- p, q.",  # no constraint added
+        "a0. a1 :- a0.",  # a negated fact added
+        "p :- not q. q :- not p. a :- not b. b :- not a.",  # two anchors added
+    ]
+    programs = [parse_program(text) for text in texts] + [gen_coloring(5, cycle_graph(5))]
+    for program in programs:
+        compiled = 0
+        assert igasp.solve_igasp(program)
+        assert compiled == 1

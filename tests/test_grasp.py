@@ -434,10 +434,11 @@ def test_coloring_c8_breaks_each_context_once(monkeypatch):
 
 def node_bodies(g, node):
     """The rule bodies feeding a node of a transformed graph, as (atom,
-    negated) tuples read off its Edge view: a conjunction-node source
-    expands to the literals of its own in-edges, whose signs the flip has
-    turned, and a direct atom source is a one-literal body."""
-    bodies = []
+    negated) tuples read off its Edge view: a fact is the empty body, a
+    conjunction-node source expands to the literals of its own in-edges,
+    whose signs the flip has turned, and a direct atom source is a
+    one-literal body."""
+    bodies = [()] if g.fixed_value(node) is True else []
     for edge in g.in_edges(node):
         if node_kind(edge.src) is NodeKind.CONJ:
             bodies.append(
@@ -537,24 +538,48 @@ def reference_labelings(v, g, w):
     return results
 
 
+def input_nodes(v, g):
+    """The names of the nodes whose values a component's labelings read."""
+    members = [g.number[m] for m in sorted(v.members)]
+    return [g.names[n] for n in grasp._context_nodes(members, g)]
+
+
+def component_labelings(v, g, w):
+    """The stable labelings of a component under a name-keyed world, by name."""
+    by_number = World([w.value(name) for name in g.names])
+    members = [g.number[m] for m in v.members]
+    return [
+        {g.names[a]: value for a, value in labeling.items()}
+        for labeling in grasp._stable_labelings(members, g, by_number)
+    ]
+
+
 def test_component_labelings_match_reference():
+    # The contexts are drawn at random, so a member fact may be unfixed or
+    # False in them, which solve_graph never does: its empty body still
+    # forces it True.
     rng = random.Random(26)
     components = 0
     counts = set()
+    unfixed_facts = 0
     while components < 400:
         g = transformed(random_program_text(rng, rng.randint(2, 10), rng.randint(2, 18)))
         for v in find_virtual_nodes(g):
             for _ in range(3):
                 w = World()
-                for node in grasp._input_nodes(v, g):
+                for node in input_nodes(v, g):
                     value = rng.choice((True, False, None))
                     if value is not None:
                         w.assign(node, value)
-                labelings = grasp._component_labelings(v, g, w)
+                labelings = component_labelings(v, g, w)
                 assert labelings == reference_labelings(v, g, w)
                 components += 1
                 counts.add(min(len(labelings), 2))
+                unfixed_facts += any(
+                    g.fixed_value(m) is True and w.value(m) is not True for m in v.members
+                )
     assert counts == {0, 1, 2}
+    assert unfixed_facts > 0
 
 
 @st.composite

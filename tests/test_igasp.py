@@ -12,7 +12,6 @@ from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
     QueryAtomUnknown,
     build_causal_map,
-    build_index,
     ensure_constraints,
     forward_propagate,
     merge_conjunctive,
@@ -21,7 +20,7 @@ from aspgraph.igasp import (
     solve_query,
 )
 from aspgraph.oracle import enumerate_stable, is_stable
-from aspgraph.syntax import parse_program
+from aspgraph.syntax import Literal, Rule, parse_program
 from aspgraph.worlds import world_from_atoms
 from aspgraph.justify import is_effective
 
@@ -151,6 +150,71 @@ def test_solve_igasp_builds_each_graph_once(monkeypatch, text, builds, answer_se
     assert calls == builds
 
 
+def reference_decided_atoms(g, program):
+    """The decided atoms by name, with the rule bodies read off the Program:
+    facts, rule-less atoms, the constraint cones (which stop at facts) and
+    the closure of heads whose every body atom is decided."""
+    heads = {rule.head for rule in program.rules if rule.head is not None}
+    constraints = [n for n in g.nodes if node_kind(n) is NodeKind.CONSTRAINT]
+    seen, stack = set(constraints), list(constraints)
+    while stack:
+        node = stack.pop()
+        if g.fixed_value(node) is not True:
+            for edge in g.in_edges(node):
+                if edge.src not in seen:
+                    seen.add(edge.src)
+                    stack.append(edge.src)
+    decided = {n for n in seen if node_kind(n) is NodeKind.ATOM}
+    decided |= program.facts
+    decided |= {atom for atom in atoms_of(g) if atom not in heads}
+    changed = True
+    while changed:
+        changed = False
+        for head in heads - decided:
+            bodies = [rule.body for rule in program.rules if rule.head == head]
+            if all(lit.atom in decided for body in bodies for lit in body):
+                decided.add(head)
+                changed = True
+    return decided
+
+
+def reference_synthesized_constraints(program):
+    """The synthesized rules, each augmented program's graph built afresh
+    and its decided atoms read off that program."""
+    additions = []
+    if not program.constraints:
+        additions += [Rule(None, (Literal(f, negated=True),)) for f in sorted(program.facts)]
+    while True:
+        augmented_program = program.extended(additions)
+        augmented = transformed(str(augmented_program))
+        covered = reference_decided_atoms(augmented, augmented_program)
+        candidates = [atom for atom in sorted(atoms_of(augmented)) if atom not in covered]
+        if not candidates:
+            return additions
+        anchor = min(candidates, key=lambda a: (-len(augmented.in_edges(a)), a))
+        additions.append(Rule(None, (Literal(anchor, False), Literal(anchor, True))))
+
+
+def test_decided_atoms_and_synthesis_match_program_reference():
+    rng = random.Random(37)
+    anchored = 0
+    for _ in range(300):
+        text = random_program_text(
+            rng, rng.randint(1, 8), rng.randint(1, 12), constraint_fraction=rng.choice((0, 0.15))
+        )
+        program = parse_program(text)
+        g = transformed(text)
+        built = []
+        rules = igasp.synthesized_constraints(program, g, built)
+        assert rules == reference_synthesized_constraints(program)
+        anchored += any(len(rule.body) == 2 for rule in rules)
+        augmented_program = program.extended(rules)
+        for graph, prog in ((g, program), (built[0], augmented_program)):
+            decided = igasp._decided_atoms(graph, g.bodies)
+            assert {graph.names[a] for a in decided} == reference_decided_atoms(graph, prog)
+    assert anchored > 0
+
+
 # --- prove ------------------------------------------------------------------
 
 
@@ -158,39 +222,38 @@ def test_prove_constraint_program_five():
     text = "m :- p. m :- not q. m :- r. :- not m. :- n."
     p = parse_program(text)
     g = ensure_constraints(transformed(text), p)
-    index = build_index(g)
     # ":- not m." is __constraint_0; falsifying it needs m True
-    results = prove(index.bits["__constraint_0"], False, {}, index)
+    results = prove(g.number["__constraint_0"], False, {}, g)
     assert len(g.in_edges("m")) == 3
     assert len(results) == 1
-    m = values(results[0], index.bits)
+    m = values(results[0], g.number)
     assert m["m"] is True
     assert m["p"] is False and m["q"] is False and m["r"] is False
     # ":- n." is __constraint_1; falsifying it needs n False
-    (n_model,) = prove(index.bits["__constraint_1"], False, {}, index)
-    assert values(n_model, index.bits)["n"] is False
+    (n_model,) = prove(g.number["__constraint_1"], False, {}, g)
+    assert values(n_model, g.number)["n"] is False
 
 
 def test_prove_fact_leaf():
-    index = build_index(transformed("q."))
-    q = index.bits["q"]
-    assert keys(prove(q, True, {}, index), index.bits) == {frozenset({("q", True)})}
-    assert prove(q, False, {}, index) == []
+    g = transformed("q.")
+    q = g.number["q"]
+    assert keys(prove(q, True, {}, g), g.number) == {frozenset({("q", True)})}
+    assert prove(q, False, {}, g) == []
 
 
 def test_prove_ruleless_atom():
-    index = build_index(transformed("p :- q."))
-    q = index.bits["q"]
-    assert prove(q, True, {}, index) == []
-    assert keys(prove(q, False, {}, index), index.bits) == {frozenset({("q", False)})}
+    g = transformed("p :- q.")
+    q = g.number["q"]
+    assert prove(q, True, {}, g) == []
+    assert keys(prove(q, False, {}, g), g.number) == {frozenset({("q", False)})}
 
 
 def test_prove_leaves_branch_as_it_found_it():
     text = "p :- not q. q :- not p. :- p, q."
-    index = build_index(transformed(text))
-    branch = {index.bits["q"]: False}
-    assert prove(index.bits["__constraint_0"], False, branch, index)
-    assert branch == {index.bits["q"]: False}
+    g = transformed(text)
+    branch = {g.number["q"]: False}
+    assert prove(g.number["__constraint_0"], False, branch, g)
+    assert branch == {g.number["q"]: False}
 
 
 # --- model merging ----------------------------------------------------------
@@ -284,8 +347,8 @@ def test_merge_conjunctive_equals_nested_loop_reference():
 
 def causal_map(text):
     """The program's causal map and the bits of its graph's nodes."""
-    index = build_index(transformed(text))
-    return build_causal_map(parse_program(text), index), index.bits
+    g = transformed(text)
+    return build_causal_map(g), g.number
 
 
 def test_forward_propagate_fires_rules():

@@ -3,12 +3,19 @@ from itertools import combinations
 
 import pytest
 
-from aspgraph.graph import NodeKind, Sign, atoms_of, build_cnr, cnr_to_dg, node_kind
+from aspgraph.graph import (
+    NodeKind,
+    Sign,
+    atoms_of,
+    build_cnr,
+    cnr_to_dg,
+    least_fixpoint,
+    node_kind,
+)
 from aspgraph.grasp import solve_grasp_worlds
 from aspgraph.justify import (
     AtomUnknown,
     WorldIncomplete,
-    _founded_atoms_ok,
     check_justified,
     is_effective,
     export_dot_world,
@@ -195,6 +202,20 @@ def sweep_founded_atoms_ok(g, w):
     return founded == true_atoms
 
 
+def founded_atoms_ok(g, w):
+    """The foundedness part of check_justified on a name-keyed world: every
+    True atom lies in the least fixpoint of the bodies that hold."""
+    values = [w.value(name) for name in g.names]
+    t = g.bodies
+    holding = [
+        i
+        for i in range(len(t.head))
+        if all(values[a] for a in t.pos[i]) and not any(values[a] for a in t.neg[i])
+    ]
+    founded = least_fixpoint(t.head, t.pos, t.pos_uses, holding)
+    return all(a in founded for a in range(g.atom_count) if values[a])
+
+
 def test_founded_atoms_equals_sweep_reference():
     rng = random.Random(45)
     outcomes = set()
@@ -207,7 +228,7 @@ def test_founded_atoms_equals_sweep_reference():
         for _ in range(8):
             w = world_from_atoms(g, [a for a in atoms if rng.random() < 0.6])
             expected = sweep_founded_atoms_ok(g, w)
-            assert _founded_atoms_ok(g, w) == expected
+            assert founded_atoms_ok(g, w) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 
