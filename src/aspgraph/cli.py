@@ -11,6 +11,7 @@ import time
 
 from . import __version__
 from .cycles import (
+    CycleCapError,
     CycleExplosionError,
     cycle_stats,
     cycle_stats_json,
@@ -388,7 +389,13 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error at {err}", file=sys.stderr)
         return EXIT_ERROR
-    except (AtomUnknown, QueryAtomUnknown, ConfigError, CycleExplosionError) as err:
+    except (
+        AtomUnknown,
+        QueryAtomUnknown,
+        ConfigError,
+        CycleCapError,
+        CycleExplosionError,
+    ) as err:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR
     except OSError as err:

@@ -23,9 +23,23 @@ DEFAULT_CYCLE_CAP = 10**6
 CYCLE_CAP_ENV = "ASPGRAPH_CYCLE_CAP"
 
 
+class CycleCapError(ValueError):
+    """The cycle cap set in the environment is not an integer of at least 1."""
+
+
 def default_cycle_cap() -> int:
     value = os.environ.get(CYCLE_CAP_ENV)
-    return int(value) if value else DEFAULT_CYCLE_CAP
+    if not value:
+        return DEFAULT_CYCLE_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise CycleCapError(
+            f"{CYCLE_CAP_ENV} must be an integer of at least 1, got {value!r}"
+        )
+    return cap
 
 
 class CycleExplosionError(RuntimeError):

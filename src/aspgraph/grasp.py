@@ -1,25 +1,26 @@
 """Bottom-up solver over the transformed dependency graph.
 
 Solving walks the strongly-connected-component condensation in topological
-order, by Kahn's algorithm: each handle (a regular node or a virtual node
-wrapping an SCC) counts its in-edges from other handles once, and removing
-a handle decrements the counters of its successors; a handle whose counter
-reaches zero is ready.
+order. That order depends on the graph alone, so ``find_roots`` computes it
+once, by Kahn's algorithm, as a list of batches: each handle (a regular
+node or a component wrapped as a virtual node) counts its in-edges from
+other handles, and taking a handle decrements the counters of its
+successors; a handle whose counter reaches zero is ready.
 
-The ready handles are taken in batches that propagate before they branch.
-Every ready regular node is taken at once, since a regular node never
-branches: an unfixed one defaults to False. Only when no regular node is
-ready is one virtual node taken, the one with the smallest key, and broken
-into every stable labeling of its members. So a constraint's conjunction
-node is processed as soon as its body is decided, and it kills bad worlds
-before the next component multiplies them.
+The batches propagate before they branch. Every ready regular node is taken
+at once, since a regular node never branches: an unfixed one defaults to
+False, in place. Only when no regular node is ready is one component taken,
+the one with the smallest key, and broken into every stable labeling of its
+members; each world gets one branch per labeling. So a constraint's
+conjunction node is processed as soon as its body is decided, and it kills
+bad worlds before the next component multiplies them.
 
 By the splitting-set theorem (Lifschitz & Turner, "Splitting a logic
 program", ICLP 1994) a component's labelings depend only on the values it
 reads from below: its members, the sources of their in-edges and the body
-atoms of a conjunction-node source. So a virtual batch keys each world by
+atoms of a conjunction-node source. So a component batch keys each world by
 its values on those nodes and breaks the component once per distinct key;
-the worlds that share a key share its read-only delta list, for that batch
+the worlds that share a key share its read-only labelings, for that batch
 only. The labeling search itself keeps counters (Dowling & Gallier's
 linear-time Horn propagation, 1984): each member body counts its false and
 its undecided literals and each head its true and its non-false bodies, so
@@ -29,130 +30,93 @@ a fact is the empty body. Foundedness, at a leaf of the search and for a
 component without negation inside, is the graph module's one least
 fixpoint, the same one ``check_justified`` uses.
 
-Each handle of a batch contributes small delta worlds holding only the
-values it adds; the deltas are merged, each combination is applied to one
-copy of the parent world, and the two value rules
+After a batch's values are set, the two value rules
 
     (i)  a True node makes every positive out-neighbour True,
     (ii) a False node makes every negative out-neighbour True,
 
-are propagated transitively from the batch. A True demand arriving at a
-False node (in particular a constraint node) marks the world inconsistent;
-unsatisfiability shows up as zero surviving worlds.
+are propagated transitively from each node of the batch. A True demand
+arriving at a False node (in particular a constraint node) marks the world
+inconsistent; unsatisfiability shows up as zero surviving worlds.
 
 Everything here works on node numbers, the graph's integer adjacency
 lists and its body table, and builds no Edge. A world being solved is a
-list of node values indexed by number, a delta world a dict from node
-number to value, and a virtual node is handled as its sorted member
-numbers. ``solve_grasp_worlds`` decodes the surviving worlds to names
-once, at the end. The labeling search walks its tree with an explicit
-stack, so a component's size is not bounded by the interpreter's
-recursion limit.
+list of node values indexed by number, a labeling a dict from member
+number to value, and a component is handled as its sorted member numbers.
+``solve_grasp_worlds`` decodes the surviving worlds to names once, at the
+end. The labeling search walks its tree with an explicit stack, so a
+component's size is not bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .cycles import VirtualNode, find_virtual_nodes
+from .cycles import find_virtual_nodes
 from .graph import DepGraph, build_cnr, cnr_to_dg, least_fixpoint
 from .syntax import Program
-from .worlds import World, eval_body, initial_world
+from .worlds import World, initial_world
 
 
-class GraphView:
-    """The not-yet-processed part of a graph, with SCCs wrapped.
+def find_roots(g: DepGraph) -> list[tuple[list[int], bool]]:
+    """The whole schedule of a graph, as (nodes, is_component) batches.
 
-    A handle is a node number: a regular node's own, or for a virtual node
-    the smallest number among its members. Each live handle keeps the count
-    of its live in-edges from other handles; those at zero are ready. Ready
-    regular handles are kept in a list and ready virtual ones in a heap, in
-    the order of their virtual nodes' keys, so that taking the next batch
-    and removing it cost time in proportion to the batch and its successors.
+    A batch is every ready regular node, by number, or else the ready
+    component with the smallest key, as its sorted member numbers. A
+    regular node never branches, so all of them are taken before the next
+    component multiplies the worlds. The condensation is acyclic, so every
+    handle becomes ready; one that never does signals a wrapping bug.
     """
+    size = len(g.names)
+    handle = list(range(size))
+    components: list[list[int]] = []  # in the order of their keys
+    rank: dict[int, int] = {}  # handle -> place in components
+    for v in find_virtual_nodes(g):
+        members = sorted(g.number[m] for m in v.members)
+        rank[members[0]] = len(components)
+        components.append(members)
+        for m in members:
+            handle[m] = members[0]
+    waiting = [0] * size
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for n, entries in enumerate(g.succ):
+        src = handle[n]
+        for e in entries:
+            dst = handle[e >> 1]
+            if dst != src:
+                waiting[dst] += 1
+                succ[src].append(dst)
+    regular: list[int] = []
+    ready: list[int] = []  # heap of places in components
 
-    def __init__(self, g: DepGraph, virtual: list[VirtualNode] | None = None):
-        self.virtual = find_virtual_nodes(g) if virtual is None else virtual
-        size = len(g.names)
-        handle = list(range(size))
-        self._number = g.number
-        self._virtual_handles: list[int] = []
-        self._virtual_rank: dict[int, int] = {}  # handle -> place in self.virtual
-        for rank, v in enumerate(self.virtual):
-            members = [g.number[m] for m in v.members]
-            h = min(members)
-            self._virtual_handles.append(h)
-            self._virtual_rank[h] = rank
-            for m in members:
-                handle[m] = h
-        self._handle = handle
-        self._live = [h == i for i, h in enumerate(handle)]
-        self._left = sum(self._live)
-        self._waiting = [0] * size
-        self._succ: list[list[int]] = [[] for _ in range(size)]
-        for n, entries in enumerate(g.succ):
-            src = handle[n]
-            for e in entries:
-                dst = handle[e >> 1]
-                if dst != src:
-                    self._waiting[dst] += 1
-                    self._succ[src].append(dst)
-        self._regular: list[int] = []
-        self._ready_virtual: list[int] = []  # heap of places in self.virtual
-        for h, live in enumerate(self._live):
-            if live and not self._waiting[h]:
-                self._make_ready(h)
-
-    def __bool__(self) -> bool:
-        return self._left > 0
-
-    def _make_ready(self, h: int) -> None:
-        rank = self._virtual_rank.get(h)
-        if rank is None:
-            self._regular.append(h)
+    def make_ready(h: int) -> None:
+        if h in rank:
+            heapq.heappush(ready, rank[h])
         else:
-            heapq.heappush(self._ready_virtual, rank)
+            regular.append(h)
 
-    def remove(self, handles) -> None:
-        """Take handles out of the view and ready their successors."""
-        regular = self._regular
-        self._regular = []
-        live, waiting = self._live, self._waiting
-        for h in handles:
-            if isinstance(h, VirtualNode):
-                h = self._handle[self._number[next(iter(h.members))]]
-            if not live[h]:
-                continue
-            live[h] = False
-            self._left -= 1
-            for dst in self._succ[h]:
+    for h in range(size):
+        if handle[h] == h and not waiting[h]:
+            make_ready(h)
+    schedule = []
+    while regular or ready:
+        if regular:
+            batch = sorted(regular)
+            regular.clear()
+            schedule.append((batch, False))
+        else:
+            members = components[heapq.heappop(ready)]
+            batch = members[:1]
+            schedule.append((members, True))
+        for h in batch:
+            for dst in succ[h]:
                 waiting[dst] -= 1
-                if waiting[dst] == 0 and live[dst]:
-                    self._make_ready(dst)
-        # Removing a whole batch empties the old regular list or pops the
-        # heap's top; anything else keeps its place until it is removed.
-        self._regular += [h for h in regular if live[h]]
-        ready = self._ready_virtual
-        while ready and not live[self._virtual_handles[ready[0]]]:
-            heapq.heappop(ready)
-
-
-def find_roots(view: GraphView) -> list:
-    """The next batch of handles with no live in-edge: every ready regular
-    node, by number, or else the ready virtual node with the smallest key.
-
-    A regular node never branches, so all of them are taken before the next
-    component multiplies the worlds. The condensation is acyclic, so a
-    nonempty view always has roots; a rootless nonempty view signals a
-    wrapping bug.
-    """
-    if view._regular:
-        return sorted(view._regular)
-    if view._ready_virtual:
-        return [view.virtual[view._ready_virtual[0]]]
-    if view:
-        raise RuntimeError("nonempty view has no roots: cycle wrapping is broken")
-    return []
+                if not waiting[dst]:
+                    make_ready(dst)
+    # A handle that was never taken still waits for an in-edge.
+    if any(waiting):
+        raise RuntimeError("a handle never became ready: cycle wrapping is broken")
+    return schedule
 
 
 def propagate(node: int, value: bool, w: World, g: DepGraph) -> World:
@@ -176,36 +140,29 @@ def propagate(node: int, value: bool, w: World, g: DepGraph) -> World:
     return w
 
 
-def fix_root(node: int, w: World) -> World:
-    """Delta world holding a regular root's value in w: an unfixed root
-    defaults to False, a fixed value is kept."""
-    value = w.values[node]
-    return World({node: False if value is None else value})
+def fix_root(batch: list[int], w: World) -> None:
+    """Give the unfixed nodes of a regular batch the value False, in place;
+    a fixed value is kept."""
+    values = w.values
+    for node in batch:
+        if values[node] is None:
+            values[node] = False
 
 
-def merge_root_worlds(per_root: list[list[World]]) -> list[World]:
-    """Cartesian merge of the delta worlds produced by each root this
-    iteration; combinations with conflicting assignments are dropped. The
-    input worlds are left unchanged."""
-    if not per_root:
-        return []
-    merged = per_root[0]
-    for step, worlds in enumerate(per_root[1:]):
-        next_merged = []
-        for a in merged:
-            for i, b in enumerate(worlds):
-                # After the first step a is a copy made here and not needed
-                # after its last combination: extend it in place, so that a
-                # batch of single-delta roots costs linear time.
-                c = a if step and i == len(worlds) - 1 else a.copy()
-                for node, value in b.values.items():
-                    if not c.assign(node, value):
-                        break
-                if c.consistent:
-                    next_merged.append(c)
-        merged = next_merged
-        if not merged:
-            return []
+def merge_root_worlds(deltas: list[dict[int, bool]], w: World) -> list[World]:
+    """One world per labeling of a component, in order: a copy of w extended
+    by the labeling, except for the last, which extends w itself. A labeling
+    that contradicts a value of w marks its world inconsistent."""
+    merged = []
+    for i, delta in enumerate(deltas):
+        c = w if i == len(deltas) - 1 else w.copy()
+        values = c.values
+        for node, value in delta.items():
+            if values[node] is None:
+                values[node] = value
+            elif values[node] != value:
+                c.consistent = False
+        merged.append(c)
     return merged
 
 
@@ -354,31 +311,28 @@ def _stable_labelings(
     return results
 
 
-def break_cycles(members: list[int], g: DepGraph, w: World) -> list[World]:
-    """Delta worlds of every stable labeling of a virtual node's members.
+def break_cycles(members: list[int], g: DepGraph, w: World) -> list[dict[int, bool]]:
+    """Every stable labeling of a component's members, as a dict from member
+    number to value.
 
     Even cycles contribute their alternative labelings, odd cycles without a
     True member kill the candidate, and purely positive components get the
-    all-False labeling (modulo externally forced members). Conjunction
-    members take the complement of their body's value. Each delta holds
-    member values only; labelings that contradict a value of w are dropped.
+    all-False labeling (modulo externally forced members). A conjunction
+    member is True when one of its in-edges is effective: a positive edge
+    from a True node or a negative one from a False node. Labelings that
+    contradict a value of w are dropped.
     """
-    # After the flip a positive in-edge of a conjunction node is a negated
-    # literal of its body.
-    conj_bodies = [
-        (member, [(e >> 1, e & 1 == 1) for e in g.pred[member]])
-        for member in members
-        if g.conj[member]
-    ]
-    worlds = []
-    values = w.values
+    pred, values = g.pred, w.values
+    conj_members = [member for member in members if g.conj[member]]
+    labelings = []
     for labeling in _stable_labelings(members, g, w):
-        value_of = lambda a: labeling[a] if a in labeling else values[a]
-        for member, body in conj_bodies:
-            labeling[member] = not eval_body(body, value_of)
-        if all(values[node] in (None, value) for node, value in labeling.items()):
-            worlds.append(World(labeling))
-    return worlds
+        # Every body atom of a conjunction member is a member or below it.
+        value = lambda a: labeling[a] if a in labeling else values[a]
+        for member in conj_members:
+            labeling[member] = any(value(e >> 1) == e & 1 for e in pred[member])
+        if all(values[node] in (None, val) for node, val in labeling.items()):
+            labelings.append(labeling)
+    return labelings
 
 
 def _context_nodes(members: list[int], g: DepGraph) -> list[int]:
@@ -398,46 +352,36 @@ def _context_nodes(members: list[int], g: DepGraph) -> list[int]:
 def solve_graph(g: DepGraph) -> list[World]:
     """All completed consistent worlds of a transformed graph, as lists of
     node values by number."""
-    view = GraphView(g)
     worlds = [initial_world(g)]
-    while view and worlds:
-        roots = find_roots(view)
-        # A virtual batch is one component. Its labelings depend only on the
-        # values it reads from below (the splitting-set theorem), so it is
-        # broken once per distinct context; the delta lists are read-only.
-        component = isinstance(roots[0], VirtualNode)
-        if component:
-            order = sorted(g.number[m] for m in roots[0].members)
-            inputs = _context_nodes(order, g)
-        else:
-            order = roots
-        labelings: dict[tuple, list[World]] = {}
+    for nodes, is_component in find_roots(g):
+        if not worlds:
+            break
+        # A component's labelings depend only on the values it reads from
+        # below (the splitting-set theorem), so it is broken once per
+        # distinct context; the labelings are read-only.
+        if is_component:
+            inputs = _context_nodes(nodes, g)
+            labelings: dict[tuple, list[dict[int, bool]]] = {}
         survivors = []
         for w in worlds:
-            if not component:
-                deltas = merge_root_worlds([[fix_root(root, w)] for root in roots])
-            else:
+            if is_component:
                 context = tuple(map(w.values.__getitem__, inputs))
                 deltas = labelings.get(context)
                 if deltas is None:
-                    deltas = labelings[context] = break_cycles(order, g, w)
-            for i, delta in enumerate(deltas):
-                # w is not needed after its last combination: extend it in place
-                merged = w if i == len(deltas) - 1 else w.copy()
-                values = merged.values
-                for node, value in delta.values.items():
-                    if values[node] is None:
-                        values[node] = value
-                    elif values[node] != value:
-                        merged.consistent = False
-                for node in order:
-                    if not merged.consistent:
+                    deltas = labelings[context] = break_cycles(nodes, g, w)
+                branches = merge_root_worlds(deltas, w)
+            else:
+                fix_root(nodes, w)
+                branches = [w]
+            for branch in branches:
+                values = branch.values
+                for node in nodes:
+                    if not branch.consistent:
                         break
-                    propagate(node, values[node], merged, g)
-                if merged.consistent:
-                    survivors.append(merged)
+                    propagate(node, values[node], branch, g)
+                if branch.consistent:
+                    survivors.append(branch)
         worlds = survivors
-        view.remove(roots)
     return worlds
 
 

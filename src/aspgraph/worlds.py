@@ -1,14 +1,14 @@
 """Truth assignments over dependency-graph nodes.
 
-A World is a (possibly partial) assignment node -> True/False. Nodes not in
-the map are unfixed. Assignments are monotone: writing a conflicting value
-marks the world inconsistent instead of flipping the node.
+A World is a (possibly partial) assignment node -> True/False, together
+with a flag that marks it inconsistent. Nodes without a value are unfixed.
 
 Worlds are keyed by node name everywhere but inside grasp, where nodes are
-numbers: a delta world maps a few node numbers to values, and a world being
-solved holds a list with one entry per node, None while the node is unfixed
-(a third of the size of a dict with int keys, and faster to copy). grasp
-decodes the worlds it returns to names once, at the end.
+numbers: a world being solved holds a list with one entry per node, None
+while the node is unfixed (a third of the size of a dict with int keys, and
+faster to copy), and a component's labeling is a plain dict from member
+number to value. grasp decodes the worlds it returns to names once, at the
+end.
 """
 
 from __future__ import annotations
@@ -25,17 +25,6 @@ class World:
 
     def value(self, node: str) -> bool | None:
         return self.values.get(node)
-
-    def assign(self, node: str, value: bool) -> bool:
-        """Set a node's value; a conflict flags the world inconsistent."""
-        current = self.values.get(node)
-        if current is None:
-            self.values[node] = value
-            return True
-        if current != value:
-            self.consistent = False
-            return False
-        return True
 
     def copy(self) -> World:
         return World(self.values.copy(), self.consistent)
@@ -56,20 +45,6 @@ def initial_world(g: DepGraph) -> World:
     for node, value in g.fixed_nodes.items():
         values[node] = value
     return World(values)
-
-
-def eval_body(
-    body: tuple[tuple[str, bool], ...], value_of
-) -> bool | None:
-    """Three-valued body evaluation; None while any literal is undecided."""
-    result = True
-    for atom, negated in body:
-        val = value_of(atom)
-        if val is None:
-            result = None
-        elif val == negated:
-            return False
-    return result
 
 
 def world_from_atoms(g: DepGraph, true_atoms) -> World:

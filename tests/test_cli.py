@@ -101,6 +101,16 @@ def test_solve_oracle_atom_cap_exits_2(program_file, capsys):
     assert "TooManyAtoms" in err and "atom cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_cycle_cap_exits_2(program_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("ASPGRAPH_CYCLE_CAP", value)
+    assert main(["graph", program_file(EVEN), "--format", "stats"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "ASPGRAPH_CYCLE_CAP" in err and repr(value) in err
+    assert "more than" not in err and "invalid literal" not in err
+
+
 def test_justify_deep_chain_exits_2(program_file, capsys):
     text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 3001))
     limit = sys.getrecursionlimit()

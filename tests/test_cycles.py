@@ -120,6 +120,15 @@ def test_cap_env_override(monkeypatch):
     assert default_cycle_cap() == 10**6
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_cap_env_rejects_non_positive_integers(monkeypatch, value):
+    from aspgraph.cycles import CycleCapError, default_cycle_cap
+
+    monkeypatch.setenv("ASPGRAPH_CYCLE_CAP", value)
+    with pytest.raises(CycleCapError, match=f"ASPGRAPH_CYCLE_CAP.*'{value}'"):
+        default_cycle_cap()
+
+
 def _brute_force_cycles(g, members):
     """Exhaustive DFS over simple edge paths; each cycle is rooted at its
     smallest node, so every sign variant appears exactly once."""

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspgraph import grasp
-from aspgraph.cycles import VirtualNode, find_virtual_nodes
+from aspgraph.cycles import find_virtual_nodes
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import NodeKind, Sign, build_cnr, cnr_to_dg, node_kind
 from aspgraph.grasp import (
-    GraphView,
     break_cycles,
     find_roots,
     fix_root,
@@ -21,7 +20,7 @@ from aspgraph.grasp import (
 )
 from aspgraph.oracle import enumerate_stable
 from aspgraph.syntax import parse_program
-from aspgraph.worlds import World, eval_body, initial_world
+from aspgraph.worlds import World, initial_world
 
 from conftest import random_program_text
 
@@ -39,10 +38,9 @@ def members_of(g, v):
     return sorted(g.number[m] for m in v.members)
 
 
-def named(g, w):
-    """The fixed values of a world over node numbers, keyed by name: a delta
-    world maps node numbers to values, a world being solved lists them."""
-    values = w.values
+def named(g, values):
+    """Fixed node values keyed by name: a labeling maps node numbers to
+    values, and a world being solved lists them."""
     pairs = enumerate(values) if isinstance(values, list) else values.items()
     return {g.names[n]: value for n, value in pairs if value is not None}
 
@@ -69,35 +67,30 @@ def test_empty_program_has_empty_model():
 
 def test_find_roots_fig3():
     g = transformed("p :- q, not r.")
-    roots = find_roots(GraphView(g))
-    assert roots == [g.number["q"], g.number["r"]]
+    batch, is_component = find_roots(g)[0]
+    assert batch == [g.number["q"], g.number["r"]] and not is_component
 
 
 def test_find_roots_wrapped_cycle():
     g = transformed("p :- not q. q :- not p.")
-    (root,) = find_roots(GraphView(g))
-    assert isinstance(root, VirtualNode)
-    assert root.members == {"p", "q"}
+    assert find_roots(g) == [(sorted([g.number["p"], g.number["q"]]), True)]
 
 
 def test_find_roots_empty_view():
+    assert find_roots(transformed("")) == []
     g = transformed("p :- q.")
-    view = GraphView(g)
-    view.remove(find_roots(view))
-    view.remove(find_roots(view))
-    assert not view
-    assert find_roots(view) == []
+    assert find_roots(g) == [([g.number["q"]], False), ([g.number["p"]], False)]
 
 
-def _brute_force_batch(g, view_virtual, removed):
+def _brute_force_batch(g, virtual, removed):
     """Keys of the next batch: the live handles with no in-edge from a live
     node of another handle, taking the regular ones if there are any and
     else the virtual one with the smallest key."""
     handle_of = {n: n for n in g.nodes}
-    for v in view_virtual:
+    for v in virtual:
         for m in v.members:
             handle_of[m] = v.key
-    virtual_keys = {v.key for v in view_virtual}
+    virtual_keys = {v.key for v in virtual}
     live = {n for n in g.nodes if handle_of[n] not in removed}
     roots = set()
     for n in live:
@@ -117,24 +110,21 @@ def test_find_roots_matches_brute_force_every_layer():
     rng = random.Random(25)
     for _ in range(80):
         g = transformed(random_program_text(rng, rng.randint(1, 9), rng.randint(1, 14)))
-        view = GraphView(g)
+        virtual = find_virtual_nodes(g)
         removed = set()
-        while True:
-            roots = find_roots(view)
-            keys = [r.key if isinstance(r, VirtualNode) else g.names[r] for r in roots]
-            assert keys == _brute_force_batch(g, view.virtual, removed)
-            if not roots:
-                break
-            view.remove(roots)
+        for nodes, is_component in find_roots(g):
+            names = [g.names[n] for n in nodes]
+            keys = [min(names)] if is_component else names
+            assert keys == _brute_force_batch(g, virtual, removed)
             removed.update(keys)
-        assert not view
+        assert _brute_force_batch(g, virtual, removed) == []
 
 
-def test_rootless_view_raises():
+def test_rootless_view_raises(monkeypatch):
+    monkeypatch.setattr(grasp, "find_virtual_nodes", lambda g: [])
     g = transformed("p :- not q. q :- not p.")
-    view = GraphView(g, virtual=[])
-    with pytest.raises(RuntimeError, match="no roots"):
-        find_roots(view)
+    with pytest.raises(RuntimeError, match="cycle wrapping is broken"):
+        find_roots(g)
 
 
 def _chain(shape, n):
@@ -176,19 +166,20 @@ def test_long_even_negative_ring_within_recursion_limit():
 
 def test_coloring_c8_fixes_few_roots(monkeypatch):
     # Breaking one component at a time lets each constraint kill its worlds
-    # before the next component multiplies them. Crossing all 8 vertex
-    # components at once costs 163,656 calls, far above the bound.
+    # before the next component multiplies them. A call fixes one regular
+    # batch in one world: this schedule makes 1,941 calls, and one that
+    # crosses all 8 vertex components before any constraint makes 6,819.
     calls = 0
     original = grasp.fix_root
 
-    def counted(node, w):
+    def counted(batch, w):
         nonlocal calls
         calls += 1
-        return original(node, w)
+        return original(batch, w)
 
     monkeypatch.setattr(grasp, "fix_root", counted)
     assert len(solve_grasp(gen_coloring(8, cycle_graph(8)))) == 258
-    assert 0 < calls <= 20_000
+    assert 0 < calls <= 3_000
 
 
 def test_closed_form_counts():
@@ -204,22 +195,26 @@ def test_wide_independent_positive_loops_one_model():
 
 def test_fix_root_defaults_unfixed_to_false():
     g = transformed("p :- q.")
+    w = initial_world(g)
     q = g.number["q"]
-    assert fix_root(q, initial_world(g)).value(q) is False
+    assert fix_root([q], w) is None
+    assert w.values[q] is False
 
 
 def test_fix_root_keeps_fact():
-    g = transformed("q.")
+    g = transformed("q. p :- r.")
     w = initial_world(g)
-    q = g.number["q"]
-    assert fix_root(q, w).value(q) is True
+    q, r = g.number["q"], g.number["r"]
+    fix_root([q, r], w)
+    assert named(g, w.values) == {"q": True, "r": False}
 
 
 def test_fix_root_keeps_constraint_false():
     g = transformed(":- not q.")
     w = initial_world(g)
     c = g.number["__constraint_0"]
-    assert fix_root(c, w).value(c) is False
+    fix_root([c], w)
+    assert w.values[c] is False
 
 
 def test_propagate_false_fires_negative_edge():
@@ -228,7 +223,7 @@ def test_propagate_false_fires_negative_edge():
     q = g.number["q"]
     w.values[q] = False
     propagate(q, False, w, g)
-    assert named(g, w)["__conj_0"] is True
+    assert named(g, w.values)["__conj_0"] is True
 
 
 def test_propagate_true_conj_does_not_reach_head():
@@ -237,8 +232,8 @@ def test_propagate_true_conj_does_not_reach_head():
     r = g.number["r"]
     w.values[r] = True
     propagate(r, True, w, g)
-    assert named(g, w)["__conj_0"] is True
-    assert "p" not in named(g, w)
+    assert named(g, w.values)["__conj_0"] is True
+    assert "p" not in named(g, w.values)
 
 
 def test_propagate_into_constraint_marks_inconsistent():
@@ -247,9 +242,9 @@ def test_propagate_into_constraint_marks_inconsistent():
     g = transformed(":- not q, not r.")
     w = initial_world(g)
     for atom in ("q", "r"):
-        fix_root(g.number[atom], w)
+        fix_root([g.number[atom]], w)
         propagate(g.number[atom], False, w, g)
-    fix_root(g.number["__conj_0"], w)
+    fix_root([g.number["__conj_0"]], w)
     propagate(g.number["__conj_0"], False, w, g)
     assert w.consistent is False
     assert solve_grasp(parse_program(":- not q, not r.")) == []
@@ -258,8 +253,8 @@ def test_propagate_into_constraint_marks_inconsistent():
 def test_break_cycles_even_pair():
     g = transformed("p :- not q. q :- not p.")
     (v,) = find_virtual_nodes(g)
-    worlds = break_cycles(members_of(g, v), g, initial_world(g))
-    assert [(named(g, w)["p"], named(g, w)["q"]) for w in worlds] == [
+    labelings = break_cycles(members_of(g, v), g, initial_world(g))
+    assert [(named(g, l)["p"], named(g, l)["q"]) for l in labelings] == [
         (True, False),
         (False, True),
     ]
@@ -270,8 +265,8 @@ def test_break_cycles_drops_labeling_conflicting_with_world():
     (v,) = find_virtual_nodes(g)
     w = initial_world(g)
     w.values[g.number["p"]] = False
-    (delta,) = break_cycles(members_of(g, v), g, w)
-    assert named(g, delta) == {"p": False, "q": True}
+    (labeling,) = break_cycles(members_of(g, v), g, w)
+    assert labeling == {g.number["p"]: False, g.number["q"]: True}
 
 
 def test_break_cycles_returns_member_values_only():
@@ -281,10 +276,10 @@ def test_break_cycles_returns_member_values_only():
     w = initial_world(g)
     for node in ("s", "t"):
         w.values[g.number[node]] = True
-    deltas = break_cycles(members_of(g, v), g, w)
-    assert len(deltas) == 2
-    for delta in deltas:
-        assert set(named(g, delta)) == set(v.members)
+    labelings = break_cycles(members_of(g, v), g, w)
+    assert len(labelings) == 2
+    for labeling in labelings:
+        assert set(named(g, labeling)) == set(v.members)
     assert models(text) == [["p", "s", "t"], ["q", "s", "t"]]
 
 
@@ -297,8 +292,8 @@ def test_break_cycles_odd_dies():
 def test_break_cycles_positive_all_false():
     g = transformed("p :- q. q :- p.")
     (v,) = find_virtual_nodes(g)
-    (w,) = break_cycles(members_of(g, v), g, initial_world(g))
-    assert named(g, w)["p"] is False and named(g, w)["q"] is False
+    (labeling,) = break_cycles(members_of(g, v), g, initial_world(g))
+    assert named(g, labeling) == {"p": False, "q": False}
 
 
 def test_break_cycles_overlapping_even_cycles():
@@ -306,9 +301,9 @@ def test_break_cycles_overlapping_even_cycles():
     text = "p :- not q. q :- not p. q :- not r. r :- not q."
     g = transformed(text)
     (v,) = find_virtual_nodes(g)
-    worlds = break_cycles(members_of(g, v), g, initial_world(g))
     labelings = {
-        tuple(sorted(a for a in ("p", "q", "r") if named(g, w)[a])) for w in worlds
+        tuple(sorted(a for a in ("p", "q", "r") if named(g, labeling)[a]))
+        for labeling in break_cycles(members_of(g, v), g, initial_world(g))
     }
     assert labelings == {("q",), ("p", "r")}
     assert models(text) == [["p", "r"], ["q"]]
@@ -321,41 +316,37 @@ def test_break_cycles_external_truth_forces_labeling():
 
 
 def test_merge_root_worlds_counts():
-    one = [World({"a": True})]
-    two = [World({"b": True}), World({"b": False})]
-    three = [World({"c": True}), World({"c": False})]
-    merged = merge_root_worlds([one, two, three])
-    assert len(merged) == 4
+    w = World([True, None, None])
+    labelings = [{1: True}, {1: False, 2: True}, {2: False}]
+    merged = merge_root_worlds(labelings, w)
+    assert [m.values for m in merged] == [
+        [True, True, None],
+        [True, False, True],
+        [True, None, False],
+    ]
 
 
 def test_merge_root_worlds_empty_inner_list_absorbs():
-    assert merge_root_worlds([[World({"a": True})], []]) == []
+    assert merge_root_worlds([], World([None])) == []
 
 
 def test_merge_root_worlds_conflicts_dropped():
-    a = [World({"x": True})]
-    b = [World({"x": False})]
-    assert merge_root_worlds([a, b]) == []
+    # a labeling that contradicts the world kills its world only
+    merged = merge_root_worlds([{0: False}, {0: True}], World([True]))
+    assert [m.consistent for m in merged] == [False, True]
 
 
-def test_merge_root_worlds_many_roots_leaves_inputs_unchanged():
-    per_root = [[World({f"r{i}": False})] for i in range(50)]
-    per_root[7] = [World({"x": True}), World({"x": False})]
-    per_root[30] = [World({"x": True}), World({"r3": True})]
-    before = [[dict(w.values) for w in worlds] for worlds in per_root]
-    merged = merge_root_worlds(per_root)
-    assert [dict(w.values) for worlds in per_root for w in worlds] == [
-        values for worlds in before for values in worlds
-    ]
-    expected = {f"r{i}": False for i in range(50) if i not in (7, 30)}
-    assert [w.values for w in merged] == [{**expected, "x": True}]
-
-
-def test_monotone_worlds():
-    w = World()
-    assert w.assign("n", True)
-    assert not w.assign("n", False)
-    assert w.consistent is False
+def test_merge_root_worlds_leaves_inputs_unchanged():
+    labelings = [{i: i % 2 == 0, i + 1: True} for i in range(0, 50, 2)]
+    before = [dict(labeling) for labeling in labelings]
+    w = World([None] * 51)
+    merged = merge_root_worlds(labelings, w)
+    assert labelings == before
+    # each world is a copy but the last, which extends w itself
+    assert merged[-1] is w
+    assert len({id(m.values) for m in merged}) == len(labelings)
+    for labeling, m in zip(labelings, merged):
+        assert {n: v for n, v in enumerate(m.values) if v is not None} == labeling
 
 
 def test_projection_never_contains_helpers():
@@ -449,6 +440,18 @@ def node_bodies(g, node):
     return bodies
 
 
+def _eval_body(body, value_of):
+    """Three-valued body evaluation; None while any literal is undecided."""
+    result = True
+    for atom, negated in body:
+        val = value_of(atom)
+        if val is None:
+            result = None
+        elif val == negated:
+            return False
+    return result
+
+
 def reference_labelings(v, g, w):
     """The re-evaluating labeling search: every affected head's bodies are
     evaluated again at each decision, and foundedness is swept to a fixpoint."""
@@ -475,7 +478,7 @@ def reference_labelings(v, g, w):
         val = cand.get(head)
         if val is None:
             return True
-        states = [eval_body(b, value_of) for b in bodies[head]]
+        states = [_eval_body(b, value_of) for b in bodies[head]]
         if val is False:
             return not any(s is True for s in states)
         if head in external_true:
@@ -491,7 +494,7 @@ def reference_labelings(v, g, w):
                 if not val or atom in founded:
                     continue
                 for body in bodies[atom]:
-                    if eval_body(body, value_of) is True and all(
+                    if _eval_body(body, value_of) is True and all(
                         lit in founded for lit, neg in body if not neg and lit in bodies
                     ):
                         founded.add(atom)
@@ -513,7 +516,7 @@ def reference_labelings(v, g, w):
                 for body in bodies[atom]:
                     outside = tuple((l, n) for l, n in body if l not in bodies)
                     inside_ok = all(lit in fixed for lit, _ in body if lit in bodies)
-                    if inside_ok and eval_body(outside, w.value) is True:
+                    if inside_ok and _eval_body(outside, w.value) is True:
                         fixed.add(atom)
                         changed = True
                         break
@@ -570,7 +573,7 @@ def test_component_labelings_match_reference():
                 for node in input_nodes(v, g):
                     value = rng.choice((True, False, None))
                     if value is not None:
-                        w.assign(node, value)
+                        w.values[node] = value
                 labelings = component_labelings(v, g, w)
                 assert labelings == reference_labelings(v, g, w)
                 components += 1
