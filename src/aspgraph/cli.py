@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -239,15 +240,7 @@ def cmd_bench(args) -> int:
         timeouts: dict[str, int] = {s: 0 for s in solvers}
         for index in range(args.programs_per_round):
             seed = base.seed + (round_no - 1) * args.programs_per_round + index
-            config = GenConfig(
-                num_atoms=base.num_atoms,
-                num_rules=base.num_rules,
-                max_body_len=base.max_body_len,
-                naf_probability=base.naf_probability,
-                constraint_fraction=base.constraint_fraction,
-                seed=seed,
-            )
-            program = gen_random(config)
+            program = gen_random(dataclasses.replace(base, seed=seed))
             text = str(program)
             rules_total += len(program.rules)
             try:
@@ -283,7 +276,7 @@ def cmd_bench(args) -> int:
                     return EXIT_ERROR
         row = {
             "round": round_no,
-            "rules": rules_total // max(1, args.programs_per_round),
+            "rules": rules_total // args.programs_per_round,
             "even_cycles": even_total,
             "odd_cycles": odd_total,
             "cycle_overflows": overflow,

@@ -26,12 +26,13 @@ are headless, so a program and its extensions by constraints share one
 table. ``least_fixpoint`` over that table is the one foundedness check:
 grasp's labeling search and ``justify.check_justified`` both use it.
 
-The engines and the model checks read the integer lists and the table:
-cycles' ``find_virtual_nodes`` and cycle enumeration, grasp, igasp,
-``worlds.world_from_atoms`` and ``justify.check_justified``. Names are for
-the edges of the outside world: ``out_edges``, ``in_edges`` and ``edges``
-build ``Edge`` objects on demand, on every call, for justification trees,
-DOT and JSON export, and tests.
+The engines, the model checks, justification and export read the integer
+lists and the table: cycles' ``find_virtual_nodes`` and cycle enumeration,
+grasp, igasp, ``worlds.world_from_atoms``, ``justify`` and
+``check_justified``, and the DOT/JSON exports, which share one output order
+(``export_order``). Names appear only in what these emit. ``out_edges``,
+``in_edges`` and ``edges`` are the name-level view: they build ``Edge``
+objects on demand, on every call, for graph equality and tests.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ def node_kind(node_id: str) -> NodeKind:
     if node_id.startswith(CONSTRAINT_PREFIX):
         return NodeKind.CONSTRAINT
     return NodeKind.ATOM
-
-
-def helper_ordinal(node_id: str) -> int:
-    return int(node_id.rsplit("_", 1)[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,55 +356,62 @@ def atoms_of(g: DepGraph) -> frozenset[str]:
     return frozenset(g.names[: g.atom_count])
 
 
-_KIND_ORDER = {NodeKind.ATOM: 0, NodeKind.CONJ: 1, NodeKind.CONSTRAINT: 2}
-
-
-def _node_sort_key(node: str):
-    kind = node_kind(node)
-    if kind is NodeKind.ATOM:
-        return (_KIND_ORDER[kind], node, 0)
-    return (_KIND_ORDER[kind], "", helper_ordinal(node))
-
-
-def sorted_nodes(g: DepGraph) -> list[str]:
-    return sorted(g.nodes, key=_node_sort_key)
+def export_order(g: DepGraph) -> tuple[list[tuple[int, NodeKind]], list[tuple[int, int, int]]]:
+    """The nodes and edges of g in output order. The nodes, with their
+    kinds, are the atoms (numbered by name), then the conjunction nodes,
+    then the constraint nodes, each helper kind in number order. The edges
+    are (src, dst, positive) triples, by source and then target in that
+    order, the negative edge first."""
+    helpers = range(g.atom_count, len(g.names))
+    nodes = [(i, NodeKind.ATOM) for i in range(g.atom_count)]
+    nodes += [(i, NodeKind.CONJ) for i in helpers if g.conj[i]]
+    nodes += [(i, NodeKind.CONSTRAINT) for i in helpers if not g.conj[i]]
+    rank = [0] * len(nodes)
+    for r, (i, _) in enumerate(nodes):
+        rank[i] = r
+    edges = [
+        (src, e >> 1, e & 1)
+        for src, _ in nodes
+        for e in sorted(g.succ[src], key=lambda e: 2 * rank[e >> 1] + (e & 1))
+    ]
+    return nodes, edges
 
 
 def export_dot(g: DepGraph) -> str:
     """Graphviz text: negative edges dashed with label "not", conjunction
     nodes filled black, constraint nodes double-circled."""
-    if not g.nodes:
+    if not g.names:
         return "digraph g {}"
+    names = g.names
+    nodes, edges = export_order(g)
     lines = ["digraph g {"]
-    for node in sorted_nodes(g):
-        kind = node_kind(node)
+    for node, kind in nodes:
         if kind is NodeKind.CONJ:
             attrs = ' [shape=circle, style=filled, fillcolor=black, label=""]'
         elif kind is NodeKind.CONSTRAINT:
             attrs = " [shape=doublecircle]"
         else:
             attrs = ""
-        lines.append(f'  "{node}"{attrs};')
-    for edge in sorted(g.edges, key=lambda e: (_node_sort_key(e.src), _node_sort_key(e.dst), e.sign.value)):
-        attrs = ' [label="not", style=dashed]' if edge.negative else ""
-        lines.append(f'  "{edge.src}" -> "{edge.dst}"{attrs};')
+        lines.append(f'  "{names[node]}"{attrs};')
+    for src, dst, positive in edges:
+        attrs = "" if positive else ' [label="not", style=dashed]'
+        lines.append(f'  "{names[src]}" -> "{names[dst]}"{attrs};')
     lines.append("}")
     return "\n".join(lines)
 
 
 def graph_to_json(g: DepGraph) -> dict:
     """JSON-ready document: {nodes: [{id, kind, fixed}], edges: [...]}."""
+    names = g.names
+    nodes, edges = export_order(g)
     return {
         "nodes": [
-            {"id": n, "kind": node_kind(n).value, "fixed": g.fixed_value(n)}
-            for n in sorted_nodes(g)
+            {"id": names[n], "kind": kind.value, "fixed": g.fixed_nodes.get(n)}
+            for n, kind in nodes
         ],
         "edges": [
-            {"from": e.src, "to": e.dst, "sign": e.sign.value}
-            for e in sorted(
-                g.edges,
-                key=lambda e: (_node_sort_key(e.src), _node_sort_key(e.dst), e.sign.value),
-            )
+            {"from": names[src], "to": names[dst], "sign": SIGNS[positive].value}
+            for src, dst, positive in edges
         ],
         "transformed": g.transformed,
     }

@@ -15,9 +15,9 @@ effective-edge/foundedness validation.
 The proof search walks the graph's own integer lists: node i is bit i,
 its fixed value is read off ``fixed_nodes`` and its in-edges off ``pred``
 (a positive entry is effective when its source is True). That graph, the
-program's graph with the synthesized constraints, is built once: the
-synthesis that decides which constraints to add hands over the last graph
-it checked, and reuses the program's own graph when it adds nothing. A
+program's graph with the synthesized constraints, is built once, after the
+synthesis has picked them on the program's own graph, which is reused when
+nothing is added. A
 partial model is a pair of ints, (known, true): bit i of known says node i
 is decided, bit i of true that it is True (true is always a subset of
 known). Two models conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero,
@@ -31,7 +31,7 @@ bits on those nodes, so each left model is unioned only with the right
 models that agree with it there, the only ones whose union can succeed.
 
 Rule bodies come from the program graph's body table, compiled once per
-solve: synthesized constraints are headless, so every augmented graph has
+solve: synthesized constraints are headless, so the augmented graph has
 the same atoms and atom bodies, and synthesis, the causal map and
 validation all read the base graph's table. Forward propagation is a
 worklist over the causal map, compiled from that table to one (pos_mask,
@@ -264,19 +264,22 @@ def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[int]:
     return {n for n in seen if n < g.atom_count}
 
 
-def _decided_atoms(g: DepGraph, t: Bodies) -> set[int]:
+def _decided_atoms(g: DepGraph, t: Bodies, anchors: tuple[int, ...] = ()) -> set[int]:
     """Atoms guaranteed a value in every finished partial model: facts and
     rule-less atoms (structurally decided), constraint-cone atoms (decided
     by the proofs), and the closure of atoms whose every rule body mentions
     only decided atoms (decided either way by forward propagation).
 
-    g is the graph the proofs walk and t the body table of its atoms. The
-    closure is not graph.least_fixpoint: a head is decided only once all
-    of its bodies are, where the fixpoint fires a head on any one body.
+    g is the graph the proofs walk and t the body table of its atoms.
+    anchors are atoms a whose ":- a, not a." is not built into g: such an
+    anchor adds no edge into an atom and its cone is a's, so each counts as
+    one more constraint seed. The closure is not graph.least_fixpoint: a
+    head is decided only once all of its bodies are, where the fixpoint
+    fires a head on any one body.
     Written as that fixpoint it needs a synthetic clause per head, and it
     measured slower than this loop."""
     start = t.start
-    decided = _ancestor_atoms(g, _constraint_nodes(g))
+    decided = _ancestor_atoms(g, _constraint_nodes(g) + list(anchors))
     decided.update(n for n, value in g.fixed_nodes.items() if value)
     decided.update(a for a in range(g.atom_count) if start[a] == start[a + 1])
     # Per undecided head, a count of its (body, literal) pairs still
@@ -304,9 +307,7 @@ def _decided_atoms(g: DepGraph, t: Bodies) -> set[int]:
     return decided
 
 
-def synthesized_constraints(
-    program: Program, graph: DepGraph, built: list[DepGraph]
-) -> list[Rule]:
+def synthesized_constraints(program: Program, graph: DepGraph) -> list[Rule]:
     """Constraints to add so every atom is decided by some proof or by
     propagation.
 
@@ -315,40 +316,36 @@ def synthesized_constraints(
     decide get a vacuous ":- a, not a." anchor forcing a case split on a,
     most-depended-upon atom first, until all atoms are covered.
 
-    graph is the program's own transformed graph, used while no rule is
-    added; its body table serves every augmented graph, since the added
-    rules are headless. The transformed graph of the program with the
-    returned rules is appended to built, so that it is built only once.
+    graph is the program's own transformed graph. The negation of a fact
+    decides only that fact, and an anchor decides its atom's cone and adds
+    no edge into an atom, so every check runs on graph, with the anchors as
+    extra seeds, and no augmented graph is built here.
     """
     additions: list[Rule] = []
     if not program.constraints:
         additions.extend(
             Rule(None, (Literal(fact, negated=True),)) for fact in sorted(program.facts)
         )
-    table = graph.bodies
+    anchors: tuple[int, ...] = ()
     while True:
-        if additions:
-            augmented = cnr_to_dg(build_cnr(program.extended(additions)))
-        else:
-            augmented = graph
-        covered = _decided_atoms(augmented, table)
-        candidates = [a for a in range(augmented.atom_count) if a not in covered]
+        covered = _decided_atoms(graph, graph.bodies, anchors)
+        candidates = [a for a in range(graph.atom_count) if a not in covered]
         if not candidates:
-            built.append(augmented)
             return additions
         # atoms are numbered in name order, so ties go to the smallest name
-        anchor = augmented.names[min(candidates, key=lambda a: (-len(augmented.pred[a]), a))]
+        anchor = min(candidates, key=lambda a: (-len(graph.pred[a]), a))
+        anchors += (anchor,)
+        name = graph.names[anchor]
         additions.append(
-            Rule(None, (Literal(anchor, negated=False), Literal(anchor, negated=True)))
+            Rule(None, (Literal(name, negated=False), Literal(name, negated=True)))
         )
 
 
 def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
-    """Transformed graph extended with synthesized constraints; g itself
-    when the program's own constraints already cover every atom."""
-    built: list[DepGraph] = []
-    synthesized_constraints(program, g, built)
-    return built[0]
+    """Transformed graph extended with synthesized constraints, built once;
+    g itself when the program's own constraints already cover every atom."""
+    additions = synthesized_constraints(program, g)
+    return cnr_to_dg(build_cnr(program.extended(additions))) if additions else g
 
 
 def _contains(m: PartialModel, part: PartialModel) -> bool:

@@ -7,24 +7,20 @@ to fire. Conjunction nodes appear as internal tree nodes annotated with
 their source rule; recursion stops at facts, rule-less atoms, loop-backs
 onto the current path, and nodes already expanded elsewhere in the tree.
 
-``check_justified`` validates a whole world on the graph's integer lists
-and checks foundedness with the graph's one least fixpoint over its body
-table.
+Everything here reads the graph's integer lists. ``justify`` reads the
+world once into a list by node number, walks each node's ``pred`` entries
+(an entry is effective when its source's value equals its sign bit) in
+(source name, sign) order, and names a node only in the tree it returns.
+``export_dot_world`` walks ``graph.export_order``, as the graph exports do.
+``check_justified`` validates a whole world and checks foundedness with the
+graph's one least fixpoint over its body table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import (
-    DepGraph,
-    Edge,
-    NodeKind,
-    Sign,
-    atoms_of,
-    least_fixpoint,
-    node_kind,
-)
+from .graph import SIGNS, DepGraph, NodeKind, export_order, least_fixpoint
 from .worlds import World
 
 
@@ -34,13 +30,6 @@ class AtomUnknown(ValueError):
 
 class WorldIncomplete(ValueError):
     """Justification requires every node to carry a value."""
-
-
-def is_effective(edge: Edge, w: World) -> bool:
-    value = w.value(edge.src)
-    if value is None:
-        return False
-    return (edge.sign is Sign.POSITIVE) == value
 
 
 @dataclass(frozen=True)
@@ -55,20 +44,6 @@ class JustificationTree:
         return 1 + sum(child.size() for child in self.children)
 
 
-def _edge_reason(edge: Edge, w: World) -> str:
-    src_value = "true" if w.value(edge.src) else "false"
-    sign = "positive" if edge.sign is Sign.POSITIVE else "negative"
-    if is_effective(edge, w):
-        return f"{sign} edge from {src_value} {edge.src}"
-    return f"{sign} edge from {src_value} {edge.src} (not effective)"
-
-
-def _node_label(g: DepGraph, node: str) -> str:
-    if node_kind(node) is NodeKind.CONJ and node in g.origin:
-        return f"body of rule [{g.origin[node][0]}]"
-    return ""
-
-
 def justify(g: DepGraph, w: World, atom: str) -> JustificationTree:
     """Justification tree for an atom in a completed world.
 
@@ -76,49 +51,59 @@ def justify(g: DepGraph, w: World, atom: str) -> JustificationTree:
     smallest source marked primary; False nodes list all in-edges with the
     reason each one is not effective.
     """
-    if atom not in atoms_of(g):
+    number = g.number.get(atom)
+    if number is None or number >= g.atom_count:
         raise AtomUnknown(f"{atom!r} is not a program atom")
+    names = g.names
+    values = list(map(w.values.get, names))
     if not w.is_complete(g):
-        missing = sorted(n for n in g.nodes if w.value(n) is None)
+        missing = sorted(n for n, value in zip(names, values) if value is None)
         raise WorldIncomplete(f"unfixed nodes: {', '.join(missing)}")
 
-    expanded: set[str] = set()
+    expanded: set[int] = set()
+
+    def edge_reason(entry: int) -> str:
+        src, positive = entry >> 1, entry & 1
+        value = "true" if values[src] else "false"
+        text = f"{SIGNS[positive].value} edge from {value} {names[src]}"
+        return text if values[src] == positive else text + " (not effective)"
 
     def build(
-        node: str, via: str, path: frozenset[str], primary: bool = False
+        node: int, via: str, path: frozenset[int], primary: bool = False
     ) -> JustificationTree:
-        value = bool(w.value(node))
-        note = _node_label(g, node)
+        name, value = names[node], bool(values[node])
         prefix = f"{via}; " if via else ""
         if node in path:
             return JustificationTree(
-                node, value, prefix + "coinductive assumption (loop)", (), primary
+                name, value, prefix + "coinductive assumption (loop)", (), primary
             )
         if node in expanded:
             return JustificationTree(
-                node, value, prefix + "shown elsewhere in this tree", (), primary
+                name, value, prefix + "shown elsewhere in this tree", (), primary
             )
-        if g.fixed_value(node) is True:
-            return JustificationTree(node, value, prefix + "fact", (), primary)
-        in_edges = sorted(g.in_edges(node), key=lambda e: (e.src, e.sign.value))
-        if not in_edges:
-            return JustificationTree(node, value, prefix + "no rules", (), primary)
+        if g.fixed_nodes.get(node) is True:
+            return JustificationTree(name, value, prefix + "fact", (), primary)
+        entries = sorted(g.pred[node], key=lambda e: (names[e >> 1], e & 1))
+        if not entries:
+            return JustificationTree(name, value, prefix + "no rules", (), primary)
         expanded.add(node)
         sub_path = path | {node}
+        note = ""
+        if g.conj[node] and name in g.origin:
+            note = f"body of rule [{g.origin[name][0]}]"
         if value:
-            support = [e for e in in_edges if is_effective(e, w)]
-            primary_src = min(e.src for e in support) if support else None
+            # the sources are in name order, so the first support is primary
+            support = [e for e in entries if values[e >> 1] == e & 1]
             children = tuple(
-                build(e.src, _edge_reason(e, w), sub_path, e.src == primary_src)
-                for e in support
+                build(e >> 1, edge_reason(e), sub_path, i == 0) for i, e in enumerate(support)
             )
             reason = prefix + (note or "supported")
         else:
-            children = tuple(build(e.src, _edge_reason(e, w), sub_path) for e in in_edges)
+            children = tuple(build(e >> 1, edge_reason(e), sub_path) for e in entries)
             reason = prefix + (note or "no effective in-edge")
-        return JustificationTree(node, value, reason, children, primary)
+        return JustificationTree(name, value, reason, children, primary)
 
-    return build(atom, "", frozenset())
+    return build(number, "", frozenset())
 
 
 def check_justified(g: DepGraph, w: World) -> bool:
@@ -180,31 +165,23 @@ def tree_to_json(tree: JustificationTree) -> dict:
 
 def export_dot_world(g: DepGraph, w: World) -> str:
     """DOT rendering of the valued graph with effective edges highlighted."""
-    from .graph import sorted_nodes, _node_sort_key
-
+    names = g.names
+    values = list(map(w.values.get, names))
+    nodes, edges = export_order(g)
+    shapes = {NodeKind.ATOM: "ellipse", NodeKind.CONJ: "circle", NodeKind.CONSTRAINT: "doublecircle"}
     lines = ["digraph justification {"]
-    for node in sorted_nodes(g):
-        kind = node_kind(node)
-        value = w.value(node)
-        shape = {
-            NodeKind.ATOM: "ellipse",
-            NodeKind.CONJ: "circle",
-            NodeKind.CONSTRAINT: "doublecircle",
-        }[kind]
-        color = "palegreen" if value else "lightgray"
-        label = node if kind is not NodeKind.CONJ else ""
+    for node, kind in nodes:
+        name = names[node]
+        color = "palegreen" if values[node] else "lightgray"
+        label = name if kind is not NodeKind.CONJ else ""
         lines.append(
-            f'  "{node}" [shape={shape}, style=filled, fillcolor={color}, label="{label}"];'
+            f'  "{name}" [shape={shapes[kind]}, style=filled, fillcolor={color}, label="{label}"];'
         )
-    for edge in sorted(g.edges, key=lambda e: (_node_sort_key(e.src), _node_sort_key(e.dst), e.sign.value)):
-        attrs = []
-        if edge.negative:
-            attrs.append('label="not"')
-            attrs.append("style=dashed")
-        if is_effective(edge, w):
-            attrs.append("color=red")
-            attrs.append("penwidth=2")
+    for src, dst, positive in edges:
+        attrs = [] if positive else ['label="not"', "style=dashed"]
+        if values[src] == positive:
+            attrs += ["color=red", "penwidth=2"]
         rendered = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{edge.src}" -> "{edge.dst}"{rendered};')
+        lines.append(f'  "{names[src]}" -> "{names[dst]}"{rendered};')
     lines.append("}")
     return "\n".join(lines)

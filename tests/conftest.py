@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from aspgraph.graph import Sign
 from aspgraph.syntax import parse_program
 
 
@@ -29,6 +30,15 @@ def random_program_text(rng: random.Random, n_atoms: int, n_rules: int,
         else:
             lines.append(f"{rng.choice(atoms)}.")
     return "\n".join(lines) + "\n"
+
+
+def is_effective(edge, w) -> bool:
+    """Reference effectiveness of an Edge in a name-keyed world: a positive
+    edge from a True node or a negative edge from a False node."""
+    value = w.value(edge.src)
+    if value is None:
+        return False
+    return (edge.sign is Sign.POSITIVE) == value
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from aspgraph.graph import (
     graph_to_json,
     node_kind,
 )
+from aspgraph.justify import export_dot_world, justify
 from aspgraph.syntax import parse_program
 
 from conftest import random_program_text
@@ -310,18 +311,23 @@ PAPER_CONFIG = dict(
 )
 
 
-def test_solvers_build_no_edge_objects(monkeypatch):
-    # The engines and the model checks read the integer adjacency lists;
-    # Edge objects are built only by the name-level view.
-    created = 0
+@pytest.fixture
+def edges_built(monkeypatch):
+    """The number of Edge objects built so far in the test, as a one-item list."""
+    created = [0]
     original = Edge.__init__
 
     def counted(self, *args, **kwargs):
-        nonlocal created
-        created += 1
+        created[0] += 1
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Edge, "__init__", counted)
+    return created
+
+
+def test_solvers_build_no_edge_objects(edges_built):
+    # The engines and the model checks read the integer adjacency lists;
+    # Edge objects are built only by the name-level view.
     # seed 0 is one of the paper-configuration programs igasp refutes quickly
     programs = [gen_random(GenConfig(seed=0, **PAPER_CONFIG)), gen_coloring(5, cycle_graph(5))]
     for program in programs:
@@ -329,10 +335,26 @@ def test_solvers_build_no_edge_objects(monkeypatch):
         answer_sets = igasp.solve_igasp(program)
         assert len(answer_sets) == len(worlds)
     assert len(answer_sets) == 30
-    assert created == 0
+    assert edges_built[0] == 0
     g = build_cnr(programs[1])
     g.in_edges(g.names[0])
-    assert created == len(g.pred[0]) > 0
+    assert edges_built[0] == len(g.pred[0]) > 0
+
+
+def test_justify_and_exports_build_no_edge_objects(edges_built):
+    # Justification and the DOT/JSON exports walk the integer lists too.
+    program = gen_coloring(5, cycle_graph(5))
+    cnr = build_cnr(program)
+    g, worlds = grasp.solve_grasp_worlds(program)
+    assert len(worlds) == 30
+    for w in worlds:
+        for atom in g.names[: g.atom_count]:
+            assert justify(g, w, atom).size() > 0
+        export_dot_world(g, w)
+    for graph in (cnr, g):
+        export_dot(graph)
+        graph_to_json(graph)
+    assert edges_built[0] == 0
 
 
 def test_one_igasp_solve_compiles_one_body_table(monkeypatch):

@@ -22,9 +22,8 @@ from aspgraph.igasp import (
 from aspgraph.oracle import enumerate_stable, is_stable
 from aspgraph.syntax import Literal, Rule, parse_program
 from aspgraph.worlds import world_from_atoms
-from aspgraph.justify import is_effective
 
-from conftest import random_program_text
+from conftest import is_effective, random_program_text
 
 
 def transformed(text):
@@ -134,6 +133,13 @@ def test_program_with_covering_constraints_unchanged():
         ("p :- not q. q :- not p. :- p, q.", 1, [{"p"}, {"q"}]),
         # one rule is added (":- not a0."): the base graph and the augmented one
         ("a0. a1 :- a0.", 2, [{"a0", "a1"}]),
+        # two anchors are picked on the program graph; the augmented graph is
+        # built once, at the end
+        (
+            "p :- not q. q :- not p. r :- not s. s :- not r.",
+            2,
+            [{"p", "r"}, {"p", "s"}, {"q", "r"}, {"q", "s"}],
+        ),
     ],
 )
 def test_solve_igasp_builds_each_graph_once(monkeypatch, text, builds, answer_sets):
@@ -204,12 +210,12 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         )
         program = parse_program(text)
         g = transformed(text)
-        built = []
-        rules = igasp.synthesized_constraints(program, g, built)
+        rules = igasp.synthesized_constraints(program, g)
         assert rules == reference_synthesized_constraints(program)
         anchored += any(len(rule.body) == 2 for rule in rules)
         augmented_program = program.extended(rules)
-        for graph, prog in ((g, program), (built[0], augmented_program)):
+        augmented = ensure_constraints(g, program)
+        for graph, prog in ((g, program), (augmented, augmented_program)):
             decided = igasp._decided_atoms(graph, g.bodies)
             assert {graph.names[a] for a in decided} == reference_decided_atoms(graph, prog)
     assert anchored > 0

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from aspgraph.graph import (
     atoms_of,
     build_cnr,
     cnr_to_dg,
+    export_dot,
+    graph_to_json,
     least_fixpoint,
     node_kind,
 )
@@ -17,7 +21,6 @@ from aspgraph.justify import (
     AtomUnknown,
     WorldIncomplete,
     check_justified,
-    is_effective,
     export_dot_world,
     justify,
     render_text,
@@ -27,7 +30,7 @@ from aspgraph.oracle import enumerate_stable
 from aspgraph.syntax import parse_program
 from aspgraph.worlds import World, world_from_atoms
 
-from conftest import random_program_text
+from conftest import is_effective, random_program_text
 
 LEAF_REASONS = ("fact", "no rules", "coinductive assumption (loop)",
                 "shown elsewhere in this tree")
@@ -275,3 +278,28 @@ def test_export_dot_world_highlights_effective_edges():
     dot = export_dot_world(g, w)
     assert "color=red" in dot
     assert dot.startswith("digraph")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_export_and_justify_output_is_pinned():
+    # a has eleven rule bodies, so the helper names' order (__conj_10 before
+    # __conj_2) and the helpers' number order disagree. The program also has
+    # a fact with a rule, a body that can never hold (q :- r, not r.) and a
+    # constraint numbered before the conjunction nodes and one after them.
+    program = parse_program((GOLDEN / "export_order.lp").read_text())
+    cnr = build_cnr(program)
+    g, worlds = solve_grasp_worlds(program)
+    w = worlds[0]
+    assert w.true_atoms(g) == {"a", "b", "d", "f"}
+    outputs = {
+        "cnr.dot": export_dot(cnr),
+        "dg.dot": export_dot(cnr_to_dg(cnr)),
+        "dg.json": json.dumps(graph_to_json(g), indent=1),
+        "world.dot": export_dot_world(g, w),
+        "justify_a.txt": render_text(justify(g, w, "a")),
+        "justify_q.txt": render_text(justify(g, w, "q")),
+    }
+    for name, text in outputs.items():
+        assert text + "\n" == (GOLDEN / f"export_order.{name}").read_text(), name
