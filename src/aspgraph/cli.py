@@ -145,7 +145,7 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     program = _load_program(args.file)
     g = build_cnr(program)
-    if args.stage == "dg" or args.format == "stats":
+    if args.stage == "dg":
         g = cnr_to_dg(g)
     if args.format == "stats":
         print(json.dumps(cycle_stats_json(g)))

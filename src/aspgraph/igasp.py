@@ -8,37 +8,34 @@ Each proof decides the source of every in-edge it meets, so a finished
 partial model covers the whole ancestor cone of its constraint. Programs
 without enough constraints to reach every atom get synthesized ones: the
 negation of each fact, and vacuous ":- a, not a." anchors that force a case
-split on a. Finished models are forward-propagated, totalized (atoms never
-reached default to False) and kept only if the resulting world passes the
+split on a. Each mentions one atom and is proved as a goal on the
+program's own graph, built once per solve: ":- not f." is falsified by
+proving f True, ":- a, not a." by proving a False or a True.
+Finished models are forward-propagated, totalized (atoms never reached
+default to False) and kept only if the resulting world passes the
 effective-edge/foundedness validation.
 
 The proof search walks the graph's own integer lists: node i is bit i,
 its fixed value is read off ``fixed_nodes`` and its in-edges off ``pred``
-(a positive entry is effective when its source is True). That graph, the
-program's graph with the synthesized constraints, is built once, after the
-synthesis has picked them on the program's own graph, which is reused when
-nothing is added. A
-partial model is a pair of ints, (known, true): bit i of known says node i
-is decided, bit i of true that it is True (true is always a subset of
-known). Two models conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero,
-and their union is two ORs. The proof branch is a dict from node to
-presumed value, pushed and popped around the recursive calls. Names are
-decoded only when answer sets are extracted.
+(a positive entry is effective when its source is True). A partial model
+is a pair of ints, (known, true): bit i of known says node i is decided,
+bit i of true that it is True (true is always a subset of known). Two
+models conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero, and their
+union is two ORs. The proof branch is a dict from node to presumed value,
+pushed and popped around the recursive calls. Names are decoded only when
+answer sets are extracted.
 
 Partial models are combined by a hash join on the nodes that every model
 on both sides decides: the right-hand models are bucketed by their true
 bits on those nodes, so each left model is unioned only with the right
 models that agree with it there, the only ones whose union can succeed.
 
-Rule bodies come from the program graph's body table, compiled once per
-solve: synthesized constraints are headless, so the augmented graph has
-the same atoms and atom bodies, and synthesis, the causal map and
-validation all read the base graph's table. Forward propagation is a
-worklist over the causal map, compiled from that table to one (pos_mask,
-neg_mask) pair per rule body and, per atom, the heads whose bodies mention
-it: after one pass over every head, only the heads watching a newly
-decided atom are checked again (Dowling & Gallier's linear-time Horn
-propagation, 1984, with the "all bodies false" rule added).
+Forward propagation is a worklist over the causal map, compiled from the
+graph's body table to one (pos_mask, neg_mask) pair per rule body and, per
+atom, the heads whose bodies mention it: after one pass over every head,
+only the heads watching a newly decided atom are checked again (Dowling &
+Gallier's linear-time Horn propagation, 1984, with the "all bodies false"
+rule added).
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import sys
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from .graph import Bodies, DepGraph, build_cnr, cnr_to_dg
+from .graph import DepGraph, build_cnr, cnr_to_dg
 from .justify import check_justified
 from .syntax import Literal, Program, Rule
 from .worlds import world_from_atoms
@@ -264,20 +261,19 @@ def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[int]:
     return {n for n in seen if n < g.atom_count}
 
 
-def _decided_atoms(g: DepGraph, t: Bodies, anchors: tuple[int, ...] = ()) -> set[int]:
+def _decided_atoms(g: DepGraph, anchors: tuple[int, ...] = ()) -> set[int]:
     """Atoms guaranteed a value in every finished partial model: facts and
     rule-less atoms (structurally decided), constraint-cone atoms (decided
     by the proofs), and the closure of atoms whose every rule body mentions
     only decided atoms (decided either way by forward propagation).
 
-    g is the graph the proofs walk and t the body table of its atoms.
-    anchors are atoms a whose ":- a, not a." is not built into g: such an
-    anchor adds no edge into an atom and its cone is a's, so each counts as
-    one more constraint seed. The closure is not graph.least_fixpoint: a
-    head is decided only once all of its bodies are, where the fixpoint
-    fires a head on any one body.
-    Written as that fixpoint it needs a synthetic clause per head, and it
-    measured slower than this loop."""
+    anchors are atoms a whose ":- a, not a." is proved as a goal on a's
+    cone, so each counts as one more constraint seed. The closure is not
+    graph.least_fixpoint: a head is decided only once all of its bodies
+    are, where the fixpoint fires a head on any one body. Written as that
+    fixpoint it needs a synthetic clause per head, and it measured slower
+    than this loop."""
+    t = g.bodies
     start = t.start
     decided = _ancestor_atoms(g, _constraint_nodes(g) + list(anchors))
     decided.update(n for n, value in g.fixed_nodes.items() if value)
@@ -307,28 +303,24 @@ def _decided_atoms(g: DepGraph, t: Bodies, anchors: tuple[int, ...] = ()) -> set
     return decided
 
 
-def synthesized_constraints(program: Program, graph: DepGraph) -> list[Rule]:
+def synthesized_constraints(graph: DepGraph) -> list[Rule]:
     """Constraints to add so every atom is decided by some proof or by
-    propagation.
+    propagation, read off the program's graph: its constraints are the
+    nodes fixed False, its facts those fixed True, in name order.
 
     A program with no headless constraint gets the negation of each fact as
     a constraint; atoms that neither a constraint cone nor propagation can
     decide get a vacuous ":- a, not a." anchor forcing a case split on a,
-    most-depended-upon atom first, until all atoms are covered.
-
-    graph is the program's own transformed graph. The negation of a fact
-    decides only that fact, and an anchor decides its atom's cone and adds
-    no edge into an atom, so every check runs on graph, with the anchors as
-    extra seeds, and no augmented graph is built here.
+    most-depended-upon atom first, until all atoms are covered. Every check
+    runs on graph, with the anchors as extra seeds.
     """
+    fixed = graph.fixed_nodes
     additions: list[Rule] = []
-    if not program.constraints:
-        additions.extend(
-            Rule(None, (Literal(fact, negated=True),)) for fact in sorted(program.facts)
-        )
+    if False not in fixed.values():
+        additions = [Rule(None, (Literal(graph.names[f], negated=True),)) for f in fixed]
     anchors: tuple[int, ...] = ()
     while True:
-        covered = _decided_atoms(graph, graph.bodies, anchors)
+        covered = _decided_atoms(graph, anchors)
         candidates = [a for a in range(graph.atom_count) if a not in covered]
         if not candidates:
             return additions
@@ -341,30 +333,29 @@ def synthesized_constraints(program: Program, graph: DepGraph) -> list[Rule]:
         )
 
 
-def ensure_constraints(g: DepGraph, program: Program) -> DepGraph:
-    """Transformed graph extended with synthesized constraints, built once;
-    g itself when the program's own constraints already cover every atom."""
-    additions = synthesized_constraints(program, g)
-    return cnr_to_dg(build_cnr(program.extended(additions))) if additions else g
-
-
 def _contains(m: PartialModel, part: PartialModel) -> bool:
     return not part[0] & ~m[0] and m[1] & part[0] == part[1]
 
 
-def _finished_models(g: DepGraph, causal: CausalMap) -> list[PartialModel]:
-    """Forward-propagated partial models that falsify every constraint."""
+def _finished_models(
+    g: DepGraph, causal: CausalMap, synthesized: list[Rule]
+) -> list[PartialModel]:
+    """Forward-propagated partial models that falsify every constraint: the
+    program's, then each synthesized one, by one of its literals proved false."""
     ruleless = (1 << g.atom_count) - 1  # the atoms are the first nodes
     for head in causal.bodies:
         ruleless &= ~(1 << head)
     seed = forward_propagate((ruleless, 0), causal)
     models = [seed] if seed is not None else []
-    for constraint in _constraint_nodes(g):
+    goals = [[(c, False)] for c in _constraint_nodes(g)]
+    goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
+    for goal in goals:
         alternatives = []
-        for m in prove(constraint, False, {}, g):
-            propagated = forward_propagate(m, causal)
-            if propagated is not None:
-                alternatives.append(propagated)
+        for node, value in goal:
+            for m in prove(node, value, {}, g):
+                propagated = forward_propagate(m, causal)
+                if propagated is not None:
+                    alternatives.append(propagated)
         # merge_conjunctive lists the unions of each left model in the order
         # of models, so one pointer finds, for each union, a left model that
         # it contains; propagation starts from the nodes the union adds.
@@ -382,17 +373,17 @@ def _finished_models(g: DepGraph, causal: CausalMap) -> list[PartialModel]:
     return models
 
 
-def _candidates(program: Program, base_graph: DepGraph) -> list[frozenset[str]]:
+def _candidates(g: DepGraph) -> list[frozenset[str]]:
     """The program atoms True in each finished model, without repeats. The
     causal map is freed on return, before validation."""
-    g = ensure_constraints(base_graph, program)
-    causal = build_causal_map(base_graph)
+    synthesized = synthesized_constraints(g)
+    causal = build_causal_map(g)
     # prove recurses once per node of a proof path; the caller's limit is
     # restored on the way out.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
     try:
-        models = _finished_models(g, causal)
+        models = _finished_models(g, causal, synthesized)
     finally:
         sys.setrecursionlimit(limit)
     atoms = (1 << g.atom_count) - 1
@@ -402,11 +393,11 @@ def _candidates(program: Program, base_graph: DepGraph) -> list[frozenset[str]]:
 
 def solve_igasp(program: Program) -> list[frozenset[str]]:
     """Answer sets computed top-down, sorted lexicographically."""
-    base_graph = cnr_to_dg(build_cnr(program))
+    g = cnr_to_dg(build_cnr(program))
     answer_sets = []
-    for candidate in _candidates(program, base_graph):
-        world = world_from_atoms(base_graph, candidate)
-        if check_justified(base_graph, world):
+    for candidate in _candidates(g):
+        world = world_from_atoms(g, candidate)
+        if check_justified(g, world):
             answer_sets.append(candidate)
     return sorted(answer_sets, key=sorted)
 

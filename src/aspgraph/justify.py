@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import SIGNS, DepGraph, NodeKind, export_order, least_fixpoint
-from .worlds import World
+from .worlds import World, require_named
 
 
 class AtomUnknown(ValueError):
@@ -51,6 +51,7 @@ def justify(g: DepGraph, w: World, atom: str) -> JustificationTree:
     smallest source marked primary; False nodes list all in-edges with the
     reason each one is not effective.
     """
+    require_named(w)
     number = g.number.get(atom)
     if number is None or number >= g.atom_count:
         raise AtomUnknown(f"{atom!r} is not a program atom")
@@ -115,6 +116,7 @@ def check_justified(g: DepGraph, w: World) -> bool:
     fixpoint of the graph's rule bodies that hold, so it is derivable from
     facts and negation without resting on a positive cycle.
     """
+    require_named(w)
     if not w.is_complete(g):
         return False
     values = list(map(w.values.__getitem__, g.names))
@@ -165,6 +167,7 @@ def tree_to_json(tree: JustificationTree) -> dict:
 
 def export_dot_world(g: DepGraph, w: World) -> str:
     """DOT rendering of the valued graph with effective edges highlighted."""
+    require_named(w)
     names = g.names
     values = list(map(w.values.get, names))
     nodes, edges = export_order(g)

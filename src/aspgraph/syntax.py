@@ -92,14 +92,6 @@ class Program:
     def atoms(self) -> frozenset[str]:
         return self._atoms
 
-    @property
-    def facts(self) -> frozenset[str]:
-        return frozenset(r.head for r in self.rules if r.is_fact)
-
-    @property
-    def constraints(self) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.is_constraint)
-
     def extended(self, extra_rules) -> Program:
         """A new program with rules appended, source indexes continuing."""
         base = len(self.rules)

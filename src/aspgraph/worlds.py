@@ -38,6 +38,12 @@ class World:
         return all(n in self.values for n in g.nodes)
 
 
+def require_named(w: World) -> None:
+    """Reject a world over node numbers where a name-keyed one is needed."""
+    if not isinstance(w.values, dict):
+        raise TypeError("world must be keyed by node name, not by node number")
+
+
 def initial_world(g: DepGraph) -> World:
     """World over node numbers holding just the graph's fixed values (facts
     and constraints): values[i] is node i's value, None while unfixed."""

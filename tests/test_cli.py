@@ -209,6 +209,21 @@ def test_graph_dot_and_json(program_file, capsys):
     assert {n["id"] for n in doc["nodes"]} == {"p", "q", "r", "__conj_0"}
 
 
+def test_graph_stats_honors_stage(program_file, capsys):
+    # the cnr's positive cycle p -> __conj_0 -> p is even in the transformed graph
+    path = program_file("p :- q, not r. q :- p.\n")
+    census = {}
+    for stage in ("cnr", "dg"):
+        assert main(["graph", path, "--stage", stage, "--format", "stats"]) == 0
+        census[stage] = json.loads(capsys.readouterr().out)
+    assert main(["graph", path, "--format", "stats"]) == 0
+    assert json.loads(capsys.readouterr().out) == census["dg"]
+    assert census == {
+        "cnr": {"rules": 2, "even_cycles": 0, "odd_cycles": 0, "positive_cycles": 1},
+        "dg": {"rules": 2, "even_cycles": 1, "odd_cycles": 0, "positive_cycles": 0},
+    }
+
+
 def test_bench_shape(tmp_path, capsys):
     config = {
         "num_atoms": 8,

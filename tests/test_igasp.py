@@ -12,7 +12,6 @@ from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
     QueryAtomUnknown,
     build_causal_map,
-    ensure_constraints,
     forward_propagate,
     merge_conjunctive,
     prove,
@@ -85,64 +84,56 @@ def test_empty_program():
     assert models("") == [[]]
 
 
-# --- ensure_constraints ----------------------------------------------------
+# --- synthesized constraints ----------------------------------------------
 
 
-def constraint_count(g):
-    return sum(1 for n in g.nodes if node_kind(n) is NodeKind.CONSTRAINT)
+def synthesized(text):
+    return [str(rule) for rule in igasp.synthesized_constraints(transformed(text))]
 
 
 def test_fact_program_gets_negated_fact_constraint():
-    p = parse_program("q. p :- q.")
-    g = ensure_constraints(transformed("q. p :- q."), p)
-    assert constraint_count(g) == 1
-    # ":- not q." is a single-literal constraint: a direct negative edge
-    (edge,) = g.in_edges("__constraint_0")
-    assert edge.src == "q" and edge.negative
+    assert synthesized("q. p :- q.") == [":- not q."]
 
 
 def test_anchor_on_constraint_free_even_cycle():
-    p = parse_program("p :- not q. q :- not p.")
-    g = ensure_constraints(transformed("p :- not q. q :- not p."), p)
-    assert constraint_count(g) == 1
-    # the anchor reaches its constraint through a both-sign conjunction
-    (edge,) = g.in_edges("__constraint_0")
-    conj = edge.src
-    assert node_kind(conj) is NodeKind.CONJ
-    signs = {(e.src, e.sign.value) for e in g.in_edges(conj)}
-    assert signs == {("p", "positive"), ("p", "negative")}
+    assert synthesized("p :- not q. q :- not p.") == [":- p, not p."]
 
 
 def test_anchor_per_disconnected_component():
     text = "p :- not q. q :- not p. a :- not b. b :- not a."
-    p = parse_program(text)
-    g = ensure_constraints(transformed(text), p)
-    assert constraint_count(g) == 2
+    assert synthesized(text) == [":- a, not a.", ":- p, not p."]
 
 
 def test_program_with_covering_constraints_unchanged():
-    text = "p :- not q. q :- not p. :- p, q."
-    g = transformed(text)
-    assert ensure_constraints(g, parse_program(text)) is g
+    assert synthesized("p :- not q. q :- not p. :- p, q.") == []
 
 
 @pytest.mark.parametrize(
-    "text, builds, answer_sets",
+    "solve, text, answer_sets",
     [
-        # the program's own constraints cover every atom: no rule is added
-        ("p :- not q. q :- not p. :- p, q.", 1, [{"p"}, {"q"}]),
-        # one rule is added (":- not a0."): the base graph and the augmented one
-        ("a0. a1 :- a0.", 2, [{"a0", "a1"}]),
-        # two anchors are picked on the program graph; the augmented graph is
-        # built once, at the end
-        (
+        # the program's own constraints cover every atom: nothing is added
+        pytest.param(
+            solve_igasp, "p :- not q. q :- not p. :- p, q.", [{"p"}, {"q"}], id="covered"
+        ),
+        # ":- not a0." is added and proved as a goal
+        pytest.param(solve_igasp, "a0. a1 :- a0.", [{"a0", "a1"}], id="negated-fact"),
+        # two anchors are added and proved as goals
+        pytest.param(
+            solve_igasp,
             "p :- not q. q :- not p. r :- not s. s :- not r.",
-            2,
             [{"p", "r"}, {"p", "s"}, {"q", "r"}, {"q", "s"}],
+            id="anchors",
+        ),
+        # the query constraint is a node of the one graph built; r gets an anchor
+        pytest.param(
+            lambda program: solve_query(program, "p"),
+            "p :- not q. q :- not p. r :- not s. s :- not r.",
+            [{"p", "r"}, {"p", "s"}],
+            id="query",
         ),
     ],
 )
-def test_solve_igasp_builds_each_graph_once(monkeypatch, text, builds, answer_sets):
+def test_solve_igasp_builds_each_graph_once(monkeypatch, solve, text, answer_sets):
     calls = 0
     original = igasp.build_cnr
 
@@ -152,8 +143,8 @@ def test_solve_igasp_builds_each_graph_once(monkeypatch, text, builds, answer_se
         return original(program)
 
     monkeypatch.setattr(igasp, "build_cnr", counted)
-    assert solve_igasp(parse_program(text)) == answer_sets
-    assert calls == builds
+    assert solve(parse_program(text)) == answer_sets
+    assert calls == 1
 
 
 def reference_decided_atoms(g, program):
@@ -171,7 +162,7 @@ def reference_decided_atoms(g, program):
                     seen.add(edge.src)
                     stack.append(edge.src)
     decided = {n for n in seen if node_kind(n) is NodeKind.ATOM}
-    decided |= program.facts
+    decided |= {rule.head for rule in program.rules if rule.is_fact}
     decided |= {atom for atom in atoms_of(g) if atom not in heads}
     changed = True
     while changed:
@@ -188,8 +179,9 @@ def reference_synthesized_constraints(program):
     """The synthesized rules, each augmented program's graph built afresh
     and its decided atoms read off that program."""
     additions = []
-    if not program.constraints:
-        additions += [Rule(None, (Literal(f, negated=True),)) for f in sorted(program.facts)]
+    if not any(rule.is_constraint for rule in program.rules):
+        facts = sorted({rule.head for rule in program.rules if rule.is_fact})
+        additions += [Rule(None, (Literal(f, negated=True),)) for f in facts]
     while True:
         augmented_program = program.extended(additions)
         augmented = transformed(str(augmented_program))
@@ -210,14 +202,17 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         )
         program = parse_program(text)
         g = transformed(text)
-        rules = igasp.synthesized_constraints(program, g)
+        rules = igasp.synthesized_constraints(g)
         assert rules == reference_synthesized_constraints(program)
-        anchored += any(len(rule.body) == 2 for rule in rules)
+        anchors = tuple(g.number[rule.body[0].atom] for rule in rules if len(rule.body) == 2)
+        anchored += bool(anchors)
+        # the synthesized rules built into a graph decide what the anchors,
+        # as extra seeds on the program's graph, decide
         augmented_program = program.extended(rules)
-        augmented = ensure_constraints(g, program)
-        for graph, prog in ((g, program), (augmented, augmented_program)):
-            decided = igasp._decided_atoms(graph, g.bodies)
-            assert {graph.names[a] for a in decided} == reference_decided_atoms(graph, prog)
+        augmented = transformed(str(augmented_program))
+        for seeds, graph, prog in (((), g, program), (anchors, augmented, augmented_program)):
+            decided = {g.names[a] for a in igasp._decided_atoms(g, seeds)}
+            assert decided == reference_decided_atoms(graph, prog)
     assert anchored > 0
 
 
@@ -226,8 +221,7 @@ def test_decided_atoms_and_synthesis_match_program_reference():
 
 def test_prove_constraint_program_five():
     text = "m :- p. m :- not q. m :- r. :- not m. :- n."
-    p = parse_program(text)
-    g = ensure_constraints(transformed(text), p)
+    g = transformed(text)
     # ":- not m." is __constraint_0; falsifying it needs m True
     results = prove(g.number["__constraint_0"], False, {}, g)
     assert len(g.in_edges("m")) == 3

@@ -16,7 +16,7 @@ from aspgraph.graph import (
     least_fixpoint,
     node_kind,
 )
-from aspgraph.grasp import solve_grasp_worlds
+from aspgraph.grasp import solve_graph, solve_grasp_worlds
 from aspgraph.justify import (
     AtomUnknown,
     WorldIncomplete,
@@ -116,6 +116,17 @@ def test_justify_incomplete_world():
     g = transformed("p :- q.")
     with pytest.raises(WorldIncomplete):
         justify(g, World({"p": False}), "p")
+
+
+def test_world_over_node_numbers_rejected():
+    # solve_graph's worlds hold one value per node number, not per name
+    g = transformed("a. b :- a.")
+    (w,) = solve_graph(g)
+    assert w.values == [True, True]
+    for call in (justify, check_justified, export_dot_world):
+        args = (g, w, "a") if call is justify else (g, w)
+        with pytest.raises(TypeError, match="keyed by node name"):
+            call(*args)
 
 
 def test_justify_all_atoms_of_all_models():

@@ -10,6 +10,7 @@ from pathlib import Path
 import aspgraph
 from aspgraph import grasp, igasp
 from aspgraph.generate import cycle_graph, gen_coloring
+from aspgraph.syntax import parse_program
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,6 +64,9 @@ def test_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
         g, worlds = grasp.solve_grasp_worlds(program)
         assert len(worlds) == 30
         assert len(igasp.solve_igasp(program)) == 30
+        # two disconnected even loops and no constraint: two anchors
+        anchored = parse_program("p :- not q. q :- not p. r :- not s. s :- not r.")
+        assert len(igasp.solve_igasp(anchored)) == 4
         atom = sorted(worlds[0].true_atoms(g))[0]
         justify.justify(g, worlds[0], atom)
     finally:
@@ -70,6 +74,7 @@ def test_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
     assert SPANS <= set(tracer.calls)
     assert tracer.calls["grasp.find_roots"] == 1
     assert tracer.counters["grasp.labelings"] > 0
+    assert tracer.counters["igasp.anchors"] == 2
     after = package_functions()
     assert after.keys() == before.keys()
     changed = [key for key, fn in before.items() if after[key] is not fn]
