@@ -116,8 +116,7 @@ def check_justified(g: DepGraph, w: World) -> bool:
     fixpoint of the graph's rule bodies that hold, so it is derivable from
     facts and negation without resting on a positive cycle.
     """
-    require_named(w)
-    if not w.is_complete(g):
+    if not w.is_complete(g):  # raises on a world over node numbers
         return False
     values = list(map(w.values.__getitem__, g.names))
     fixed_nodes = g.fixed_nodes

@@ -24,6 +24,7 @@ class World:
     consistent: bool = True
 
     def value(self, node: str) -> bool | None:
+        require_named(self)
         return self.values.get(node)
 
     def copy(self) -> World:
@@ -31,10 +32,12 @@ class World:
 
     def true_atoms(self, g: DepGraph) -> frozenset[str]:
         """The graph's True atoms, which are its first atom_count nodes."""
+        require_named(self)
         values = self.values
         return frozenset(n for n in g.names[: g.atom_count] if values.get(n))
 
     def is_complete(self, g: DepGraph) -> bool:
+        require_named(self)
         return all(n in self.values for n in g.nodes)
 
 

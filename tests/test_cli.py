@@ -146,6 +146,14 @@ def test_query_unknown_atom(program_file, capsys):
     assert main(["query", program_file(QUERY), "zz"]) == 2
 
 
+def test_query_deepest_atom_of_long_mixed_chain(program_file, capsys):
+    n = 2000
+    text = "a0.\n" + "".join(f"a{i} :- a{i - 1}, not b{i}.\n" for i in range(1, n + 1))
+    assert main(["query", program_file(text), f"a{n}"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.count(",") == n
+
+
 def test_justify_text(program_file, capsys):
     assert main(["justify", program_file("q. p :- q.\n"), "p"]) == 0
     out = capsys.readouterr().out

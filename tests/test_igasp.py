@@ -10,6 +10,7 @@ from aspgraph import igasp
 from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
 from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
 from aspgraph.igasp import (
+    ProofTable,
     QueryAtomUnknown,
     build_causal_map,
     forward_propagate,
@@ -223,37 +224,39 @@ def test_prove_constraint_program_five():
     text = "m :- p. m :- not q. m :- r. :- not m. :- n."
     g = transformed(text)
     # ":- not m." is __constraint_0; falsifying it needs m True
-    results = prove(g.number["__constraint_0"], False, {}, g)
+    results = prove(g.number["__constraint_0"], False, 0, 0, ProofTable(g))
     assert len(g.in_edges("m")) == 3
     assert len(results) == 1
     m = values(results[0], g.number)
     assert m["m"] is True
     assert m["p"] is False and m["q"] is False and m["r"] is False
     # ":- n." is __constraint_1; falsifying it needs n False
-    (n_model,) = prove(g.number["__constraint_1"], False, {}, g)
+    (n_model,) = prove(g.number["__constraint_1"], False, 0, 0, ProofTable(g))
     assert values(n_model, g.number)["n"] is False
 
 
 def test_prove_fact_leaf():
     g = transformed("q.")
     q = g.number["q"]
-    assert keys(prove(q, True, {}, g), g.number) == {frozenset({("q", True)})}
-    assert prove(q, False, {}, g) == []
+    assert keys(prove(q, True, 0, 0, ProofTable(g)), g.number) == {frozenset({("q", True)})}
+    assert prove(q, False, 0, 0, ProofTable(g)) == []
 
 
 def test_prove_ruleless_atom():
     g = transformed("p :- q.")
     q = g.number["q"]
-    assert prove(q, True, {}, g) == []
-    assert keys(prove(q, False, {}, g), g.number) == {frozenset({("q", False)})}
+    assert prove(q, True, 0, 0, ProofTable(g)) == []
+    assert keys(prove(q, False, 0, 0, ProofTable(g)), g.number) == {frozenset({("q", False)})}
 
 
-def test_prove_leaves_branch_as_it_found_it():
+def test_prove_branch_presuming_q_false():
     text = "p :- not q. q :- not p. :- p, q."
     g = transformed(text)
-    branch = {g.number["q"]: False}
-    assert prove(g.number["__constraint_0"], False, branch, g)
-    assert branch == {g.number["q"]: False}
+    q = g.number["q"]
+    # the branch holds q presumed False: q is decided by the branch, not by
+    # the model, and p follows True through its effective edge from q
+    (model,) = prove(g.number["__constraint_0"], False, 1 << q, 0, ProofTable(g))
+    assert values(model, g.number) == {"p": True, "__conj_0": True, "__constraint_0": False}
 
 
 # --- model merging ----------------------------------------------------------
@@ -442,13 +445,50 @@ def test_query_unknown_atom():
 
 
 def test_query_last_atom_of_long_chain():
-    # A presumed-True link proves its source both ways, so the query makes
-    # n^2/2 proof calls; each must find its node on the branch in O(1).
     n = 800
     text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, n + 1))
     assert solve_query(parse_program(text), f"a{n}") == [
         frozenset(f"a{i}" for i in range(n + 1))
     ]
+
+
+def chain_text(shape, n):
+    """The benchmark's chains over a0 .. an: pos is a0. ai :- a(i-1).; naf
+    is ai :- not a(i-1). with a0 rule-less; mixed is a0. ai :- a(i-1), not bi."""
+    lines = [] if shape == "naf" else ["a0."]
+    for i in range(1, n + 1):
+        body = {"pos": f"a{i - 1}", "naf": f"not a{i - 1}", "mixed": f"a{i - 1}, not b{i}"}
+        lines.append(f"a{i} :- {body[shape]}.")
+    return "\n".join(lines) + "\n"
+
+
+def chain_model(shape, n):
+    if shape == "naf":
+        return frozenset(f"a{i}" for i in range(1, n + 1, 2))
+    return frozenset(f"a{i}" for i in range(n + 1))
+
+
+@pytest.mark.parametrize("shape", ["pos", "naf", "mixed"])
+def test_query_deepest_atom_of_2000_link_chain(shape, monkeypatch):
+    # A presumed-True link proves its source both ways; untabled, that made
+    # n^2/2 proof calls on pos and a Fibonacci recurrence on naf and mixed.
+    calls = 0
+    original = igasp.prove
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(igasp, "prove", counted)
+    counts = {}
+    for n in (1000, 2000):
+        deepest = n - 1 if shape == "naf" else n  # naf's true atoms are the odd ones
+        calls = 0
+        program = parse_program(chain_text(shape, n))
+        assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
+        counts[n] = calls
+    assert 0 < counts[2000] < 2.1 * counts[1000]
 
 
 def test_query_soundness_random():

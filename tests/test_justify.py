@@ -127,6 +127,9 @@ def test_world_over_node_numbers_rejected():
         args = (g, w, "a") if call is justify else (g, w)
         with pytest.raises(TypeError, match="keyed by node name"):
             call(*args)
+    for method, args in ((w.is_complete, (g,)), (w.value, ("a",)), (w.true_atoms, (g,))):
+        with pytest.raises(TypeError, match="keyed by node name"):
+            method(*args)
 
 
 def test_justify_all_atoms_of_all_models():
