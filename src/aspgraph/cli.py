@@ -321,7 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("file")
     solve.add_argument("--solver", choices=sorted(SOLVERS), default="grasp")
     solve.add_argument("--json", action="store_true")
-    solve.add_argument("--max-models", type=int, default=None)
+    solve.add_argument(
+        "--max-models",
+        type=int,
+        default=None,
+        metavar="N",
+        help="print at most N models; the cap trims the output after a full search "
+        "and saves no solving time",
+    )
     solve.set_defaults(func=cmd_solve)
 
     query = sub.add_parser("query", help="models containing (or excluding) an atom")

@@ -75,12 +75,14 @@ class VirtualNode:
 
 
 def _strong_components(
-    size: int, roots: Iterable[int], successors: Callable[[int], Iterable[int]]
+    size: int, roots: Iterable[int], entries: Callable[[int], Iterable[int]]
 ) -> Iterator[list[int]]:
     """Tarjan's strongly connected components of the part of a graph over
     the nodes 0 .. size - 1 reachable from roots, each yielded as soon as it
-    closes. An explicit stack of successor iterators stands in for the
-    recursion."""
+    closes. entries(v) gives v's adjacency entries ``2 * node + bit``, such
+    as a graph's succ or pred list, and the low bit is shifted off here, so
+    no caller builds a copy of its lists without signs. An explicit stack
+    of entry iterators stands in for the recursion."""
     index = [-1] * size
     low = [0] * size
     count = 0
@@ -92,15 +94,16 @@ def _strong_components(
         index[root] = low[root] = count
         count += 1
         stack.append(root)
-        work = [(root, iter(successors(root)))]
+        work = [(root, iter(entries(root)))]
         while work:
             v, edges = work[-1]
             for w in edges:
+                w >>= 1
                 if index[w] < 0:
                     index[w] = low[w] = count
                     count += 1
                     stack.append(w)
-                    work.append((w, iter(successors(w))))
+                    work.append((w, iter(entries(w))))
                     break
                 if low[w] < low[v]:
                     low[v] = low[w]
@@ -124,12 +127,12 @@ def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     self-loop; wrapping them leaves the condensation acyclic."""
     virtual = []
     names = g.names
-    successors = [[e >> 1 for e in entries] for entries in g.succ]
+    succ = g.succ
     size = len(names)
-    for component in _strong_components(size, range(size), successors.__getitem__):
+    for component in _strong_components(size, range(size), succ.__getitem__):
         if len(component) == 1:
             (node,) = component
-            if node not in successors[node]:
+            if 2 * node not in succ[node] and 2 * node + 1 not in succ[node]:
                 continue
         virtual.append(VirtualNode(frozenset([names[i] for i in component])))
     return sorted(virtual, key=lambda v: v.key)
@@ -160,11 +163,11 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
 
     s = 0
     while True:
-        ahead = lambda i: [j for j, _ in succ[i] if j >= s]
+        ahead = lambda i: [2 * j for j, _ in succ[i] if j >= s]  # as entries
         cyclic = [
             c
             for c in _strong_components(len(names), range(s, len(names)), ahead)
-            if len(c) > 1 or c[0] in ahead(c[0])
+            if len(c) > 1 or 2 * c[0] in ahead(c[0])
         ]
         if not cyclic:
             return

@@ -10,13 +10,20 @@ when its rule body fails.
 
 The graph is integers at its core. Nodes are numbered once, in node order:
 the sorted atoms (so an atom's number is its rank by name), then the helper
-nodes in the order their rules appear. Each node has an out-list ``succ``
-and an in-list ``pred`` of entries ``2 * node + positive``, so a sign is
-one bit. Each out-list is sorted by (dst name, sign) and each in-list by
-(src name, sign), with the negative sign first. ``cnr_to_dg`` flips that
-bit on every entry that touches a conjunction node, into new lists of the
-same order, so in the transformed graph parallel edges between the same
-two nodes keep the order of their signs before the flip.
+nodes in the order their rules appear. A graph keeps its edges once, as the
+arc list ``arcs`` of (src, dst, positive) triples sorted by (src name, dst
+name, sign), the negative sign first. ``cnr_to_dg`` flips the sign of every
+arc that touches a conjunction node in one pass that keeps the list's
+order, so in the transformed graph parallel edges between the same two
+nodes keep the order of their signs before the flip.
+
+Each node's out-list ``succ`` and in-list ``pred`` of entries
+``2 * node + positive`` (a sign is one bit) are filled from the arc list
+by ``fill_adjacency``, both at once, the first time either is read: each
+out-list is then in (dst name, sign) order and each in-list in (src name,
+sign) order, the arc list's. ``cnr_to_dg`` fills the transformed graph's
+lists in its own call; the engines read only that graph, so the
+conjunction-node graph's lists are filled only for its exports and tests.
 
 The atoms' rule bodies are compiled from the lists once per graph, on
 first use, into one table (``DepGraph.bodies``): a conjunction-node source
@@ -90,20 +97,22 @@ class Edge:
 
 
 class DepGraph:
-    """Numbered nodes with signed adjacency lists; immutable by convention.
+    """Numbered nodes with one sorted signed arc list; immutable by convention.
 
-    ``names[i]`` is node i and ``number`` maps a name back. ``succ[i]`` and
-    ``pred[i]`` hold the out- and in-entries ``2 * node + positive`` of node
-    i. Nodes below ``atom_count`` are the atoms, ``conj[i]`` says whether
-    node i is a conjunction node, and ``fixed_nodes`` maps the fixed nodes
-    to their values, in node order.
+    ``names[i]`` is node i and ``number`` maps a name back. ``arcs`` holds
+    every edge once as a (src, dst, positive) triple, in (src name, dst
+    name, sign) order, and is the graph's adjacency: ``succ[i]`` and
+    ``pred[i]``, the out- and in-entries ``2 * node + positive`` of node i,
+    are filled from it on first read. Nodes below ``atom_count`` are the
+    atoms, ``conj[i]`` says whether node i is a conjunction node, and
+    ``fixed_nodes`` maps the fixed nodes to their values, in node order.
     """
 
     def __init__(
         self,
         names: tuple[str, ...],
-        succ: list[list[int]],
-        pred: list[list[int]],
+        number: dict[str, int],
+        arcs: list[tuple[int, int, bool]],
         fixed_nodes: dict[int, bool],
         conj: list[bool],
         atom_count: int,
@@ -112,9 +121,8 @@ class DepGraph:
         rule_count: int = 0,
     ):
         self.names = names
-        self.number = {name: i for i, name in enumerate(names)}
-        self.succ = succ
-        self.pred = pred
+        self.number = number
+        self.arcs = arcs
         self.fixed_nodes = fixed_nodes
         self.conj = conj
         self.atom_count = atom_count
@@ -129,7 +137,20 @@ class DepGraph:
     @property
     def edges(self) -> frozenset[Edge]:
         """Every edge, built anew on each call."""
-        return frozenset(e for node in self.names for e in self.out_edges(node))
+        names = self.names
+        return frozenset(Edge(names[s], names[d], SIGNS[p]) for s, d, p in self.arcs)
+
+    @cached_property
+    def succ(self) -> list[list[int]]:
+        """Out-entries per node; the first read of succ or pred fills both."""
+        self.succ, self.pred = fill_adjacency(self)
+        return self.succ
+
+    @cached_property
+    def pred(self) -> list[list[int]]:
+        """In-entries per node; the first read of succ or pred fills both."""
+        self.succ, self.pred = fill_adjacency(self)
+        return self.pred
 
     @cached_property
     def bodies(self) -> Bodies:
@@ -255,7 +276,7 @@ def build_cnr(program: Program) -> DepGraph:
     constraints: list[int] = []
     conjunctions: list[int] = []
     origin: dict[str, tuple[Rule, ...]] = {}
-    edges: list[tuple[int, int, bool]] = []  # (src, dst, positive)
+    arcs: list[tuple[int, int, bool]] = []  # (src, dst, positive)
     seen: dict[tuple, tuple[str, ...]] = {}
     for rule in program.rules:
         key = (rule.head, frozenset(rule.body))
@@ -269,7 +290,7 @@ def build_cnr(program: Program) -> DepGraph:
         body = rule.body
         if rule.head is None:
             helper = f"{CONSTRAINT_PREFIX}{len(constraints)}"
-            head = len(names)
+            head = number[helper] = len(names)
             names.append(helper)
             constraints.append(head)
             origin[helper] = (rule,)
@@ -283,17 +304,17 @@ def build_cnr(program: Program) -> DepGraph:
 
         if len(body) == 1:
             lit = body[0]
-            edges.append((number[lit.atom], head, not lit.negated))
+            arcs.append((number[lit.atom], head, not lit.negated))
         else:
             helper = f"{CONJ_PREFIX}{len(conjunctions)}"
-            conj = len(names)
+            conj = number[helper] = len(names)
             names.append(helper)
             conjunctions.append(conj)
             origin[helper] = (rule,)
             helpers += (helper,)
             for lit in key[1]:  # the body without repeated literals
-                edges.append((number[lit.atom], conj, not lit.negated))
-            edges.append((conj, head, True))
+                arcs.append((number[lit.atom], conj, not lit.negated))
+            arcs.append((conj, head, True))
         seen[key] = helpers
 
     # Every edge in (src name, dst name, sign) order fills the out-lists in
@@ -302,39 +323,39 @@ def build_cnr(program: Program) -> DepGraph:
     rank = [0] * size
     for r, i in enumerate(sorted(range(size), key=names.__getitem__)):
         rank[i] = r
-    edges.sort(key=lambda e: (rank[e[0]] * size + rank[e[1]]) * 2 + e[2])
-    succ: list[list[int]] = [[] for _ in range(size)]
-    pred: list[list[int]] = [[] for _ in range(size)]
-    for src, dst, positive in edges:
-        succ[src].append(2 * dst + positive)
-        pred[dst].append(2 * src + positive)
+    arcs.sort(key=lambda e: (rank[e[0]] * size + rank[e[1]]) * 2 + e[2])
     fixed = {**dict.fromkeys(sorted(facts), True), **dict.fromkeys(constraints, False)}
     conj = [False] * size
     for i in conjunctions:
         conj[i] = True
     return DepGraph(
-        tuple(names), succ, pred, fixed, conj, atom_count, origin, rule_count=len(program.rules)
+        tuple(names), number, arcs, fixed, conj, atom_count, origin, rule_count=len(program.rules)
     )
 
 
+def fill_adjacency(g: DepGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The out- and in-lists of g, filled from its arc list in its order."""
+    size = len(g.names)
+    succ: list[list[int]] = [[] for _ in range(size)]
+    pred: list[list[int]] = [[] for _ in range(size)]
+    for src, dst, positive in g.arcs:
+        succ[src].append(2 * dst + positive)
+        pred[dst].append(2 * src + positive)
+    return succ, pred
+
+
 def flip_conjunction_signs(g: DepGraph) -> DepGraph:
-    """Copy of g with the sign bit of every conjunction-incident entry
-    flipped; every list keeps its order."""
+    """Copy of g with the sign of every conjunction-incident arc flipped;
+    the arc list keeps its order. The copy shares g's names, numbering and
+    conjunction flags."""
     conj = g.conj
-    succ = [
-        [e ^ 1 for e in entries] if conj[i] else [e ^ conj[e >> 1] for e in entries]
-        for i, entries in enumerate(g.succ)
-    ]
-    pred = [
-        [e ^ 1 for e in entries] if conj[i] else [e ^ conj[e >> 1] for e in entries]
-        for i, entries in enumerate(g.pred)
-    ]
+    arcs = [(src, dst, positive ^ (conj[src] or conj[dst])) for src, dst, positive in g.arcs]
     return DepGraph(
         g.names,
-        succ,
-        pred,
+        g.number,
+        arcs,
         dict(g.fixed_nodes),
-        g.conj,
+        conj,
         g.atom_count,
         dict(g.origin),
         g.transformed,
@@ -343,11 +364,13 @@ def flip_conjunction_signs(g: DepGraph) -> DepGraph:
 
 
 def cnr_to_dg(g: DepGraph) -> DepGraph:
-    """De Morgan rewrite: negate all in- and out-edges of conjunction nodes."""
+    """De Morgan rewrite: negate all in- and out-edges of conjunction nodes.
+    The result's adjacency lists are filled here, as the engines read them."""
     if g.transformed:
         raise DoubleTransformError("graph has already been transformed")
     out = flip_conjunction_signs(g)
     out.transformed = True
+    out.succ  # fills succ and pred
     return out
 
 

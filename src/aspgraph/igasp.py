@@ -220,10 +220,8 @@ class ProofTable:
 
 
 def _component_masks(g: DepGraph) -> list[int]:
-    pred = g.pred
     masks = [0] * len(g.names)
-    sources = lambda node: [entry >> 1 for entry in pred[node]]
-    for component in _strong_components(len(masks), range(len(masks)), sources):
+    for component in _strong_components(len(masks), range(len(masks)), g.pred.__getitem__):
         mask = 0
         for node in component:
             mask |= 1 << node

@@ -120,16 +120,18 @@ def check_justified(g: DepGraph, w: World) -> bool:
         return False
     values = list(map(w.values.__getitem__, g.names))
     fixed_nodes = g.fixed_nodes
+    for node, fixed in fixed_nodes.items():
+        if values[node] != fixed:
+            return False
     for node, entries in enumerate(g.pred):
-        value = values[node]
-        fixed = fixed_nodes.get(node)
-        if fixed is not None and value != fixed:
-            return False
-        effective = any(values[e >> 1] == e & 1 for e in entries)
-        if value and not effective and fixed is not True:
-            return False
-        if not value and effective:
-            return False
+        for e in entries:
+            if values[e >> 1] == e & 1:  # an effective in-edge
+                if not values[node]:
+                    return False
+                break
+        else:
+            if values[node] and fixed_nodes.get(node) is not True:
+                return False
     # After the checks above only a True atom has a body that holds, and
     # only True atoms need a derivation.
     t = g.bodies

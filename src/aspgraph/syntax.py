@@ -81,11 +81,10 @@ class Program:
     _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names: set[str] = set()
-        for rule in self.rules:
-            if rule.head is not None:
-                names.add(rule.head)
-            names.update(lit.atom for lit in rule.body)
+        rules = self.rules
+        names = {rule.head for rule in rules}
+        names.discard(None)  # the head of a constraint
+        names.update([lit.atom for rule in rules for lit in rule.body])
         object.__setattr__(self, "_atoms", frozenset(names))
 
     @property

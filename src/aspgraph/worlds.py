@@ -59,17 +59,29 @@ def initial_world(g: DepGraph) -> World:
 def world_from_atoms(g: DepGraph, true_atoms) -> World:
     """Total world induced by an atom assignment.
 
-    Conjunction nodes take the negation of their body's value (the
-    transformed-graph reading); constraint nodes stay False. After the flip
-    a conjunction node is True when any of its in-edges is effective (a
-    positive edge from a True node or a negative edge from a False one);
-    before it, when all of them are.
+    Atoms among true_atoms are True, every other node starts False; names
+    that are not atoms of the graph are ignored. Conjunction nodes take the
+    negation of their body's value (the transformed-graph reading);
+    constraint nodes stay False. After the flip a conjunction node is True
+    when any of its in-edges is effective (a positive edge from a True node
+    or a negative edge from a False one); before it, when all of them are.
     """
-    true_atoms = frozenset(true_atoms)
-    names = g.names
-    values = [i < g.atom_count and name in true_atoms for i, name in enumerate(names)]
-    combine = any if g.transformed else all
-    for node, entries in enumerate(g.pred):
-        if g.conj[node]:
-            values[node] = combine([values[e >> 1] == e & 1 for e in entries])
+    names, number, atom_count = g.names, g.number, g.atom_count
+    values = [False] * len(names)
+    for name in true_atoms:
+        node = number.get(name)
+        if node is not None and node < atom_count:
+            values[node] = True
+    pred, conj, flipped = g.pred, g.conj, g.transformed
+    for node in range(atom_count, len(names)):
+        if conj[node]:
+            # Its in-edges come from atoms, decided above. The first
+            # effective one decides it after the flip, the first
+            # ineffective one before it.
+            for e in pred[node]:
+                if (values[e >> 1] == e & 1) == flipped:
+                    values[node] = flipped
+                    break
+            else:
+                values[node] = not flipped
     return World(dict(zip(names, values)))

@@ -68,6 +68,16 @@ def test_solve_max_models(program_file, capsys):
     assert capsys.readouterr().out == "{p}\n"
 
 
+def test_solve_help_says_max_models_saves_no_solving_time(capsys):
+    # The engines return every model; the cap only trims what is printed.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--max-models N print at most N models" in help_text
+    assert "after a full search and saves no solving time" in help_text
+
+
 @pytest.mark.parametrize("limit", ["-1", "0"])
 def test_solve_max_models_below_one_exits_2(program_file, capsys, limit):
     assert main(["solve", program_file(EVEN), "--max-models", limit]) == 2

@@ -380,3 +380,33 @@ def test_one_igasp_solve_compiles_one_body_table(monkeypatch):
         compiled = 0
         assert igasp.solve_igasp(program)
         assert compiled == 1
+
+
+def test_a_solve_fills_only_the_transformed_graphs_lists(monkeypatch):
+    # The arc list is each graph's adjacency; succ and pred are filled from
+    # it once, on first read. The engines read only the transformed graph.
+    filled = []
+    original = graph_module.fill_adjacency
+
+    def counted(g):
+        filled.append(g.transformed)
+        return original(g)
+
+    monkeypatch.setattr(graph_module, "fill_adjacency", counted)
+    texts = [
+        "p :- not q. q :- not p. :- p, q.",
+        "a0. a1 :- a0.",
+        "p :- q, not q, r. s :- not q, q. :- q, not q.",
+    ]
+    programs = [parse_program(text) for text in texts] + [gen_coloring(5, cycle_graph(5))]
+    for program in programs:
+        for solve in (grasp.solve_grasp_worlds, igasp.solve_igasp):
+            filled.clear()
+            solve(program)
+            assert filled == [True]
+        filled.clear()
+        cnr = build_cnr(program)
+        assert flip_conjunction_signs(flip_conjunction_signs(cnr)) == cnr
+        assert filled == []  # a cnr graph nobody reads never fills
+        assert cnr.pred and cnr.succ
+        assert filled == [False]  # one fill gives both lists
