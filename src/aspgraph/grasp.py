@@ -1,11 +1,14 @@
 """Bottom-up solver over the transformed dependency graph.
 
 Solving walks the strongly-connected-component condensation in topological
-order. That order depends on the graph alone, so ``find_roots`` computes it
-once, by Kahn's algorithm, as a list of batches: each handle (a regular
-node or a component wrapped as a virtual node) counts its in-edges from
-other handles, and taking a handle decrements the counters of its
-successors; a handle whose counter reaches zero is ready.
+order. That order depends on the graph alone, and ``find_roots`` yields it
+batch by batch, by Kahn's algorithm: each handle (a regular node or a
+component wrapped as a virtual node) counts its in-edges from other
+handles, and taking a handle decrements the counters of its successors; a
+handle whose counter reaches zero is ready. The components are found only
+when the walk first stalls with nodes left, and ``solve_graph`` stops
+pulling batches once its worlds are all dead, so most unsatisfiable
+programs and every acyclic one are solved without looking for components.
 
 The batches propagate before they branch. Every ready regular node is taken
 at once, since a regular node never branches: an unfixed one defaults to
@@ -51,6 +54,7 @@ component's size is not bounded by the interpreter's recursion limit.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 
 from .cycles import find_virtual_nodes
 from .graph import DepGraph, build_cnr, cnr_to_dg, least_fixpoint
@@ -58,65 +62,76 @@ from .syntax import Program
 from .worlds import World, initial_world
 
 
-def find_roots(g: DepGraph) -> list[tuple[list[int], bool]]:
-    """The whole schedule of a graph, as (nodes, is_component) batches.
+def find_roots(g: DepGraph) -> Iterator[tuple[list[int], bool]]:
+    """The schedule of a graph, as (nodes, is_component) batches, yielded
+    as the walk reaches them.
 
     A batch is every ready regular node, by number, or else the ready
     component with the smallest key, as its sorted member numbers. A
     regular node never branches, so all of them are taken before the next
-    component multiplies the worlds. The condensation is acyclic, so every
-    handle becomes ready; one that never does signals a wrapping bug.
+    component multiplies the worlds.
+
+    The components are found only when the walk first needs one. Until
+    then it is Kahn's algorithm over the raw graph, where a node's counter
+    is its in-edge count; no member of a component can become ready there.
+    At the first stall, if some node is still unscheduled, the components
+    are wrapped once: each member's counter folds into its handle's,
+    without the edges inside the component, and the walk goes on over the
+    condensation. So an acyclic graph never looks for components, and
+    neither does a solve whose worlds all die before the first stall. The
+    condensation is acyclic, so every handle becomes ready; one that never
+    does signals a wrapping bug.
     """
     size = len(g.names)
+    succ, pred = g.succ, g.pred
+    waiting = list(map(len, pred))  # per handle, once components are wrapped
     handle = list(range(size))
     components: list[list[int]] = []  # in the order of their keys
     rank: dict[int, int] = {}  # handle -> place in components
-    for v in find_virtual_nodes(g):
-        members = sorted(g.number[m] for m in v.members)
-        rank[members[0]] = len(components)
-        components.append(members)
-        for m in members:
-            handle[m] = members[0]
-    waiting = [0] * size
-    succ: list[list[int]] = [[] for _ in range(size)]
-    for n, entries in enumerate(g.succ):
-        src = handle[n]
-        for e in entries:
-            dst = handle[e >> 1]
-            if dst != src:
-                waiting[dst] += 1
-                succ[src].append(dst)
-    regular: list[int] = []
+    wrapped = False
+    regular = [n for n in range(size) if not waiting[n]]
     ready: list[int] = []  # heap of places in components
-
-    def make_ready(h: int) -> None:
-        if h in rank:
-            heapq.heappush(ready, rank[h])
-        else:
-            regular.append(h)
-
-    for h in range(size):
-        if handle[h] == h and not waiting[h]:
-            make_ready(h)
-    schedule = []
-    while regular or ready:
+    left = size  # nodes not yet scheduled
+    while True:
         if regular:
             batch = sorted(regular)
             regular.clear()
-            schedule.append((batch, False))
+            yield batch, False
+        elif ready:
+            batch = components[heapq.heappop(ready)]
+            yield batch, True
+        elif left and not wrapped:
+            wrapped = True
+            for v in find_virtual_nodes(g):
+                members = sorted(g.number[m] for m in v.members)
+                inside = set(members)
+                h = members[0]
+                rank[h] = len(components)
+                components.append(members)
+                count = 0
+                for m in members:
+                    handle[m] = h
+                    count += waiting[m] - sum(e >> 1 in inside for e in pred[m])
+                waiting[h] = count
+                if not count:
+                    heapq.heappush(ready, rank[h])
+            continue
         else:
-            members = components[heapq.heappop(ready)]
-            batch = members[:1]
-            schedule.append((members, True))
-        for h in batch:
-            for dst in succ[h]:
-                waiting[dst] -= 1
-                if not waiting[dst]:
-                    make_ready(dst)
-    # A handle that was never taken still waits for an in-edge.
-    if any(waiting):
+            break
+        left -= len(batch)
+        for n in batch:
+            src = handle[n]
+            for e in succ[n]:
+                dst = handle[e >> 1]
+                if dst != src:
+                    waiting[dst] -= 1
+                    if not waiting[dst]:
+                        if dst in rank:
+                            heapq.heappush(ready, rank[dst])
+                        else:
+                            regular.append(dst)
+    if left:
         raise RuntimeError("a handle never became ready: cycle wrapping is broken")
-    return schedule
 
 
 def propagate(node: int, value: bool, w: World, g: DepGraph) -> World:
@@ -354,8 +369,6 @@ def solve_graph(g: DepGraph) -> list[World]:
     node values by number."""
     worlds = [initial_world(g)]
     for nodes, is_component in find_roots(g):
-        if not worlds:
-            break
         # A component's labelings depend only on the values it reads from
         # below (the splitting-set theorem), so it is broken once per
         # distinct context; the labelings are read-only.
@@ -382,6 +395,8 @@ def solve_graph(g: DepGraph) -> list[World]:
                 if branch.consistent:
                     survivors.append(branch)
         worlds = survivors
+        if not worlds:  # a dead solve pulls no further batch
+            break
     return worlds
 
 

@@ -32,6 +32,12 @@ def random_program_text(rng: random.Random, n_atoms: int, n_rules: int,
     return "\n".join(lines) + "\n"
 
 
+# The settings of the paper's random benchmark programs.
+PAPER_CONFIG = dict(
+    num_atoms=300, num_rules=300, max_body_len=3, naf_probability=0.5, constraint_fraction=0.05
+)
+
+
 def is_effective(edge, w) -> bool:
     """Reference effectiveness of an Edge in a name-keyed world: a positive
     edge from a True node or a negative edge from a False node."""

@@ -21,7 +21,7 @@ from aspgraph.graph import (
 from aspgraph.justify import export_dot_world, justify
 from aspgraph.syntax import parse_program
 
-from conftest import random_program_text
+from conftest import PAPER_CONFIG, random_program_text
 
 
 def edges_of(g):
@@ -303,12 +303,6 @@ def test_parallel_edges_keep_original_sign_order():
         ("q", Sign.NEGATIVE),
         ("r", Sign.NEGATIVE),
     ]
-
-
-# The settings of the paper's random benchmark programs.
-PAPER_CONFIG = dict(
-    num_atoms=300, num_rules=300, max_body_len=3, naf_probability=0.5, constraint_fraction=0.05
-)
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
+import heapq
+import importlib
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 
 from aspgraph import grasp
 from aspgraph.cycles import find_virtual_nodes
-from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
+from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_hamiltonian, gen_random
 from aspgraph.graph import NodeKind, Sign, build_cnr, cnr_to_dg, node_kind
 from aspgraph.grasp import (
     break_cycles,
@@ -22,7 +26,9 @@ from aspgraph.oracle import enumerate_stable
 from aspgraph.syntax import parse_program
 from aspgraph.worlds import World, initial_world
 
-from conftest import random_program_text
+from conftest import PAPER_CONFIG, random_program_text
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def transformed(text):
@@ -67,19 +73,19 @@ def test_empty_program_has_empty_model():
 
 def test_find_roots_fig3():
     g = transformed("p :- q, not r.")
-    batch, is_component = find_roots(g)[0]
+    batch, is_component = list(find_roots(g))[0]
     assert batch == [g.number["q"], g.number["r"]] and not is_component
 
 
 def test_find_roots_wrapped_cycle():
     g = transformed("p :- not q. q :- not p.")
-    assert find_roots(g) == [(sorted([g.number["p"], g.number["q"]]), True)]
+    assert list(find_roots(g)) == [(sorted([g.number["p"], g.number["q"]]), True)]
 
 
 def test_find_roots_empty_view():
-    assert find_roots(transformed("")) == []
+    assert list(find_roots(transformed(""))) == []
     g = transformed("p :- q.")
-    assert find_roots(g) == [([g.number["q"]], False), ([g.number["p"]], False)]
+    assert list(find_roots(g)) == [([g.number["q"]], False), ([g.number["p"]], False)]
 
 
 def _brute_force_batch(g, virtual, removed):
@@ -112,7 +118,7 @@ def test_find_roots_matches_brute_force_every_layer():
         g = transformed(random_program_text(rng, rng.randint(1, 9), rng.randint(1, 14)))
         virtual = find_virtual_nodes(g)
         removed = set()
-        for nodes, is_component in find_roots(g):
+        for nodes, is_component in list(find_roots(g)):
             names = [g.names[n] for n in nodes]
             keys = [min(names)] if is_component else names
             assert keys == _brute_force_batch(g, virtual, removed)
@@ -124,7 +130,263 @@ def test_rootless_view_raises(monkeypatch):
     monkeypatch.setattr(grasp, "find_virtual_nodes", lambda g: [])
     g = transformed("p :- not q. q :- not p.")
     with pytest.raises(RuntimeError, match="cycle wrapping is broken"):
-        find_roots(g)
+        list(find_roots(g))
+
+
+def reference_find_roots(g):
+    """The eager schedule find_roots replaced: the components are found
+    first, and the whole walk over the condensation is returned as a list."""
+    size = len(g.names)
+    handle = list(range(size))
+    components = []  # in the order of their keys
+    rank = {}  # handle -> place in components
+    for v in find_virtual_nodes(g):
+        members = sorted(g.number[m] for m in v.members)
+        rank[members[0]] = len(components)
+        components.append(members)
+        for m in members:
+            handle[m] = members[0]
+    waiting = [0] * size
+    succ = [[] for _ in range(size)]
+    for n, entries in enumerate(g.succ):
+        src = handle[n]
+        for e in entries:
+            dst = handle[e >> 1]
+            if dst != src:
+                waiting[dst] += 1
+                succ[src].append(dst)
+    regular = []
+    ready = []  # heap of places in components
+
+    def make_ready(h):
+        if h in rank:
+            heapq.heappush(ready, rank[h])
+        else:
+            regular.append(h)
+
+    for h in range(size):
+        if handle[h] == h and not waiting[h]:
+            make_ready(h)
+    schedule = []
+    while regular or ready:
+        if regular:
+            batch = sorted(regular)
+            regular.clear()
+            schedule.append((batch, False))
+        else:
+            members = components[heapq.heappop(ready)]
+            batch = members[:1]
+            schedule.append((members, True))
+        for h in batch:
+            for dst in succ[h]:
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    make_ready(dst)
+    if any(waiting):
+        raise RuntimeError("a handle never became ready: cycle wrapping is broken")
+    return schedule
+
+
+def _staged_program_text(rng):
+    """A random program built in stages, each a regular chain that reads
+    atoms of earlier stages and then a ring (even, odd or positive, or a
+    self-loop) whose members may read the chain and earlier atoms. So the
+    components are fed by regular chains, several are often ready at once,
+    and many become ready only after the walk has stalled and taken an
+    earlier one."""
+
+    def literal(atom):
+        return f"not {atom}" if rng.random() < 0.5 else atom
+
+    lines = []
+    below = []  # atoms of earlier stages and of this stage's chain
+    for stage in range(rng.randint(1, 4)):
+        source = rng.choice(below) if below and rng.random() < 0.8 else None
+        for i in range(rng.randint(0, 3)):
+            atom = f"c{stage}_{i}"
+            lines.append(f"{atom} :- {literal(source)}." if source else f"{atom}.")
+            below.append(atom)
+            source = atom
+        ring = [f"r{stage}_{i}" for i in range(rng.randint(1, 3))]
+        for i, atom in enumerate(ring):
+            body = [literal(ring[(i + 1) % len(ring)])]
+            if below and rng.random() < 0.7:
+                body.append(literal(rng.choice(below)))
+            lines.append(f"{atom} :- {', '.join(dict.fromkeys(body))}.")
+        below += ring
+    for _ in range(rng.randint(0, 2)):
+        body = dict.fromkeys(literal(rng.choice(below)) for _ in range(2))
+        lines.append(f":- {', '.join(body)}.")
+    return "\n".join(lines) + "\n"
+
+
+def test_find_roots_matches_the_eager_schedule():
+    rng = random.Random(27)
+    several = after_stall = 0
+    texts = [_staged_program_text(rng) for _ in range(1200)]
+    texts += [
+        random_program_text(rng, rng.randint(1, 9), rng.randint(1, 20)) for _ in range(300)
+    ]
+    for text in texts:
+        g = transformed(text)
+        schedule = list(find_roots(g))
+        assert schedule == reference_find_roots(g)
+        walk = "".join("C" if is_component else "R" for _, is_component in schedule)
+        several += walk.count("C") >= 2
+        # a component that became ready only after another one was taken
+        after_stall += re.search("CR+C", walk) is not None
+    assert several >= 800
+    assert after_stall >= 600
+
+
+def test_find_roots_matches_the_eager_schedule_on_the_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for generator in (workloads.paper_random, workloads.classic, workloads.chain):
+        for item in generator(1):
+            g = transformed(item.text)
+            assert list(find_roots(g)) == reference_find_roots(g)
+
+
+def _count_component_searches(monkeypatch):
+    """The graphs grasp looks for components in, one entry per call."""
+    calls = []
+    original = grasp.find_virtual_nodes
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(grasp, "find_virtual_nodes", counted)
+    return calls
+
+
+def _record_pulled_batches(monkeypatch, schedule=None):
+    """The batches solve_graph pulls from find_roots, or from the given
+    schedule function, in order."""
+    pulled = []
+    schedule = schedule or grasp.find_roots
+
+    def recorded(g):
+        for batch in schedule(g):
+            pulled.append(batch)
+            yield batch
+
+    monkeypatch.setattr(grasp, "find_roots", recorded)
+    return pulled
+
+
+def test_a_dead_solve_pulls_no_further_batch(monkeypatch):
+    # The fact kills the only world in the first batch, before the even
+    # loop's component is reached.
+    calls = _count_component_searches(monkeypatch)
+    pulled = _record_pulled_batches(monkeypatch)
+    assert models("a. :- a. p :- not q. q :- not p.") == []
+    assert len(pulled) == 1
+    assert calls == []
+
+
+def test_chains_never_look_for_components(monkeypatch):
+    calls = _count_component_searches(monkeypatch)
+    for shape in ("pos", "mixed"):
+        (model,) = solve_grasp(parse_program(_chain(shape, 2000)))
+        assert model == {f"a{i}" for i in range(2001)}
+    assert calls == []
+
+
+def test_coloring_looks_for_components_once(monkeypatch):
+    calls = _count_component_searches(monkeypatch)
+    assert len(solve_grasp(gen_coloring(5, cycle_graph(5)))) == 30
+    assert len(calls) == 1
+
+
+def test_paper_configuration_looks_for_components_only_when_reached(monkeypatch):
+    programs = [gen_random(GenConfig(seed=seed, **PAPER_CONFIG)) for seed in range(30)]
+    # The solves whose worlds survive to a component batch, walking the
+    # eager schedule.
+    reached = 0
+    with monkeypatch.context() as patched:
+        pulled = _record_pulled_batches(patched, reference_find_roots)
+        for program in programs:
+            pulled.clear()
+            solve_grasp(program)
+            reached += any(is_component for _, is_component in pulled)
+    calls = _count_component_searches(monkeypatch)
+    for program in programs:
+        solve_grasp(program)
+    assert len(calls) == reached
+    assert 0 < reached < len(programs)
+
+
+@st.composite
+def _programs(draw):
+    """Small programs over x0..x7: rules, facts and constraints."""
+    atoms = [f"x{i}" for i in range(draw(st.integers(1, 8)))]
+    literal = st.tuples(st.sampled_from(atoms), st.booleans())
+    rule = st.tuples(
+        st.none() | st.sampled_from(atoms), st.lists(literal, max_size=3, unique=True)
+    )
+    lines = []
+    for head, body in draw(st.lists(rule, max_size=14)):
+        text = ", ".join(f"not {a}" if negated else a for a, negated in body)
+        if head is None:
+            if body:
+                lines.append(f":- {text}.")
+        else:
+            lines.append(f"{head} :- {text}." if body else f"{head}.")
+    return "\n".join(lines)
+
+
+@given(_programs())
+@settings(max_examples=200, deadline=None)
+def test_schedule_boundary_property(text):
+    g = transformed(text)
+    schedule = list(find_roots(g))
+    components = [members_of(g, v) for v in find_virtual_nodes(g)]
+    handle = list(range(len(g.names)))
+    for members in components:
+        for m in members:
+            handle[m] = members[0]
+    regular = sorted(set(range(len(g.names))).difference(*components))
+
+    # every node appears in exactly one batch
+    place = {}
+    for i, (nodes, _) in enumerate(schedule):
+        for n in nodes:
+            assert n not in place
+            place[n] = i
+    assert sorted(place) == list(range(len(g.names)))
+
+    # every in-edge from another handle comes from an earlier batch
+    for n, i in place.items():
+        for e in g.pred[n]:
+            if handle[e >> 1] != handle[n]:
+                assert place[e >> 1] < i
+
+    # the component batches are exactly the components
+    assert sorted(nodes for nodes, is_component in schedule if is_component) == sorted(
+        components
+    )
+
+    def ready(members, i):
+        """Every in-edge from outside the handle comes from before batch i."""
+        return all(
+            place[e >> 1] < i
+            for m in members
+            for e in g.pred[m]
+            if handle[e >> 1] != handle[m]
+        )
+
+    # a regular batch is every ready regular node; a component batch comes
+    # only when none is ready, and is the ready component with the least key
+    for i, (nodes, is_component) in enumerate(schedule):
+        waiting_regular = [n for n in regular if place[n] >= i and ready([n], i)]
+        if not is_component:
+            assert nodes == waiting_regular
+            continue
+        assert waiting_regular == []
+        candidates = [c for c in components if place[c[0]] >= i and ready(c, i)]
+        assert nodes == min(candidates, key=lambda c: min(g.names[m] for m in c))
 
 
 def _chain(shape, n):
