@@ -28,7 +28,11 @@ only. The labeling search itself keeps counters (Dowling & Gallier's
 linear-time Horn propagation, 1984): each member body counts its false and
 its undecided literals and each head its true and its non-false bodies, so
 checking a head takes constant time and a decision touches only the bodies
-that mention it. The member bodies come from the graph's body table, where
+that mention it. After every decision the search sets the values those
+counters force, transitively: a head with a true body is True, and a head
+with no live body is False. Forcing cuts only branches that the checks
+would reject later, so the labelings come out the same and in the same
+order, True first. The member bodies come from the graph's body table, where
 a fact is the empty body. Foundedness, at a leaf of the search and for a
 component without negation inside, is the graph module's one least
 fixpoint, the same one ``check_justified`` uses.
@@ -198,6 +202,16 @@ def _stable_labelings(
     time and a decision, or its undoing, touches only the bodies that
     mention it. The search tree is walked depth first with an explicit
     stack, True before False at each decision.
+
+    Before the first decision and after each one, the search sets every
+    value the counters force: a head with a true body is True, and a head
+    with no live body is False. Forcing follows the changed heads through
+    the bodies that mention them, so it is transitive; the forced atoms go
+    onto a trail per depth, which is undone on backtrack, and a decision
+    already forced when the search reaches it is passed through once.
+    Either value forcing rules out would fail its head's check later on
+    every path, so the labelings, and their order, are the ones the search
+    finds without forcing; only the dead branches are cut.
     """
     atoms = sorted(m for m in members if m < g.atom_count)
     number = {a: j for j, a in enumerate(atoms)}
@@ -294,10 +308,49 @@ def _stable_labelings(
                 true_bodies[head_of[i]] -= 1
             undecided[i] += 1
 
+    def force(j: int, trail: list[int]) -> bool:
+        """Check the heads a change of j touched, and set every value the
+        counters force from there, transitively, onto trail: a head with a
+        true body is True, one with no live body False. False on a head
+        that fails its check."""
+        changed = [j]
+        while changed:
+            k = changed.pop()
+            if not head_ok(k):
+                return False
+            for h in watchers[k]:
+                if value[h] is not None:
+                    if not head_ok(h):
+                        return False
+                    continue
+                if true_bodies[h]:
+                    val = True
+                elif not live_bodies[h]:
+                    val = False
+                else:
+                    continue
+                value[h] = val
+                decide(h, val)
+                trail.append(h)
+                changed.append(h)
+        return True
+
+    for j in decisions:  # the values forced before the first decision
+        if value[j] is None and (true_bodies[j] or not live_bodies[j]):
+            value[j] = val = bool(true_bodies[j])
+            decide(j, val)
+            if not force(j, []):
+                return []
+    decisions = [j for j in decisions if value[j] is None]
+
     results: list[dict[int, bool]] = []
-    # tries[d]: how many values decision d has taken on the current path;
-    # its value stays set while the search is below it.
+    # tries[d]: 0 while decision d is open, 1 or 2 once it has been set True
+    # or False on the current path, PASSED once it came forced from above;
+    # trails[d]: the values forced after it. Both stay while the search is
+    # below d, and are undone when it comes back.
+    PASSED = 3
     tries = [0] * len(decisions)
+    trails: list[list[int]] = [[] for _ in decisions]
     depth = 0
     while depth >= 0:
         if depth == len(decisions):
@@ -310,18 +363,29 @@ def _stable_labelings(
             depth -= 1
             continue
         j = decisions[depth]
-        if value[j] is not None:
-            undo(j, value[j])
-            value[j] = None
-        if tries[depth] == 2:
-            tries[depth] = 0
-            depth -= 1
+        t = tries[depth]
+        if not t and value[j] is not None:  # forced from above: pass through once
+            tries[depth] = PASSED
+            depth += 1
             continue
-        val = tries[depth] == 0  # True first
-        tries[depth] += 1
+        if t:
+            trail = trails[depth]
+            for k in reversed(trail):
+                undo(k, value[k])
+                value[k] = None
+            trail.clear()
+            if t != PASSED:
+                undo(j, value[j])
+                value[j] = None
+            if t != 1:
+                tries[depth] = 0
+                depth -= 1
+                continue
+        val = not t  # True first
+        tries[depth] = t + 1
         value[j] = val
         decide(j, val)
-        if head_ok(j) and all(head_ok(h) for h in watchers[j]):
+        if force(j, trails[depth]):
             depth += 1
     return results
 

@@ -12,16 +12,21 @@ lines and is terminated by ``.``. ``not`` is a reserved word and cannot be
 used as an atom name. A headless rule is an integrity constraint and must
 have a non-empty body.
 
+``Literal`` and ``Rule`` are named tuples: immutable, compared and hashed
+as tuples of their fields, so a rule body hashes in C.
+
 ``parse_program`` takes the tokens as plain strings with one ``findall``,
 in which a character no token can start comes out as a token of its own;
-if there is none, it parses that list. Token positions are not tracked: the line and column of an error
-are worked out from the text only when a ``ParseError`` is raised.
+if there is none, it parses that list. Token positions are not tracked:
+the line and column of an error are worked out from the text only when a
+``ParseError`` is raised.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -37,8 +42,7 @@ class EmptyConstraintError(ParseError):
     """A bare ':- .' constraint with no body literals."""
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """A body literal: an atom, possibly under negation as failure."""
 
     atom: str
@@ -48,8 +52,7 @@ class Literal:
         return f"not {self.atom}" if self.negated else self.atom
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(NamedTuple):
     """A fact (empty body), normal rule, or headless constraint (head None)."""
 
     head: str | None
@@ -140,7 +143,8 @@ def parse_program(text: str) -> Program:
         raise ParseError(
             f"unexpected character {first[0]!r}", *_position(text, first.start())
         )
-    tokens = [t for t in tokens if t[0] != "%"]
+    if "%" in text:
+        tokens = [t for t in tokens if t[0] != "%"]
     last = len(tokens)
     tokens.append("")
 
@@ -148,6 +152,7 @@ def parse_program(text: str) -> Program:
         found = repr(tokens[i]) if i < last else "end of input"
         return _token_error(text, i, f"expected {what}, found {found}")
 
+    new = tuple.__new__  # skips the named tuples' Python-level __new__
     rules = []
     i = 0
     while i < last:
@@ -163,14 +168,14 @@ def parse_program(text: str) -> Program:
         elif head in _NOT_ATOM:
             raise expected("rule head or ':-'", i)
         elif tokens[i + 1] == ".":
-            rules.append(Rule(head, (), len(rules)))
+            rules.append(new(Rule, (head, (), len(rules))))
             i += 2
             continue
         elif tokens[i + 1] != ":-":
             raise expected("':-' or '.'", i + 1)
         else:
             i += 2
-        body: dict[tuple[str, bool], Literal] = {}  # drops repeated conjuncts
+        literals = []
         while True:
             atom = tokens[i]
             negated = atom == "not"
@@ -181,9 +186,7 @@ def parse_program(text: str) -> Program:
                     raise expected("atom after 'not'", i)
             elif atom in _NOT_ATOM:
                 raise expected("literal", i)
-            key = (atom, negated)
-            if key not in body:
-                body[key] = Literal(atom, negated)
+            literals.append(new(Literal, (atom, negated)))
             i += 1
             if tokens[i] != ",":
                 break
@@ -191,7 +194,9 @@ def parse_program(text: str) -> Program:
         if tokens[i] != ".":
             raise expected("'.'", i)
         i += 1
-        rules.append(Rule(head, tuple(body.values()), len(rules)))
+        # drops repeated conjuncts, keeping the first of each
+        body = tuple(dict.fromkeys(literals) if len(literals) > 1 else literals)
+        rules.append(new(Rule, (head, body, len(rules))))
     return Program(tuple(rules))
 
 

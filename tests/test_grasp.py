@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from aspgraph import grasp
 from aspgraph.cycles import find_virtual_nodes
 from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_hamiltonian, gen_random
-from aspgraph.graph import NodeKind, Sign, build_cnr, cnr_to_dg, node_kind
+from aspgraph.graph import NodeKind, Sign, build_cnr, cnr_to_dg, least_fixpoint, node_kind
 from aspgraph.grasp import (
     break_cycles,
     find_roots,
@@ -575,6 +575,184 @@ def test_break_cycles_external_truth_forces_labeling():
     # a fact inside the positive cycle keeps the loop alive
     text = "p. p :- q. q :- p."
     assert models(text) == [["p", "q"]]
+
+
+def reference_stable_labelings(members, g, w):
+    """The labeling search _stable_labelings replaced: it decides every
+    undecided member atom, True first, and only checks the heads after each
+    decision, without setting the values that the counters force."""
+    atoms = sorted(m for m in members if m < g.atom_count)
+    number = {a: j for j, a in enumerate(atoms)}
+    value: list[bool | None] = [True if w.values[a] is True else None for a in atoms]
+    t = g.bodies
+    head_of: list[int] = []
+    pos_members: list[list[int]] = []  # positive member literals per body
+    false: list[int] = []
+    undecided: list[int] = []
+    outside_ok: list[int] = []  # bodies whose outside literals all hold
+    uses: list[list[tuple[int, bool]]] = [[] for _ in atoms]  # (body, negated)
+    pos_uses: list[list[int]] = [[] for _ in atoms]
+    member_naf = False
+    for head, atom in enumerate(atoms):
+        lo, hi = t.start[atom], t.start[atom + 1]
+        bodies = list(zip(t.pos[lo:hi], t.neg[lo:hi]))
+        if value[head]:  # True from outside: its context is an empty body
+            bodies.append(((), ()))
+        for body_pos, body_neg in bodies:
+            i = len(head_of)
+            head_of.append(head)
+            pos = []
+            f = u = 0
+            blocked = False
+            for negated, lits in ((False, body_pos), (True, body_neg)):
+                for lit in lits:
+                    j = number.get(lit)
+                    if j is None:
+                        val = w.values[lit]
+                        if val is None:
+                            u += 1
+                            blocked = True
+                        elif val == negated:
+                            f += 1
+                            blocked = True
+                        continue
+                    member_naf = member_naf or negated
+                    if not negated:
+                        pos.append(j)
+                        pos_uses[j].append(i)
+                    if value[j] is None:
+                        u += 1
+                        uses[j].append((i, negated))
+                    elif negated:
+                        f += 1
+            pos_members.append(pos)
+            false.append(f)
+            undecided.append(u)
+            if not blocked:
+                outside_ok.append(i)
+    decisions = [j for j, val in enumerate(value) if val is None]
+
+    # A component whose member atoms never occur negated in member bodies
+    # has positive internal cycles only, hence exactly one stable labeling:
+    # the support fixpoint from externally true members, all else False.
+    if not member_naf:
+        fixed = least_fixpoint(head_of, pos_members, pos_uses, outside_ok)
+        return [{a: (j in fixed) for j, a in enumerate(atoms)}]
+
+    true_bodies = [0] * len(atoms)
+    live_bodies = [0] * len(atoms)  # bodies that are not (yet) False
+    for i, head in enumerate(head_of):
+        if not false[i]:
+            live_bodies[head] += 1
+            if not undecided[i]:
+                true_bodies[head] += 1
+    watchers = [list(dict.fromkeys(head_of[i] for i, _ in body_uses)) for body_uses in uses]
+
+    def head_ok(head: int) -> bool:
+        val = value[head]
+        if val is None:
+            return True
+        if val:
+            return live_bodies[head] > 0
+        return not true_bodies[head]
+
+    def decide(j: int, val: bool) -> None:
+        for i, negated in uses[j]:
+            undecided[i] -= 1
+            if val == negated:
+                if not false[i]:
+                    live_bodies[head_of[i]] -= 1
+                false[i] += 1
+            elif not undecided[i] and not false[i]:
+                true_bodies[head_of[i]] += 1
+
+    def undo(j: int, val: bool) -> None:
+        for i, negated in uses[j]:
+            if val == negated:
+                false[i] -= 1
+                if not false[i]:
+                    live_bodies[head_of[i]] += 1
+            elif not undecided[i] and not false[i]:
+                true_bodies[head_of[i]] -= 1
+            undecided[i] += 1
+
+    results: list[dict[int, bool]] = []
+    # tries[d]: how many values decision d has taken on the current path;
+    # its value stays set while the search is below it.
+    tries = [0] * len(decisions)
+    depth = 0
+    while depth >= 0:
+        if depth == len(decisions):
+            true_bodies_now = [
+                i for i in range(len(head_of)) if not false[i] and not undecided[i]
+            ]
+            founded = least_fixpoint(head_of, pos_members, pos_uses, true_bodies_now)
+            if all(j in founded for j, val in enumerate(value) if val):
+                results.append(dict(zip(atoms, value)))
+            depth -= 1
+            continue
+        j = decisions[depth]
+        if value[j] is not None:
+            undo(j, value[j])
+            value[j] = None
+        if tries[depth] == 2:
+            tries[depth] = 0
+            depth -= 1
+            continue
+        val = tries[depth] == 0  # True first
+        tries[depth] += 1
+        value[j] = val
+        decide(j, val)
+        if head_ok(j) and all(head_ok(h) for h in watchers[j]):
+            depth += 1
+    return results
+
+
+def _check_labelings_against_reference(monkeypatch):
+    """Make every call of grasp._stable_labelings also run the reference
+    search and assert the same labelings in the same order; returns one
+    (member atoms, labelings) entry per checked call."""
+    calls = []
+    search = grasp._stable_labelings
+
+    def checked(members, g, w):
+        expected = reference_stable_labelings(members, g, w)
+        labelings = search(members, g, w)
+        assert labelings == expected
+        assert [list(lab) for lab in labelings] == [list(lab) for lab in expected]
+        calls.append((sum(m < g.atom_count for m in members), len(labelings)))
+        return labelings
+
+    monkeypatch.setattr(grasp, "_stable_labelings", checked)
+    return calls
+
+
+def test_labelings_match_the_reference_search_on_the_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    calls = _check_labelings_against_reference(monkeypatch)
+    for seed in (1, 2, 3):
+        for generator in (workloads.paper_random, workloads.classic, workloads.chain):
+            for item in generator(seed):
+                solve_grasp(parse_program(item.text))
+    assert len(calls) >= 300
+
+
+def test_labelings_match_the_reference_search_on_random_programs(monkeypatch):
+    calls = _check_labelings_against_reference(monkeypatch)
+    rng = random.Random(19)
+    for _ in range(3000):
+        # many atoms and rules for large components; few constraints, so
+        # that more solves reach them alive
+        text = random_program_text(
+            rng, rng.randint(10, 40), rng.randint(20, 80),
+            naf=rng.uniform(0.3, 0.8), constraint_fraction=rng.choice((0.0, 0.05)),
+        )
+        solve_grasp(parse_program(text))
+    assert len(calls) >= 3000
+    assert sum(atoms >= 20 for atoms, _ in calls) >= 300
+    assert sum(found >= 2 for _, found in calls) >= 50
+    assert sum(not found for _, found in calls) >= 300
 
 
 def test_merge_root_worlds_counts():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_random
 from aspgraph.syntax import (
     EmptyConstraintError,
     Literal,
@@ -210,3 +211,75 @@ def test_parse_round_trips_or_error_lies_in_text(text):
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
     else:
         assert parse_program(print_program(program)) == program
+
+
+# -- the record contract: Literal and Rule are immutable named tuples
+
+
+def test_record_fields_cannot_be_assigned():
+    lit = Literal("q", True)
+    rule = Rule("p", (lit,), 3)
+    for record, name, value in ((lit, "atom", "r"), (lit, "negated", False),
+                                (rule, "head", "x"), (rule, "body", ()),
+                                (rule, "source_index", 0)):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    assert (lit, rule) == (Literal("q", True), Rule("p", (Literal("q", True),), 3))
+
+
+def test_equal_records_hash_alike():
+    assert Literal("q") == Literal("q", False)
+    assert hash(Literal("q")) == hash(Literal("q", False))
+    assert Literal("q") != Literal("q", True)
+    body = (Literal("q"), Literal("r", True))
+    assert hash(Rule("p", body, 2)) == hash(Rule("p", tuple(body), 2))
+    assert len({Rule(None, body), Rule(None, body, 0), Rule(None, body, 1)}) == 2
+    # a body deduplicated as a frozenset, the way build_cnr keys rules
+    assert frozenset(body + body[:1]) == frozenset(reversed(body))
+
+
+def test_record_defaults_str_and_repr():
+    lit, neg = Literal("q"), Literal("r", True)
+    assert (lit.negated, Rule("p", ()).source_index) == (False, 0)
+    assert (str(lit), str(neg)) == ("q", "not r")
+    assert repr(neg) == "Literal(atom='r', negated=True)"
+    rule = Rule("p", (lit, neg), 4)
+    assert repr(rule) == (
+        "Rule(head='p', body=(Literal(atom='q', negated=False), "
+        "Literal(atom='r', negated=True)), source_index=4)"
+    )
+    fact, constraint = Rule("q", ()), Rule(None, (neg,))
+    assert (str(rule), str(fact), str(constraint)) == ("p :- q, not r.", "q.", ":- not r.")
+    assert [r.is_fact for r in (rule, fact, constraint)] == [False, True, False]
+    assert [r.is_constraint for r in (rule, fact, constraint)] == [False, False, True]
+
+
+def test_parsed_records_equal_constructed_ones():
+    rule = parse_program("p :- q, not r, q.").rules[0]
+    assert type(rule) is Rule and all(type(lit) is Literal for lit in rule.body)
+    assert rule == Rule("p", (Literal("q"), Literal("r", negated=True)), 0)
+    assert parse_program(":- not r.").rules[0] == Rule(None, (Literal("r", True),))
+
+
+def test_generated_programs_equal_their_reparse():
+    for seed in range(5):
+        program = gen_random(GenConfig(seed=seed, num_atoms=60, num_rules=80))
+        assert parse_program(print_program(program)) == program
+    for n in (3, 5, 8):
+        program = gen_coloring(n, cycle_graph(n))
+        assert parse_program(print_program(program)) == program
+
+
+def test_comments_parse_like_the_text_without_them():
+    with_comments = (
+        "% header\n"
+        "p :- q, % first conjunct\n"
+        "     not r.  % end of rule\n"
+        "%% a line of its own\n"
+        "q. r :- not p. % last\n"
+    )
+    without = "\np :- q, \n     not r.  \n\nq. r :- not p. \n"
+    assert "%" not in without
+    program = parse_program(with_comments)
+    assert program == parse_program(without)
+    assert print_program(program) == "p :- q, not r.\nq.\nr :- not p.\n"
