@@ -170,9 +170,9 @@ def _bench_worker(text: str, solver: str, conn) -> None:
 
 
 def _run_with_timeout(text: str, solver: str, timeout: float):
-    """(wall_time, models | None); None means the solver timed out or its
-    process died without a result. An exception the solver raised comes
-    back as SolverFailed.
+    """(wall_time, models | None); None means the solver timed out. An
+    exception the solver raised, or a solver process that exited without a
+    result, comes back as SolverFailed.
 
     The result is read before the child is joined: a child blocks on a
     result larger than the pipe buffer until it is read."""
@@ -182,16 +182,19 @@ def _run_with_timeout(text: str, solver: str, timeout: float):
     proc.start()
     sender.close()
     result = None
+    exited = False
     if multiprocessing.connection.wait([receiver, proc.sentinel], timeout):
         try:
             result = receiver.recv()
         except EOFError:  # the child exited without a result
-            pass
+            exited = True
     elapsed = time.perf_counter() - start
-    if result is None:
+    if result is None and not exited:
         proc.terminate()
     proc.join()
     receiver.close()
+    if exited:
+        raise SolverFailed(f"the solver process exited with code {proc.exitcode} and no result")
     if result is None:
         return elapsed, None
     kind, payload = result

@@ -42,9 +42,13 @@ After a batch's values are set, the two value rules
     (i)  a True node makes every positive out-neighbour True,
     (ii) a False node makes every negative out-neighbour True,
 
-are propagated transitively from each node of the batch. A True demand
-arriving at a False node (in particular a constraint node) marks the world
-inconsistent; unsatisfiability shows up as zero surviving worlds.
+are propagated transitively from the whole batch, in one pass per world. A
+True demand arriving at a False node (in particular a constraint node) marks
+the world inconsistent; unsatisfiability shows up as zero surviving worlds.
+Propagation sets only unfixed nodes, and only to True; a regular batch sets
+only its own nodes; and the nodes fixed False from the start are constraint
+nodes, which have no out-edges. So a component member is unfixed or True
+when its batch comes, and every labeling agrees with it.
 
 Everything here works on node numbers, the graph's integer adjacency
 lists and its body table, and builds no Edge. A world being solved is a
@@ -138,13 +142,15 @@ def find_roots(g: DepGraph) -> Iterator[tuple[list[int], bool]]:
         raise RuntimeError("a handle never became ready: cycle wrapping is broken")
 
 
-def propagate(node: int, value: bool, w: World, g: DepGraph) -> World:
-    """Transitively apply the propagation rules from one fixed node."""
+def propagate(nodes: list[int], w: World, g: DepGraph) -> World:
+    """Transitively apply the propagation rules from a decided batch, its
+    nodes in order; a True demand on a False node marks w inconsistent."""
     succ = g.succ
     values = w.values
-    stack = [(node, value)]
-    while stack and w.consistent:
-        n, v = stack.pop()
+    stack = nodes[::-1]
+    while stack:
+        n = stack.pop()
+        v = values[n]
         for e in succ[n]:
             if e & 1 != v:  # not effective
                 continue
@@ -155,7 +161,7 @@ def propagate(node: int, value: bool, w: World, g: DepGraph) -> World:
                 return w
             if current is None:
                 values[dst] = True
-                stack.append((dst, True))
+                stack.append(dst)
     return w
 
 
@@ -170,17 +176,14 @@ def fix_root(batch: list[int], w: World) -> None:
 
 def merge_root_worlds(deltas: list[dict[int, bool]], w: World) -> list[World]:
     """One world per labeling of a component, in order: a copy of w extended
-    by the labeling, except for the last, which extends w itself. A labeling
-    that contradicts a value of w marks its world inconsistent."""
+    by the labeling, except for the last, which extends w itself. Every
+    labeling agrees with the member values w already has."""
     merged = []
     for i, delta in enumerate(deltas):
         c = w if i == len(deltas) - 1 else w.copy()
         values = c.values
         for node, value in delta.items():
-            if values[node] is None:
-                values[node] = value
-            elif values[node] != value:
-                c.consistent = False
+            values[node] = value
         merged.append(c)
     return merged
 
@@ -398,19 +401,20 @@ def break_cycles(members: list[int], g: DepGraph, w: World) -> list[dict[int, bo
     True member kill the candidate, and purely positive components get the
     all-False labeling (modulo externally forced members). A conjunction
     member is True when one of its in-edges is effective: a positive edge
-    from a True node or a negative one from a False node. Labelings that
-    contradict a value of w are dropped.
+    from a True node or a negative one from a False node.
+
+    Every labeling agrees with w on the members: each is unfixed or True
+    from below, the search keeps a True atom True, and a conjunction member
+    True from below keeps the in-edge that made it True.
     """
     pred, values = g.pred, w.values
     conj_members = [member for member in members if g.conj[member]]
-    labelings = []
-    for labeling in _stable_labelings(members, g, w):
+    labelings = _stable_labelings(members, g, w)
+    for labeling in labelings:
         # Every body atom of a conjunction member is a member or below it.
         value = lambda a: labeling[a] if a in labeling else values[a]
         for member in conj_members:
             labeling[member] = any(value(e >> 1) == e & 1 for e in pred[member])
-        if all(values[node] in (None, val) for node, val in labeling.items()):
-            labelings.append(labeling)
     return labelings
 
 
@@ -451,12 +455,7 @@ def solve_graph(g: DepGraph) -> list[World]:
                 fix_root(nodes, w)
                 branches = [w]
             for branch in branches:
-                values = branch.values
-                for node in nodes:
-                    if not branch.consistent:
-                        break
-                    propagate(node, values[node], branch, g)
-                if branch.consistent:
+                if propagate(nodes, branch, g).consistent:
                     survivors.append(branch)
         worlds = survivors
         if not worlds:  # a dead solve pulls no further batch
@@ -466,17 +465,15 @@ def solve_graph(g: DepGraph) -> list[World]:
 
 def solve_grasp_worlds(program: Program):
     """Solve bottom-up; returns the transformed graph and completed worlds,
-    keyed by name and ordered by their projected answer set."""
+    keyed by name and ordered by their projected answer set. Two worlds
+    never share one: labelings of a component differ on a member atom."""
     g = cnr_to_dg(build_cnr(program))
     names = g.names
     atoms = range(g.atom_count)  # numbered in name order
-    keyed = {}
-    for w in solve_graph(g):
-        keyed.setdefault(tuple(names[n] for n in atoms if w.values[n]), w)
-    ordered = [keyed[key] for key in sorted(keyed)]
-    for w in ordered:
+    worlds = sorted(solve_graph(g), key=lambda w: [names[n] for n in atoms if w.values[n]])
+    for w in worlds:
         w.values = dict(zip(names, w.values))
-    return g, ordered
+    return g, worlds
 
 
 def solve_grasp(program: Program) -> list[frozenset[str]]:

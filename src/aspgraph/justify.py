@@ -147,12 +147,17 @@ def check_justified(g: DepGraph, w: World) -> bool:
     return all(a in founded for a in true_atoms)
 
 
-def render_text(tree: JustificationTree, indent: str = "") -> str:
-    value = "True" if tree.value else "False"
-    star = " *" if tree.primary else ""
-    lines = [f"{indent}{tree.node} = {value}  [{tree.reason}]{star}"]
-    for child in tree.children:
-        lines.append(render_text(child, indent + "  "))
+def render_text(tree: JustificationTree) -> str:
+    """One line per node, depth first, indented two spaces per level; the
+    walk keeps its own stack, so a tree of any depth renders."""
+    lines = []
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        value = "True" if node.value else "False"
+        star = " *" if node.primary else ""
+        lines.append(f"{'  ' * depth}{node.node} = {value}  [{node.reason}]{star}")
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from aspgraph import cli
 from aspgraph.cli import _run_with_timeout, main
 from aspgraph.syntax import parse_program
 
@@ -312,6 +314,26 @@ def test_run_with_timeout_real_timeout_stays_none():
     text = "".join(f"p{i} :- not q{i}. q{i} :- not p{i}.\n" for i in range(16))
     elapsed, models = _run_with_timeout(text, "grasp", 0.05)
     assert models is None
+
+
+def _exits_without_result(program):
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched solver reaches the child only when it is forked",
+)
+def test_bench_solver_process_exit_is_a_failure_not_a_timeout(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SOLVERS, "exits", _exits_without_result)
+    with pytest.raises(cli.SolverFailed, match="exited with code 3"):
+        _run_with_timeout(EVEN, "exits", 30.0)
+    argv = ["bench", "--rounds", "1", "--programs-per-round", "1", "--solvers", "exits"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "solver exits failed on round 1 program 0" in err and "code 3" in err
 
 
 @pytest.mark.parametrize(

@@ -484,7 +484,7 @@ def test_propagate_false_fires_negative_edge():
     w = initial_world(g)
     q = g.number["q"]
     w.values[q] = False
-    propagate(q, False, w, g)
+    assert propagate([q], w, g) is w
     assert named(g, w.values)["__conj_0"] is True
 
 
@@ -493,7 +493,7 @@ def test_propagate_true_conj_does_not_reach_head():
     w = initial_world(g)
     r = g.number["r"]
     w.values[r] = True
-    propagate(r, True, w, g)
+    propagate([r], w, g)
     assert named(g, w.values)["__conj_0"] is True
     assert "p" not in named(g, w.values)
 
@@ -505,11 +505,132 @@ def test_propagate_into_constraint_marks_inconsistent():
     w = initial_world(g)
     for atom in ("q", "r"):
         fix_root([g.number[atom]], w)
-        propagate(g.number[atom], False, w, g)
+        propagate([g.number[atom]], w, g)
+    assert w.consistent is True
     fix_root([g.number["__conj_0"]], w)
-    propagate(g.number["__conj_0"], False, w, g)
+    propagate([g.number["__conj_0"]], w, g)
     assert w.consistent is False
     assert solve_grasp(parse_program(":- not q, not r.")) == []
+
+
+def reference_propagate(nodes, w, g):
+    """The propagation propagate replaced: one call, with its own stack, per
+    batch node, from the node's value at the time of its call, as the walk
+    made them until the world died."""
+
+    def one(node, value):
+        stack = [(node, value)]
+        while stack and w.consistent:
+            n, v = stack.pop()
+            for e in g.succ[n]:
+                if e & 1 != v:
+                    continue
+                dst = e >> 1
+                if w.values[dst] is False:
+                    w.consistent = False
+                    return
+                if w.values[dst] is None:
+                    w.values[dst] = True
+                    stack.append((dst, True))
+
+    for node in nodes:
+        if not w.consistent:
+            break
+        one(node, w.values[node])
+    return w
+
+
+def test_propagate_matches_the_per_node_reference_on_random_worlds():
+    rng = random.Random(20)
+    outcomes = {True: 0, False: 0}
+    grown = 0
+    for _ in range(400):
+        g = transformed(random_program_text(rng, rng.randint(2, 12), rng.randint(1, 16)))
+        size = len(g.names)
+        for _ in range(5):
+            values = [rng.choice((None, None, True, False)) for _ in range(size)]
+            nodes = rng.sample(range(size), rng.randint(1, size))
+            w, expected = World(list(values)), World(list(values))
+            assert propagate(nodes, w, g) is w
+            reference_propagate(nodes, expected, g)
+            assert w.values == expected.values
+            assert w.consistent == expected.consistent
+            outcomes[w.consistent] += 1
+            grown += w.consistent and w.values != values
+    assert min(outcomes.values()) >= 200
+    assert grown >= 200
+
+
+def _check_walk_invariants(monkeypatch):
+    """Make every solve assert the invariants that stand in for grasp's
+    contradiction checks: before a component batch each member is unfixed
+    or True, every labeling agrees with the member values its world has,
+    and every batch node is decided when it is propagated. Returns counts
+    of what was checked."""
+    counts = dict.fromkeys(("merges", "true_before", "propagations"), 0)
+    batch = []
+    break_cycles_, merge, propagate_ = (
+        grasp.break_cycles, grasp.merge_root_worlds, grasp.propagate
+    )
+
+    def checked_break(members, g, w):
+        batch[:] = members
+        return break_cycles_(members, g, w)
+
+    def checked_merge(deltas, w):
+        values = w.values
+        assert all(values[m] in (None, True) for m in batch)
+        for delta in deltas:
+            assert sorted(delta) == batch
+            assert all(values[n] in (None, v) for n, v in delta.items())
+        counts["merges"] += 1
+        counts["true_before"] += any(values[m] for m in batch)
+        return merge(deltas, w)
+
+    def checked_propagate(nodes, w, g):
+        assert w.consistent
+        assert None not in map(w.values.__getitem__, nodes)
+        counts["propagations"] += 1
+        return propagate_(nodes, w, g)
+
+    monkeypatch.setattr(grasp, "break_cycles", checked_break)
+    monkeypatch.setattr(grasp, "merge_root_worlds", checked_merge)
+    monkeypatch.setattr(grasp, "propagate", checked_propagate)
+    return counts
+
+
+def assert_distinct_answer_sets(text):
+    g, worlds = solve_grasp_worlds(parse_program(text))
+    answer_sets = [w.true_atoms(g) for w in worlds]
+    assert len(set(answer_sets)) == len(answer_sets)
+    return len(worlds)
+
+
+def test_walk_invariants_on_the_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    counts = _check_walk_invariants(monkeypatch)
+    for seed in (1, 2, 3):
+        for generator in (workloads.paper_random, workloads.classic, workloads.chain):
+            for item in generator(seed):
+                assert_distinct_answer_sets(item.text)
+    assert counts["merges"] >= 3000 and counts["true_before"] >= 300
+    assert counts["propagations"] >= 40_000
+
+
+def test_walk_invariants_on_random_programs(monkeypatch):
+    counts = _check_walk_invariants(monkeypatch)
+    rng = random.Random(25)
+    several = 0
+    for _ in range(3000):
+        # many atoms and rules for large components
+        text = random_program_text(
+            rng, rng.randint(10, 40), rng.randint(20, 80),
+            naf=rng.uniform(0.3, 0.8), constraint_fraction=rng.choice((0.0, 0.05)),
+        )
+        several += assert_distinct_answer_sets(text) >= 2
+    assert counts["merges"] >= 3000 and counts["true_before"] >= 2000
+    assert several >= 40
 
 
 def test_break_cycles_even_pair():
@@ -520,15 +641,6 @@ def test_break_cycles_even_pair():
         (True, False),
         (False, True),
     ]
-
-
-def test_break_cycles_drops_labeling_conflicting_with_world():
-    g = transformed("p :- not q. q :- not p.")
-    (v,) = find_virtual_nodes(g)
-    w = initial_world(g)
-    w.values[g.number["p"]] = False
-    (labeling,) = break_cycles(members_of(g, v), g, w)
-    assert labeling == {g.number["p"]: False, g.number["q"]: True}
 
 
 def test_break_cycles_returns_member_values_only():
@@ -768,12 +880,6 @@ def test_merge_root_worlds_counts():
 
 def test_merge_root_worlds_empty_inner_list_absorbs():
     assert merge_root_worlds([], World([None])) == []
-
-
-def test_merge_root_worlds_conflicts_dropped():
-    # a labeling that contradicts the world kills its world only
-    merged = merge_root_worlds([{0: False}, {0: True}], World([True]))
-    assert [m.consistent for m in merged] == [False, True]
 
 
 def test_merge_root_worlds_leaves_inputs_unchanged():

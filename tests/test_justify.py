@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from aspgraph.graph import (
 from aspgraph.grasp import solve_graph, solve_grasp_worlds
 from aspgraph.justify import (
     AtomUnknown,
+    JustificationTree,
     WorldIncomplete,
     check_justified,
     export_dot_world,
@@ -285,6 +287,48 @@ def test_render_and_json_shapes():
     assert "p = True" in text and "q = True" in text
     doc = tree_to_json(tree)
     assert doc["node"] == "p" and doc["children"][0]["node"] == "q"
+
+
+def reference_render(tree, indent=""):
+    """The recursive rendering render_text replaced."""
+    value = "True" if tree.value else "False"
+    star = " *" if tree.primary else ""
+    lines = [f"{indent}{tree.node} = {value}  [{tree.reason}]{star}"]
+    for child in tree.children:
+        lines.append(reference_render(child, indent + "  "))
+    return "\n".join(lines)
+
+
+def test_render_text_matches_the_recursive_rendering():
+    rng = random.Random(31)
+    trees = 0
+    for _ in range(150):
+        program = parse_program(random_program_text(rng, rng.randint(2, 8), rng.randint(2, 14)))
+        g, worlds = solve_grasp_worlds(program)
+        for w in worlds[:2]:
+            for atom in sorted(program.atoms):
+                tree = justify(g, w, atom)
+                assert render_text(tree) == reference_render(tree)
+                trees += tree.size() > 2
+    assert trees >= 100
+
+
+def test_render_text_deeper_than_the_recursion_limit():
+    depth = 1200
+    tree = JustificationTree("a0", False, "no rules")
+    for i in range(1, depth):
+        tree = JustificationTree(f"a{i}", True, f"rule {i}", (tree,), primary=i % 2 == 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = render_text(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    lines = text.split("\n")
+    assert len(lines) == depth
+    assert lines[0] == f"a{depth - 1} = True  [rule {depth - 1}]"
+    assert lines[1] == f"  a{depth - 2} = True  [rule {depth - 2}] *"
+    assert lines[-1] == "  " * (depth - 1) + "a0 = False  [no rules]"
 
 
 def test_export_dot_world_highlights_effective_edges():
