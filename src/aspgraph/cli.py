@@ -161,24 +161,28 @@ class SolverFailed(RuntimeError):
 
 
 def _bench_worker(text: str, solver: str, conn) -> None:
+    """Parse and solve in the child, timed there, so the reported time
+    leaves out process start-up and the pickling of the result."""
+    start = time.perf_counter()
     try:
         models = SOLVERS[solver](parse_program(text))
+        elapsed = time.perf_counter() - start
     except Exception as err:
         conn.send(("error", f"{type(err).__name__}: {err}"))
     else:
-        conn.send(("models", [sorted(m) for m in models]))
+        conn.send(("models", (elapsed, [sorted(m) for m in models])))
 
 
 def _run_with_timeout(text: str, solver: str, timeout: float):
-    """(wall_time, models | None); None means the solver timed out. An
-    exception the solver raised, or a solver process that exited without a
-    result, comes back as SolverFailed.
+    """(seconds, models): the child's parse and solve time and its answer
+    sets, or (None, None) when the solver ran out of the timeout, which is
+    on wall time. An exception the solver raised, or a solver process that
+    exited without a result, comes back as SolverFailed.
 
     The result is read before the child is joined: a child blocks on a
     result larger than the pipe buffer until it is read."""
     receiver, sender = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(target=_bench_worker, args=(text, solver, sender))
-    start = time.perf_counter()
     proc.start()
     sender.close()
     result = None
@@ -188,7 +192,6 @@ def _run_with_timeout(text: str, solver: str, timeout: float):
             result = receiver.recv()
         except EOFError:  # the child exited without a result
             exited = True
-    elapsed = time.perf_counter() - start
     if result is None and not exited:
         proc.terminate()
     proc.join()
@@ -196,11 +199,11 @@ def _run_with_timeout(text: str, solver: str, timeout: float):
     if exited:
         raise SolverFailed(f"the solver process exited with code {proc.exitcode} and no result")
     if result is None:
-        return elapsed, None
+        return None, None
     kind, payload = result
     if kind == "error":
         raise SolverFailed(payload)
-    return elapsed, payload
+    return payload
 
 
 def _bench_config(args) -> GenConfig:

@@ -11,9 +11,14 @@ negation of each fact, and vacuous ":- a, not a." anchors that force a case
 split on a. Each mentions one atom and is proved as a goal on the
 program's own graph, built once per solve: ":- not f." is falsified by
 proving f True, ":- a, not a." by proving a False or a True.
-Finished models are forward-propagated, totalized (atoms never reached
-default to False) and kept only if the resulting world passes the
-effective-edge/foundedness validation.
+A goal's proof models are joined, without repeats, with the models found
+so far, and each union is forward-propagated once; a proof is never
+propagated on its own. Propagation is monotone, so fp(left | fp(m)) =
+fp(left | m), and a proof whose own propagation contradicts makes every
+union containing it contradict too: the finished models are the same as
+when each proof is propagated before the join. Finished models are
+totalized (atoms never reached default to False) and kept only if the
+resulting world passes the effective-edge/foundedness validation.
 
 The proof search walks the graph's own integer lists: node i is bit i,
 its fixed value is read off ``fixed_nodes`` and its in-edges off ``pred``
@@ -410,18 +415,14 @@ def _finished_models(
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
     for goal in goals:
-        alternatives = []
-        for node, value in goal:
-            for m in prove(node, value, 0, 0, table):
-                propagated = forward_propagate(m, causal)
-                if propagated is not None:
-                    alternatives.append(propagated)
+        # The proofs are joined unpropagated, as the module docstring says.
+        proofs = [m for node, value in goal for m in prove(node, value, 0, 0, table)]
         # merge_conjunctive lists the unions of each left model in the order
         # of models, so one pointer finds, for each union, a left model that
         # it contains; propagation starts from the nodes the union adds.
         merged = []
         left = 0
-        for m in merge_conjunctive(models, list(dict.fromkeys(alternatives))):
+        for m in merge_conjunctive(models, list(dict.fromkeys(proofs))):
             while not _contains(m, models[left]):
                 left += 1
             propagated = forward_propagate(m, causal, models[left])

@@ -38,7 +38,7 @@ class World:
 
     def is_complete(self, g: DepGraph) -> bool:
         require_named(self)
-        return all(n in self.values for n in g.nodes)
+        return self.values.keys() >= g.number.keys()
 
 
 def require_named(w: World) -> None:

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,28 @@ def test_run_with_timeout_real_timeout_stays_none():
 
 def _exits_without_result(program):
     os._exit(3)
+
+
+SLEEP_S = 0.2
+
+
+def _sleeps(program):
+    time.sleep(SLEEP_S)
+    return []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched solver reaches the child only when it is forked",
+)
+def test_run_with_timeout_reports_the_childs_solve_time(monkeypatch):
+    # the child times parse and solve; process start-up is left out
+    monkeypatch.setitem(cli.SOLVERS, "sleeps", _sleeps)
+    start = time.perf_counter()
+    elapsed, models = _run_with_timeout(EVEN, "sleeps", 30.0)
+    wall = time.perf_counter() - start
+    assert models == []
+    assert SLEEP_S <= elapsed < wall
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,8 @@
+import importlib
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,9 @@ from aspgraph.syntax import Literal, Rule, parse_program
 from aspgraph.worlds import world_from_atoms
 
 from conftest import is_effective, random_program_text
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def transformed(text):
@@ -389,7 +394,9 @@ def test_forward_propagate_idempotent():
 
 def test_forward_propagate_from_base_equals_full_pass():
     # A union of two propagated models re-checks only the heads watching the
-    # nodes it adds to either side, and ends where the full pass ends.
+    # nodes it adds to either side, and ends where the full pass ends. A
+    # union with the unpropagated right side, as _finished_models joins a
+    # proof, ends there too: propagation is monotone.
     cmap, bits = causal_map("c :- a, b. d :- c.")
     left, right = pm({"a": True}, bits), pm({"b": True}, bits)
     union = pm({"a": True, "b": True}, bits)
@@ -408,15 +415,124 @@ def test_forward_propagate_from_base_equals_full_pass():
                 pick = rng.random()
                 if pick < 0.6:
                     sides[pick < 0.3][atom] = rng.random() < 0.5
+            raw = pm(sides[1], bits)
             left, right = (forward_propagate(pm(side, bits), cmap) for side in sides)
-            if left is None or right is None or left[0] & right[0] & (left[1] ^ right[1]):
+            if left is None or left[0] & raw[0] & (left[1] ^ raw[1]):
+                continue
+            raw_union = (left[0] | raw[0], left[1] | raw[1])
+            raw_full = forward_propagate(raw_union, cmap, left)
+            assert raw_full == forward_propagate(raw_union, cmap)
+            if right is None or left[0] & right[0] & (left[1] ^ right[1]):
+                assert raw_full is None
                 continue
             union = (left[0] | right[0], left[1] | right[1])
             full = forward_propagate(union, cmap)
             assert forward_propagate(union, cmap, left) == full
             assert forward_propagate(union, cmap, right) == full
+            assert raw_full == full
             outcomes.add("dropped" if full is None else "same" if full == union else "extended")
     assert outcomes == {"dropped", "same", "extended"}
+
+
+# --- joining each goal's proofs ----------------------------------------------
+
+
+def reference_finished_models(g, causal, synthesized):
+    """_finished_models with two sweeps per union: every proof is propagated
+    on its own, then joined, and each union is propagated again."""
+    ruleless = (1 << g.atom_count) - 1
+    for head in causal.bodies:
+        ruleless &= ~(1 << head)
+    seed = forward_propagate((ruleless, 0), causal)
+    found = [seed] if seed is not None else []
+    goals = [[(c, False)] for c in igasp._constraint_nodes(g)]
+    goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
+    table = ProofTable(g)
+    for goal in goals:
+        alternatives = []
+        for node, value in goal:
+            for m in prove(node, value, 0, 0, table):
+                propagated = forward_propagate(m, causal)
+                if propagated is not None:
+                    alternatives.append(propagated)
+        merged = []
+        left = 0
+        for m in merge_conjunctive(found, list(dict.fromkeys(alternatives))):
+            while not igasp._contains(m, found[left]):
+                left += 1
+            propagated = forward_propagate(m, causal, found[left])
+            if propagated is not None:
+                merged.append(propagated)
+        found = list(dict.fromkeys(merged))
+        if not found:
+            return []
+    return found
+
+
+def finished_model_sets(text):
+    """The set of _finished_models' models and of the reference's."""
+    g = transformed(text)
+    causal = build_causal_map(g)
+    synthesized = igasp.synthesized_constraints(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
+    try:
+        return (
+            set(igasp._finished_models(g, causal, synthesized)),
+            set(reference_finished_models(g, causal, synthesized)),
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_finished_models_equal_the_propagate_every_proof_reference(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for seed in (1, 2, 3):
+        for item in workloads.classic(seed) + workloads.chain(seed):
+            new, reference = finished_model_sets(item.text)
+            assert new and new == reference, item.name
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(2000):
+        text = random_program_text(rng, rng.randint(1, 12), rng.randint(1, 16))
+        new, reference = finished_model_sets(text)
+        assert new == reference, text
+        outcomes.add(len(new) > 1 if new else None)
+    assert outcomes == {None, False, True}
+
+
+def count_propagations_and_unions(monkeypatch):
+    """Counts, from now on, of forward_propagate's calls and of the unions
+    merge_conjunctive returns."""
+    counts = {"propagate": 0, "unions": 0}
+    propagate, merge = igasp.forward_propagate, igasp.merge_conjunctive
+
+    def counted_propagate(*args):
+        counts["propagate"] += 1
+        return propagate(*args)
+
+    def counted_merge(a, b):
+        unions = merge(a, b)
+        counts["unions"] += len(unions)
+        return unions
+
+    monkeypatch.setattr(igasp, "forward_propagate", counted_propagate)
+    monkeypatch.setattr(igasp, "merge_conjunctive", counted_merge)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "program, answer_sets",
+    [(gen_coloring(5, cycle_graph(5)), 30), (gen_hamiltonian(4), 6)],
+    ids=["C5", "K4"],
+)
+def test_one_propagation_for_the_seed_and_per_union(monkeypatch, program, answer_sets):
+    # a proof is never propagated on its own, only the unions it joins
+    counts = count_propagations_and_unions(monkeypatch)
+    assert len(solve_igasp(program)) == answer_sets
+    assert counts["unions"] >= answer_sets
+    assert counts["propagate"] == 1 + counts["unions"]
 
 
 # --- queries ----------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_world_over_node_numbers_rejected():
             method(*args)
 
 
+def test_is_complete_needs_every_node_name():
+    g = transformed("a. b :- a, not c.")
+    full = dict.fromkeys(g.names, False)
+    assert World(full).is_complete(g)
+    missing = dict(full)
+    del missing[g.names[-1]]  # the conjunction node
+    assert not World(missing).is_complete(g)
+    assert World({**full, "not_a_node": True}).is_complete(g)
+    with pytest.raises(TypeError, match="keyed by node name"):
+        World([False] * len(g.names)).is_complete(g)
+
+
 def test_justify_all_atoms_of_all_models():
     rng = random.Random(41)
     for _ in range(60):
