@@ -1,14 +1,23 @@
 """Top-down constraint-driven solver.
 
-Solving starts from the constraint nodes (always-False heads) and works
-backward: a node presumed False needs every in-edge non-effective, a node
-presumed True needs at least one effective in-edge, where an effective edge
-is a positive edge from a True node or a negative edge from a False node.
-Each proof decides the source of every in-edge it meets, so a finished
-partial model covers the whole ancestor cone of its constraint. Programs
-without enough constraints to reach every atom get synthesized ones: the
-negation of each fact, and vacuous ":- a, not a." anchors that force a case
-split on a. Each mentions one atom and is proved as a goal on the
+Every solve starts from its seed: the three-valued fixpoint of forward
+propagation from the rule-less atoms, all False. This is Fitting's
+Kripke-Kleene model (Fitting, JLP 1985), and every answer set extends it
+(Van Gelder, Ross & Schlipf, JACM 1991). Two seeds settle the solve
+without a proof. When the seed makes some constraint body true (every
+positive literal True, every negated one False), there is no answer set.
+When the seed decides every atom, it is the one candidate, validated like
+any other. Otherwise the proof search below starts from the seed.
+
+The proof search starts from the constraint nodes (always-False heads)
+and works backward: a node presumed False needs every in-edge
+non-effective, a node presumed True needs at least one effective in-edge,
+where an effective edge is a positive edge from a True node or a negative
+edge from a False node. Each proof decides the source of every in-edge
+it meets, so a finished partial model covers the whole ancestor cone of
+its constraint. Programs without enough constraints to reach every atom
+get synthesized ones: the negation of each fact, and vacuous
+":- a, not a." anchors that force a case split on a. Each mentions one atom and is proved as a goal on the
 program's own graph, built once per solve: ":- not f." is falsified by
 proving f True, ":- a, not a." by proving a False or a True.
 A goal's proof models are joined, without repeats, with the models found
@@ -401,16 +410,64 @@ def _contains(m: PartialModel, part: PartialModel) -> bool:
     return not part[0] & ~m[0] and m[1] & part[0] == part[1]
 
 
-def _finished_models(
-    g: DepGraph, causal: CausalMap, synthesized: list[Rule]
-) -> list[PartialModel]:
-    """Forward-propagated partial models that falsify every constraint: the
-    program's, then each synthesized one, by one of its literals proved false."""
+def _seed(g: DepGraph, causal: CausalMap) -> PartialModel:
+    """Forward propagation from the rule-less atoms, all False: Fitting's
+    fixpoint, which every answer set extends. It never contradicts: a
+    rule-less atom is no head, and a body decided true or false stays so."""
     ruleless = (1 << g.atom_count) - 1  # the atoms are the first nodes
     for head in causal.bodies:
         ruleless &= ~(1 << head)
-    seed = forward_propagate((ruleless, 0), causal)
-    models = [seed] if seed is not None else []
+    return forward_propagate((ruleless, 0), causal)
+
+
+def _constraint_bodies(g: DepGraph) -> list[tuple[int, int]]:
+    """One (pos_mask, neg_mask) pair per constraint node, in ordinal order,
+    read off its in-edges: a conjunction-node source expands to its
+    in-edges with the flip undone, as in graph.compile_bodies, and a direct
+    source is a one-literal body."""
+    pred, conj, flipped = g.pred, g.conj, g.transformed
+    bodies = []
+    for c in _constraint_nodes(g):
+        pos = neg = 0
+        for entry in pred[c]:
+            src = entry >> 1
+            if conj[src]:  # a literal is positive where its bit is not flipped
+                for e in pred[src]:
+                    if e & 1 != flipped:
+                        pos |= 1 << (e >> 1)
+                    else:
+                        neg |= 1 << (e >> 1)
+            elif entry & 1:
+                pos |= 1 << src
+            else:
+                neg |= 1 << src
+        bodies.append((pos, neg))
+    return bodies
+
+
+def _settled(
+    g: DepGraph, seed: PartialModel, constraints: list[tuple[int, int]]
+) -> list[PartialModel] | None:
+    """The finished models when the seed decides the solve: none when it
+    makes a constraint body true, the seed alone when it decides every
+    atom, and so makes every constraint body false. None when the proof
+    search must decide."""
+    known, true = seed
+    false = known ^ true
+    if any(pos & true == pos and neg & false == neg for pos, neg in constraints):
+        return []
+    if known == (1 << g.atom_count) - 1:
+        return [seed]
+    return None
+
+
+def _finished_models(
+    g: DepGraph, causal: CausalMap, synthesized: list[Rule], seed: PartialModel
+) -> list[PartialModel]:
+    """Forward-propagated partial models that extend the seed and falsify
+    every constraint: the program's, then each synthesized one, by one of
+    its literals proved false."""
+    models = [seed]
     goals = [[(c, False)] for c in _constraint_nodes(g)]
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
@@ -435,18 +492,22 @@ def _finished_models(
 
 
 def _candidates(g: DepGraph) -> list[frozenset[str]]:
-    """The program atoms True in each finished model, without repeats. The
+    """The program atoms True in each finished model, without repeats: the
+    seed's answer when it settles the solve, else the proof search's. The
     causal map is freed on return, before validation."""
-    synthesized = synthesized_constraints(g)
     causal = build_causal_map(g)
-    # prove recurses once per node of a proof path; the caller's limit is
-    # restored on the way out.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
-    try:
-        models = _finished_models(g, causal, synthesized)
-    finally:
-        sys.setrecursionlimit(limit)
+    seed = _seed(g, causal)
+    models = _settled(g, seed, _constraint_bodies(g))
+    if models is None:
+        synthesized = synthesized_constraints(g)
+        # prove recurses once per node of a proof path; the caller's limit
+        # is restored on the way out.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
+        try:
+            models = _finished_models(g, causal, synthesized, seed)
+        finally:
+            sys.setrecursionlimit(limit)
     atoms = (1 << g.atom_count) - 1
     true_atoms = dict.fromkeys(true & atoms for _, true in models)
     return [_names(g, mask) for mask in true_atoms]

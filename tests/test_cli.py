@@ -10,7 +10,10 @@ import pytest
 
 from aspgraph import cli
 from aspgraph.cli import _run_with_timeout, main
+from aspgraph.generate import GenConfig, gen_random
 from aspgraph.syntax import parse_program
+
+from conftest import PAPER_CONFIG
 
 EVEN = "p :- not q. q :- not p.\n"
 ODD = "p :- not q. q :- not r. r :- not p.\n"
@@ -167,6 +170,20 @@ def test_query_deepest_atom_of_long_mixed_chain(program_file, capsys):
     assert line.count(",") == n
 
 
+def test_query_deepest_atom_of_long_naf_chain(program_file, capsys):
+    # a0 has no rule, so the odd links are the True ones
+    n = 2000
+    text = "".join(f"a{i} :- not a{i - 1}.\n" for i in range(1, n + 1))
+    assert main(["query", program_file(text), f"a{n - 1}"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.count(",") == n // 2 - 1
+
+
+def test_solve_igasp_paper_configuration_unsat_exits_1(program_file, capsys):
+    program = gen_random(GenConfig(seed=1, **PAPER_CONFIG))
+    assert main(["solve", program_file(str(program)), "--solver", "igasp"]) == 1
+
+
 def test_justify_text(program_file, capsys):
     assert main(["justify", program_file("q. p :- q.\n"), "p"]) == 0
     out = capsys.readouterr().out
@@ -274,6 +291,13 @@ def test_bench_shape(tmp_path, capsys):
         ):
             assert column in row
         assert row["grasp_timeouts"] == 0
+
+
+def test_bench_igasp_on_the_paper_configuration_has_no_timeouts(capsys):
+    argv = ["bench", "--rounds", "1", "--programs-per-round", "3"]
+    assert main(argv + ["--solvers", "grasp,igasp", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["grasp_timeouts"] == row["igasp_timeouts"] == 0
 
 
 def test_bench_text_table_header(tmp_path, capsys):

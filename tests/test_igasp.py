@@ -2,6 +2,7 @@ import importlib
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspgraph import igasp
-from aspgraph.generate import cycle_graph, gen_coloring, gen_hamiltonian
+from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_hamiltonian, gen_random
 from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
+from aspgraph.grasp import solve_grasp
 from aspgraph.igasp import (
     ProofTable,
     QueryAtomUnknown,
@@ -25,7 +27,7 @@ from aspgraph.oracle import enumerate_stable, is_stable
 from aspgraph.syntax import Literal, Rule, parse_program
 from aspgraph.worlds import world_from_atoms
 
-from conftest import is_effective, random_program_text
+from conftest import PAPER_CONFIG, is_effective, random_program_text
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -474,11 +476,12 @@ def finished_model_sets(text):
     g = transformed(text)
     causal = build_causal_map(g)
     synthesized = igasp.synthesized_constraints(g)
+    seed = igasp._seed(g, causal)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
     try:
         return (
-            set(igasp._finished_models(g, causal, synthesized)),
+            set(igasp._finished_models(g, causal, synthesized, seed)),
             set(reference_finished_models(g, causal, synthesized)),
         )
     finally:
@@ -535,6 +538,56 @@ def test_one_propagation_for_the_seed_and_per_union(monkeypatch, program, answer
     assert counts["propagate"] == 1 + counts["unions"]
 
 
+# --- the seed ---------------------------------------------------------------
+
+
+def test_seed_agrees_with_every_model_and_settled_solves_are_exact():
+    # Every answer set extends the seed, so a settled solve loses nothing:
+    # no model when a constraint body is true in the seed, the seed alone
+    # when it decides every atom.
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(2000):
+        text = random_program_text(rng, rng.randint(1, 7), rng.randint(1, 12))
+        program = parse_program(text)
+        g = transformed(text)
+        seed = igasp._seed(g, build_causal_map(g))
+        known, true = seed
+        expected = enumerate_stable(program)
+        for model in expected:
+            for atom in range(g.atom_count):
+                if known >> atom & 1:
+                    assert (g.names[atom] in model) == bool(true >> atom & 1), text
+        settled = igasp._settled(g, seed, igasp._constraint_bodies(g))
+        if settled is not None:
+            assert solve_igasp(program) == expected, text
+        outcomes.add(None if settled is None else len(settled))
+    assert outcomes == {None, 0, 1}
+
+
+def test_constraint_bodies_undo_the_conjunction_flip():
+    g = transformed("a :- not b. b :- not a. c. :- a, not c. :- not b. :- c, c.")
+    bits = {name: 1 << g.number[name] for name in "abc"}
+    assert igasp._constraint_bodies(g) == [
+        (bits["a"], bits["c"]),
+        (0, bits["b"]),
+        (bits["c"], 0),
+    ]
+
+
+def test_paper_configuration_seeds_are_settled_in_milliseconds():
+    # Seven of these programs took igasp more than 2 s each, one over two
+    # minutes; the seed settles all thirty, 29 by a constraint body it
+    # makes true.
+    for seed in range(30):
+        program = gen_random(GenConfig(seed=seed, **PAPER_CONFIG))
+        start = time.perf_counter()
+        models = solve_igasp(program)
+        elapsed = time.perf_counter() - start
+        assert models == solve_grasp(program), seed
+        assert elapsed < 0.1, (seed, elapsed)
+
+
 # --- queries ----------------------------------------------------------------
 
 
@@ -584,27 +637,56 @@ def chain_model(shape, n):
     return frozenset(f"a{i}" for i in range(n + 1))
 
 
+def looped_chain_text(shape, n):
+    """chain_text's chain with a0 rooted in the even loop a0 :- not c.
+    c :- not a0., which leaves the whole chain undecided in the seed."""
+    links = chain_text(shape, n).removeprefix("a0.\n")
+    return "a0 :- not c.\nc :- not a0.\n" + links
+
+
+def count_calls(monkeypatch, *names):
+    """Counts, from now on, of the calls to the named igasp functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(igasp, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(igasp, name, counted)
+    return counts
+
+
 @pytest.mark.parametrize("shape", ["pos", "naf", "mixed"])
 def test_query_deepest_atom_of_2000_link_chain(shape, monkeypatch):
     # A presumed-True link proves its source both ways; untabled, that made
     # n^2/2 proof calls on pos and a Fibonacci recurrence on naf and mixed.
-    calls = 0
-    original = igasp.prove
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(igasp, "prove", counted)
-    counts = {}
+    # The even loop at the root keeps the seed from settling the solve.
+    counts = count_calls(monkeypatch, "prove")
+    calls = {}
     for n in (1000, 2000):
         deepest = n - 1 if shape == "naf" else n  # naf's true atoms are the odd ones
-        calls = 0
-        program = parse_program(chain_text(shape, n))
-        assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
-        counts[n] = calls
-    assert 0 < counts[2000] < 2.1 * counts[1000]
+        counts["prove"] = 0
+        program = parse_program(looped_chain_text(shape, n))
+        # naf's odd atoms need a0 False, so c True; the others need a0 True
+        model = chain_model(shape, n) | ({"c"} if shape == "naf" else set())
+        assert solve_query(program, f"a{deepest}") == [model]
+        calls[n] = counts["prove"]
+    assert 0 < calls[2000] < 2.1 * calls[1000]
+
+
+@pytest.mark.parametrize("shape", ["pos", "naf", "mixed"])
+def test_settled_chain_solve_and_query_skip_the_proof_search(shape, monkeypatch):
+    # The seed decides every atom of the benchmark's chains.
+    counts = count_calls(monkeypatch, "prove", "synthesized_constraints")
+    n = 2000
+    program = parse_program(chain_text(shape, n))
+    assert solve_igasp(program) == [chain_model(shape, n)]
+    deepest = n - 1 if shape == "naf" else n
+    assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
+    assert solve_query(program, f"a{deepest}", positive=False) == []
+    assert counts == {"prove": 0, "synthesized_constraints": 0}
 
 
 def test_query_soundness_random():
