@@ -295,9 +295,8 @@ def cmd_bench(args) -> int:
     if args.json:
         print(json.dumps({"rows": rows, "cycle_cap": default_cycle_cap()}))
     else:
-        headers = ["Round", "#Rules", "#EC", "#OC"] + [f"{s}(s)" for s in solvers] + [
-            f"{s} timeouts" for s in solvers
-        ]
+        headers = ["Round", "#Rules", "#EC", "#OC", "#Overflow"]
+        headers += [f"{s}(s)" for s in solvers] + [f"{s} timeouts" for s in solvers]
         print("\t".join(headers))
         for row in rows:
             cells = [
@@ -305,6 +304,7 @@ def cmd_bench(args) -> int:
                 str(row["rules"]),
                 str(row["even_cycles"]),
                 str(row["odd_cycles"]),
+                str(row["cycle_overflows"]),
             ]
             for solver in solvers:
                 mean = row[f"{solver}_seconds"]
@@ -381,7 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--programs-per-round", type=int, default=20)
     bench.add_argument("--gen-config", default=None)
     bench.add_argument("--solvers", default="grasp")
-    bench.add_argument("--timeout", type=float, default=10.0)
+    bench.add_argument(
+        "--timeout",
+        type=float,
+        default=10.0,
+        help="wall-time limit in seconds per solve (default 10); the cycle census "
+        "runs without one, until the cycle cap stops it",
+    )
     bench.add_argument("--json", action="store_true")
     bench.set_defaults(func=cmd_bench)
     return parser

@@ -25,13 +25,13 @@ sign) order, the arc list's. ``cnr_to_dg`` fills the transformed graph's
 lists in its own call; the engines read only that graph, so the
 conjunction-node graph's lists are filled only for its exports and tests.
 
-The atoms' rule bodies are compiled from the lists once per graph, on
-first use, into one table (``DepGraph.bodies``): a conjunction-node source
-expands to its in-edges with the flip undone, a direct source is a
-one-literal body, and a fact is the empty body. Synthesized constraints
-are headless, so a program and its extensions by constraints share one
-table. ``least_fixpoint`` over that table is the one foundedness check:
-grasp's labeling search and ``justify.check_justified`` both use it.
+Every rule body is compiled from the lists once per graph, on first use,
+into one table (``DepGraph.bodies``): a conjunction-node source expands to
+its in-edges with the flip undone, a direct source is a one-literal body,
+and a fact is the empty body. The atoms' rows come first, then one row per
+constraint node with that node as head. ``least_fixpoint`` over the atom
+rows is the one foundedness check: grasp's labeling search and
+``justify.check_justified`` both use it.
 
 The engines, the model checks, justification and export read the integer
 lists and the table: cycles' ``find_virtual_nodes`` and cycle enumeration,
@@ -154,7 +154,7 @@ class DepGraph:
 
     @cached_property
     def bodies(self) -> Bodies:
-        """The atoms' rule bodies, compiled on first use."""
+        """The rule bodies, compiled on first use."""
         return compile_bodies(self)
 
     def fixed_value(self, node: str) -> bool | None:
@@ -187,12 +187,14 @@ class DepGraph:
 
 
 class Bodies(NamedTuple):
-    """Every distinct rule body of a graph's atoms, grouped by head atom.
+    """Every distinct rule body of a graph, grouped by head.
 
     Body i has head ``head[i]``, positive atoms ``pos[i]`` and negated atoms
     ``neg[i]``, each atom once. Atom a's bodies are ``start[a]`` up to
-    ``start[a + 1]``, and ``pos_uses[a]`` lists the bodies in which a is a
-    positive literal. A fact is one empty body.
+    ``start[a + 1]``, and a fact is one empty body. The rows from
+    ``start[-1]`` on are the constraints' bodies, one per constraint node,
+    in node order, with the node as head. ``pos_uses[a]`` lists the atom
+    rows in which a is a positive literal.
     """
 
     head: list[int]
@@ -207,11 +209,14 @@ def compile_bodies(g: DepGraph) -> Bodies:
     pred, conj, flipped, fixed = g.pred, g.conj, g.transformed, g.fixed_nodes
     t = Bodies([], [], [], [0], [[] for _ in range(g.atom_count)])
     head, pos, neg, start, pos_uses = t
-    for atom in range(g.atom_count):
-        if fixed.get(atom) is True:
+    # atoms, then constraint nodes: the helpers that are not conjunctions
+    for node in range(len(g.names)):
+        if conj[node]:
+            continue
+        if fixed.get(node) is True:
             pos.append(())
             neg.append(())
-        for entry in pred[atom]:
+        for entry in pred[node]:
             src = entry >> 1
             if conj[src]:  # a literal is positive where its bit is not flipped
                 entries = pred[src]
@@ -223,10 +228,11 @@ def compile_bodies(g: DepGraph) -> Bodies:
             else:
                 pos.append(())
                 neg.append((src,))
-        head += [atom] * (len(pos) - len(head))
-        start.append(len(pos))
-    for i, lits in enumerate(pos):
-        for atom in lits:
+        head += [node] * (len(pos) - len(head))
+        if node < g.atom_count:
+            start.append(len(pos))
+    for i in range(start[-1]):
+        for atom in pos[i]:
             pos_uses[atom].append(i)
     return t
 
@@ -235,7 +241,8 @@ def least_fixpoint(head, pos, pos_uses, holding) -> set[int]:
     """The heads of the holding bodies whose positive atoms are all in the
     set, to a fixpoint: counter-based Horn propagation (Dowling & Gallier
     1984), linear in the bodies' size. head, pos and pos_uses are laid out
-    as in Bodies, each atom once per body; holding lists the bodies to use.
+    as in Bodies, each atom once per body; holding lists the atom rows to
+    use.
 
     An atom is founded when it lies in this fixpoint: a fact's empty body
     needs nothing, and a negated literal that holds needs no derivation."""

@@ -16,10 +16,10 @@ where an effective edge is a positive edge from a True node or a negative
 edge from a False node. Each proof decides the source of every in-edge
 it meets, so a finished partial model covers the whole ancestor cone of
 its constraint. Programs without enough constraints to reach every atom
-get synthesized ones: the negation of each fact, and vacuous
-":- a, not a." anchors that force a case split on a. Each mentions one atom and is proved as a goal on the
-program's own graph, built once per solve: ":- not f." is falsified by
-proving f True, ":- a, not a." by proving a False or a True.
+get synthesized ones: vacuous ":- a, not a." anchors that force a case
+split on a. Each is proved as a goal on the program's own graph, built
+once per solve, by proving a False or a True. A fact needs no goal: the
+seed holds it True, so its one proof is part of every model already.
 A goal's proof models are joined, without repeats, with the models found
 so far, and each union is forward-propagated once; a proof is never
 propagated on its own. Propagation is monotone, so fp(left | fp(m)) =
@@ -65,7 +65,8 @@ graph's body table to one (pos_mask, neg_mask) pair per rule body and, per
 atom, the heads whose bodies mention it: after one pass over every head,
 only the heads watching a newly decided atom are checked again (Dowling &
 Gallier's linear-time Horn propagation, 1984, with the "all bodies false"
-rule added).
+rule added). The table's constraint rows give the constraints' pairs,
+which the seed is tested against.
 """
 
 from __future__ import annotations
@@ -136,22 +137,28 @@ def merge_conjunctive(
 class CausalMap(NamedTuple):
     """Rule bodies per head atom, the conditions that force it True, as
     (pos_mask, neg_mask) pairs; watchers maps each atom to the heads whose
-    bodies mention it."""
+    bodies mention it, once per mention; constraints holds one such pair
+    per constraint node, in node order."""
 
     bodies: dict[int, list[tuple[int, int]]]
     watchers: dict[int, list[int]]
+    constraints: list[tuple[int, int]]
 
 
 def build_causal_map(g: DepGraph) -> CausalMap:
     """The causal map of the graph's body table."""
     t = g.bodies
-    causal = CausalMap({}, {})
-    for head, pos, neg in zip(t.head, t.pos, t.neg):
+    atom_rows = t.start[-1]
+    causal = CausalMap({}, {}, [])
+    for i, (head, pos, neg) in enumerate(zip(t.head, t.pos, t.neg)):
         pos_mask = neg_mask = 0
         for atom in pos:
             pos_mask |= 1 << atom
         for atom in neg:
             neg_mask |= 1 << atom
+        if i >= atom_rows:
+            causal.constraints.append((pos_mask, neg_mask))
+            continue
         for atom in pos + neg:
             causal.watchers.setdefault(atom, []).append(head)
         causal.bodies.setdefault(head, []).append((pos_mask, neg_mask))
@@ -334,7 +341,7 @@ def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[int]:
     return {n for n in seen if n < g.atom_count}
 
 
-def _decided_atoms(g: DepGraph, anchors: tuple[int, ...] = ()) -> set[int]:
+def _decided_atoms(g: DepGraph, causal: CausalMap, anchors: tuple[int, ...]) -> set[int]:
     """Atoms guaranteed a value in every finished partial model: facts and
     rule-less atoms (structurally decided), constraint-cone atoms (decided
     by the proofs), and the closure of atoms whose every rule body mentions
@@ -346,54 +353,40 @@ def _decided_atoms(g: DepGraph, anchors: tuple[int, ...] = ()) -> set[int]:
     are, where the fixpoint fires a head on any one body. Written as that
     fixpoint it needs a synthetic clause per head, and it measured slower
     than this loop."""
-    t = g.bodies
-    start = t.start
+    bodies, watchers = causal.bodies, causal.watchers
     decided = _ancestor_atoms(g, _constraint_nodes(g) + list(anchors))
     decided.update(n for n, value in g.fixed_nodes.items() if value)
-    decided.update(a for a in range(g.atom_count) if start[a] == start[a + 1])
+    decided.update(a for a in range(g.atom_count) if a not in bodies)
     # Per undecided head, a count of its (body, literal) pairs still
-    # undecided; a head is decided when its count reaches zero.
-    undecided_inputs: dict[int, int] = {}
-    watchers: dict[int, list[int]] = {}
-    for head in range(g.atom_count):
-        if head in decided:
-            continue
-        count = 0
-        for i in range(start[head], start[head + 1]):
-            for atom in t.pos[i] + t.neg[i]:
-                if atom not in decided:
-                    count += 1
-                    watchers.setdefault(atom, []).append(head)
-        undecided_inputs[head] = count
+    # undecided, which watchers lists once each; a head is decided when its
+    # count reaches zero.
+    undecided_inputs = dict.fromkeys([h for h in bodies if h not in decided], 0)
+    for atom, heads in watchers.items():
+        if atom not in decided:
+            for head in heads:
+                if head in undecided_inputs:
+                    undecided_inputs[head] += 1
     stack = [head for head, count in undecided_inputs.items() if count == 0]
     decided.update(stack)
     while stack:
         for head in watchers.get(stack.pop(), ()):
-            undecided_inputs[head] -= 1
-            if undecided_inputs[head] == 0:
-                decided.add(head)
-                stack.append(head)
+            if head in undecided_inputs:
+                undecided_inputs[head] -= 1
+                if undecided_inputs[head] == 0:
+                    decided.add(head)
+                    stack.append(head)
     return decided
 
 
-def synthesized_constraints(graph: DepGraph) -> list[Rule]:
-    """Constraints to add so every atom is decided by some proof or by
-    propagation, read off the program's graph: its constraints are the
-    nodes fixed False, its facts those fixed True, in name order.
-
-    A program with no headless constraint gets the negation of each fact as
-    a constraint; atoms that neither a constraint cone nor propagation can
-    decide get a vacuous ":- a, not a." anchor forcing a case split on a,
+def synthesized_constraints(graph: DepGraph, causal: CausalMap) -> list[Rule]:
+    """Vacuous ":- a, not a." anchors, each forcing a case split on a, for
+    the atoms that neither a constraint cone nor propagation can decide:
     most-depended-upon atom first, until all atoms are covered. Every check
-    runs on graph, with the anchors as extra seeds.
-    """
-    fixed = graph.fixed_nodes
+    runs on graph, with the anchors as extra seeds."""
     additions: list[Rule] = []
-    if False not in fixed.values():
-        additions = [Rule(None, (Literal(graph.names[f], negated=True),)) for f in fixed]
     anchors: tuple[int, ...] = ()
     while True:
-        covered = _decided_atoms(graph, anchors)
+        covered = _decided_atoms(graph, causal, anchors)
         candidates = [a for a in range(graph.atom_count) if a not in covered]
         if not candidates:
             return additions
@@ -418,31 +411,6 @@ def _seed(g: DepGraph, causal: CausalMap) -> PartialModel:
     for head in causal.bodies:
         ruleless &= ~(1 << head)
     return forward_propagate((ruleless, 0), causal)
-
-
-def _constraint_bodies(g: DepGraph) -> list[tuple[int, int]]:
-    """One (pos_mask, neg_mask) pair per constraint node, in ordinal order,
-    read off its in-edges: a conjunction-node source expands to its
-    in-edges with the flip undone, as in graph.compile_bodies, and a direct
-    source is a one-literal body."""
-    pred, conj, flipped = g.pred, g.conj, g.transformed
-    bodies = []
-    for c in _constraint_nodes(g):
-        pos = neg = 0
-        for entry in pred[c]:
-            src = entry >> 1
-            if conj[src]:  # a literal is positive where its bit is not flipped
-                for e in pred[src]:
-                    if e & 1 != flipped:
-                        pos |= 1 << (e >> 1)
-                    else:
-                        neg |= 1 << (e >> 1)
-            elif entry & 1:
-                pos |= 1 << src
-            else:
-                neg |= 1 << src
-        bodies.append((pos, neg))
-    return bodies
 
 
 def _settled(
@@ -497,9 +465,9 @@ def _candidates(g: DepGraph) -> list[frozenset[str]]:
     causal map is freed on return, before validation."""
     causal = build_causal_map(g)
     seed = _seed(g, causal)
-    models = _settled(g, seed, _constraint_bodies(g))
+    models = _settled(g, seed, causal.constraints)
     if models is None:
-        synthesized = synthesized_constraints(g)
+        synthesized = synthesized_constraints(g, causal)
         # prove recurses once per node of a proof path; the caller's limit
         # is restored on the way out.
         limit = sys.getrecursionlimit()

@@ -184,6 +184,14 @@ def test_solve_igasp_paper_configuration_unsat_exits_1(program_file, capsys):
     assert main(["solve", program_file(str(program)), "--solver", "igasp"]) == 1
 
 
+def test_solve_igasp_facts_without_constraints(program_file, capsys):
+    # The seed decides a0 and a1 but not the even loop, so igasp proves an
+    # anchor and no goal for the facts.
+    text = "a0. a1 :- a0. p :- not q. q :- not p.\n"
+    assert main(["solve", program_file(text), "--solver", "igasp"]) == 0
+    assert capsys.readouterr().out == "{a0, a1, p}\n{a0, a1, q}\n"
+
+
 def test_justify_text(program_file, capsys):
     assert main(["justify", program_file("q. p :- q.\n"), "p"]) == 0
     out = capsys.readouterr().out
@@ -309,6 +317,32 @@ def test_bench_text_table_header(tmp_path, capsys):
     ]) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header.split("\t")[:4] == ["Round", "#Rules", "#EC", "#OC"]
+
+
+def test_bench_text_table_shows_cycle_overflows(tmp_path, capsys, monkeypatch):
+    # A program whose census hits the cap adds nothing to #EC and #OC, so
+    # the text table must count it as the JSON row does.
+    monkeypatch.setenv("ASPGRAPH_CYCLE_CAP", "1")
+    config = {"num_atoms": 6, "num_rules": 14, "naf_probability": 0.6, "seed": 5}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = ["bench", "--rounds", "1", "--programs-per-round", "4"]
+    argv += ["--gen-config", str(config_path)]
+    assert main(argv) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split("\t"), line.split("\t")))
+    assert main(argv + ["--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert int(cells["#Overflow"]) == row["cycle_overflows"] > 0
+    assert header.split("\t").index("#Overflow") == 4
+
+
+def test_bench_help_says_the_timeout_does_not_bound_the_census(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "the cycle census runs without one, until the cycle cap stops it" in help_text
 
 
 def test_run_with_timeout_reads_large_result():

@@ -238,28 +238,37 @@ def test_transformed_adjacency_order_matches_reference():
 
 def table_bodies(g):
     """A graph's body table as (head, positive atoms, negated atoms) names,
-    after checking its layout: atom a's bodies are start[a] to start[a + 1],
-    each atom is listed once per body, and pos_uses inverts pos."""
+    the head None for a constraint, after checking its layout: atom a's
+    bodies are start[a] to start[a + 1], the rows after them are one per
+    constraint node in node order, each atom is listed once per body, and
+    pos_uses inverts pos on the atom rows."""
     t = g.bodies
     assert t.start[0] == 0 and len(t.start) == g.atom_count + 1
     for a in range(g.atom_count):
         assert all(t.head[i] == a for i in range(t.start[a], t.start[a + 1]))
-    assert t.start[-1] == len(t.head) == len(t.pos) == len(t.neg)
+    constraints = [i for i, name in enumerate(g.names) if node_kind(name) is NodeKind.CONSTRAINT]
+    assert t.head[t.start[-1] :] == constraints
+    assert len(t.head) == len(t.pos) == len(t.neg)
     for lits in t.pos + t.neg:
         assert len(set(lits)) == len(lits)
     assert [sorted(uses) for uses in t.pos_uses] == [
-        [i for i, pos in enumerate(t.pos) if a in pos] for a in range(g.atom_count)
+        [i for i, pos in enumerate(t.pos[: t.start[-1]]) if a in pos]
+        for a in range(g.atom_count)
     ]
     names = g.names
     return [
-        (names[head], frozenset(names[a] for a in pos), frozenset(names[a] for a in neg))
+        (
+            names[head] if head < g.atom_count else None,
+            frozenset(names[a] for a in pos),
+            frozenset(names[a] for a in neg),
+        )
         for head, pos, neg in zip(t.head, t.pos, t.neg)
     ]
 
 
 def program_bodies(program):
-    """The program's distinct headed rules as (head, positive atoms, negated
-    atoms); a fact has two empty sets."""
+    """The program's distinct rules as (head, positive atoms, negated atoms),
+    the head None for a constraint; a fact has two empty sets."""
     return {
         (
             rule.head,
@@ -267,7 +276,6 @@ def program_bodies(program):
             frozenset(lit.atom for lit in rule.body if lit.negated),
         )
         for rule in program.rules
-        if rule.head is not None
     }
 
 
@@ -290,6 +298,8 @@ def test_body_table_holds_the_distinct_headed_rules():
         ("q", frozenset(), frozenset()),
         ("q", frozenset({"r"}), frozenset({"r"})),
     ]
+    second = table_bodies(cnr_to_dg(build_cnr(parse_program(texts[1]))))
+    assert second[-1] == (None, frozenset({"p", "q"}), frozenset())
 
 
 def test_parallel_edges_keep_original_sign_order():
@@ -352,9 +362,9 @@ def test_justify_and_exports_build_no_edge_objects(edges_built):
 
 
 def test_one_igasp_solve_compiles_one_body_table(monkeypatch):
-    # Synthesis, the causal map and validation read the program graph's one
-    # table: the synthesized constraints are headless, so every augmented
-    # graph has the same atom bodies.
+    # Synthesis, the causal map, the constraints' bodies and validation read
+    # the program graph's one table: the synthesized constraints are proved
+    # as goals on that graph, never built into another.
     compiled = 0
     original = graph_module.compile_bodies
 
@@ -366,7 +376,7 @@ def test_one_igasp_solve_compiles_one_body_table(monkeypatch):
     monkeypatch.setattr(graph_module, "compile_bodies", counted)
     texts = [
         "p :- not q. q :- not p. :- p, q.",  # no constraint added
-        "a0. a1 :- a0.",  # a negated fact added
+        "a0. a1 :- a0.",  # settled by the seed, nothing added
         "p :- not q. q :- not p. a :- not b. b :- not a.",  # two anchors added
     ]
     programs = [parse_program(text) for text in texts] + [gen_coloring(5, cycle_graph(5))]

@@ -96,11 +96,13 @@ def test_empty_program():
 
 
 def synthesized(text):
-    return [str(rule) for rule in igasp.synthesized_constraints(transformed(text))]
+    g = transformed(text)
+    return [str(rule) for rule in igasp.synthesized_constraints(g, build_causal_map(g))]
 
 
 def test_fact_program_gets_negated_fact_constraint():
-    assert synthesized("q. p :- q.") == [":- not q."]
+    # the seed holds q and p True, so no goal is needed
+    assert synthesized("q. p :- q.") == []
 
 
 def test_anchor_on_constraint_free_even_cycle():
@@ -123,7 +125,7 @@ def test_program_with_covering_constraints_unchanged():
         pytest.param(
             solve_igasp, "p :- not q. q :- not p. :- p, q.", [{"p"}, {"q"}], id="covered"
         ),
-        # ":- not a0." is added and proved as a goal
+        # the seed decides every atom, and nothing is added
         pytest.param(solve_igasp, "a0. a1 :- a0.", [{"a0", "a1"}], id="negated-fact"),
         # two anchors are added and proved as goals
         pytest.param(
@@ -184,12 +186,9 @@ def reference_decided_atoms(g, program):
 
 
 def reference_synthesized_constraints(program):
-    """The synthesized rules, each augmented program's graph built afresh
+    """The synthesized anchors, each augmented program's graph built afresh
     and its decided atoms read off that program."""
     additions = []
-    if not any(rule.is_constraint for rule in program.rules):
-        facts = sorted({rule.head for rule in program.rules if rule.is_fact})
-        additions += [Rule(None, (Literal(f, negated=True),)) for f in facts]
     while True:
         augmented_program = program.extended(additions)
         augmented = transformed(str(augmented_program))
@@ -210,7 +209,8 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         )
         program = parse_program(text)
         g = transformed(text)
-        rules = igasp.synthesized_constraints(g)
+        causal = build_causal_map(g)
+        rules = igasp.synthesized_constraints(g, causal)
         assert rules == reference_synthesized_constraints(program)
         anchors = tuple(g.number[rule.body[0].atom] for rule in rules if len(rule.body) == 2)
         anchored += bool(anchors)
@@ -219,9 +219,30 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         augmented_program = program.extended(rules)
         augmented = transformed(str(augmented_program))
         for seeds, graph, prog in (((), g, program), (anchors, augmented, augmented_program)):
-            decided = {g.names[a] for a in igasp._decided_atoms(g, seeds)}
+            decided = {g.names[a] for a in igasp._decided_atoms(g, causal, seeds)}
             assert decided == reference_decided_atoms(graph, prog)
     assert anchored > 0
+
+
+def test_constraint_free_programs_get_anchors_only_and_solve_exactly():
+    # The seed holds every fact True, so a fact gets no goal of its own.
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(1000):
+        text = random_program_text(
+            rng, rng.randint(1, 10), rng.randint(1, 16), constraint_fraction=0
+        )
+        program = parse_program(text)
+        g = transformed(text)
+        rules = igasp.synthesized_constraints(g, build_causal_map(g))
+        for rule in rules:
+            assert len(rule.body) == 2, text
+            pos, neg = rule.body
+            assert pos.atom == neg.atom and not pos.negated and neg.negated, text
+        assert solve_igasp(program) == enumerate_stable(program), text
+        facts = any(rule.is_fact for rule in program.rules)
+        kinds.add((facts, bool(rules)))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # --- prove ------------------------------------------------------------------
@@ -475,7 +496,7 @@ def finished_model_sets(text):
     """The set of _finished_models' models and of the reference's."""
     g = transformed(text)
     causal = build_causal_map(g)
-    synthesized = igasp.synthesized_constraints(g)
+    synthesized = igasp.synthesized_constraints(g, causal)
     seed = igasp._seed(g, causal)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
@@ -551,14 +572,15 @@ def test_seed_agrees_with_every_model_and_settled_solves_are_exact():
         text = random_program_text(rng, rng.randint(1, 7), rng.randint(1, 12))
         program = parse_program(text)
         g = transformed(text)
-        seed = igasp._seed(g, build_causal_map(g))
+        causal = build_causal_map(g)
+        seed = igasp._seed(g, causal)
         known, true = seed
         expected = enumerate_stable(program)
         for model in expected:
             for atom in range(g.atom_count):
                 if known >> atom & 1:
                     assert (g.names[atom] in model) == bool(true >> atom & 1), text
-        settled = igasp._settled(g, seed, igasp._constraint_bodies(g))
+        settled = igasp._settled(g, seed, causal.constraints)
         if settled is not None:
             assert solve_igasp(program) == expected, text
         outcomes.add(None if settled is None else len(settled))
@@ -568,11 +590,30 @@ def test_seed_agrees_with_every_model_and_settled_solves_are_exact():
 def test_constraint_bodies_undo_the_conjunction_flip():
     g = transformed("a :- not b. b :- not a. c. :- a, not c. :- not b. :- c, c.")
     bits = {name: 1 << g.number[name] for name in "abc"}
-    assert igasp._constraint_bodies(g) == [
+    assert build_causal_map(g).constraints == [
         (bits["a"], bits["c"]),
         (0, bits["b"]),
         (bits["c"], 0),
     ]
+
+
+def test_causal_constraints_are_the_programs_headless_rules():
+    rng = random.Random(42)
+    constrained = 0
+    for _ in range(1000):
+        text = random_program_text(rng, rng.randint(1, 10), rng.randint(1, 14))
+        program = parse_program(text)
+        g = transformed(text)
+        expected = {}  # body -> masks, one per distinct body in first-seen order
+        for rule in program.rules:
+            if rule.head is None:
+                masks = [0, 0]
+                for lit in rule.body:
+                    masks[lit.negated] |= 1 << g.number[lit.atom]
+                expected.setdefault(frozenset(rule.body), tuple(masks))
+        assert build_causal_map(g).constraints == list(expected.values()), text
+        constrained += bool(expected)
+    assert constrained > 500
 
 
 def test_paper_configuration_seeds_are_settled_in_milliseconds():

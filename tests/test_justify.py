@@ -240,7 +240,7 @@ def founded_atoms_ok(g, w):
     t = g.bodies
     holding = [
         i
-        for i in range(len(t.head))
+        for i in range(t.start[-1])
         if all(values[a] for a in t.pos[i]) and not any(values[a] for a in t.neg[i])
     ]
     founded = least_fixpoint(t.head, t.pos, t.pos_uses, holding)
