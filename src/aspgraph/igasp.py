@@ -55,10 +55,19 @@ Hamiltonian K4 solve's tracemalloc peak from 2.0 to 2.9 MB. Nodes without
 out-edges, the constraint nodes among them: only a goal reaches them, and
 each goal is proved once.
 
+An in-edge whose source the branch decides needs no sub-proof: it would
+return the empty model for the branch's value and none for the other. So
+prove reads the edge off the branch, with no call, table probe or join:
+an effective edge makes every state's edge flag True under a True
+presumption and leaves a False presumption without models, and an
+ineffective one changes nothing.
+
 Partial models are combined by a hash join on the nodes that every model
 on both sides decides: the right-hand models are bucketed by their true
 bits on those nodes, so each left model is unioned only with the right
 models that agree with it there, the only ones whose union can succeed.
+A one-model right list, the most common in the proof search, skips the
+buckets: its probe is one conflict test and one union.
 
 Forward propagation is a worklist over the causal map, compiled from the
 graph's body table to one (pos_mask, neg_mask) pair per rule body and, per
@@ -105,7 +114,19 @@ def _join(
     decides. Returns the probe for one left model: its successful unions
     with the right models, in right's order. A right model that disagrees
     with the left one on a shared node is never tried, since its union
-    would fail; the conflict test still covers every other node."""
+    would fail; the conflict test still covers every other node. A
+    one-model right list needs no buckets: its probe is one conflict test
+    and one union."""
+    if len(right) == 1:
+        ((right_known, right_true),) = right
+
+        def probe_one(model: PartialModel) -> list[PartialModel]:
+            known, true = model
+            if known & right_known & (true ^ right_true):
+                return []
+            return [(known | right_known, true | right_true)]
+
+        return probe_one
     shared = -1
     for known, _ in left:
         shared &= known
@@ -298,6 +319,15 @@ def prove(
     for entry in in_edges:
         # the edge is effective when its source takes its sign's value
         src, effective_value = entry >> 1, entry & 1 == 1
+        if known >> src & 1:
+            # The branch decides the source: the edge is read off it, as
+            # the module docstring says, with no sub-proof.
+            if (true >> src & 1 == 1) is effective_value:
+                if not presumed:
+                    states = {}
+                    break
+                states = dict.fromkeys(states, True)
+            continue
         options = []
         if presumed:
             options.append((prove(src, effective_value, known, true, table), True))
@@ -324,21 +354,79 @@ def _constraint_nodes(g: DepGraph) -> list[int]:
     return [n for n, value in g.fixed_nodes.items() if value is False]
 
 
-def _ancestor_atoms(g: DepGraph, seeds: list[int]) -> set[int]:
-    # Proofs stop at fact nodes, so a fact's own rule ancestors are not
-    # reached and must not count as covered.
-    seen = set(seeds)
-    stack = list(seeds)
+def _ancestor_atoms(g: DepGraph, seeds: list[int], reached: set[int]) -> list[int]:
+    """The atoms among seeds and their ancestors that reached does not hold
+    yet. The walk adds each node it meets to reached and stops at the nodes
+    already there, whose ancestors an earlier walk met. Proofs stop at fact
+    nodes, so a fact's own rule ancestors are not reached and must not
+    count as covered."""
+    new = [n for n in seeds if n not in reached]
+    reached.update(new)
+    stack = list(new)
     while stack:
         node = stack.pop()
         if g.fixed_nodes.get(node) is True:
             continue
         for entry in g.pred[node]:
             src = entry >> 1
-            if src not in seen:
-                seen.add(src)
+            if src not in reached:
+                reached.add(src)
+                new.append(src)
                 stack.append(src)
-    return {n for n in seen if n < g.atom_count}
+    return [n for n in new if n < g.atom_count]
+
+
+def _undecided_inputs(causal: CausalMap, decided: set[int]) -> dict[int, int]:
+    """Per undecided head, a count of its (body, literal) pairs whose atom
+    is undecided, which watchers lists once each."""
+    counts = dict.fromkeys([h for h in causal.bodies if h not in decided], 0)
+    for atom, heads in causal.watchers.items():
+        if atom not in decided:
+            for head in heads:
+                if head in counts:
+                    counts[head] += 1
+    return counts
+
+
+class _Coverage:
+    """The atoms _decided_atoms names, kept up to date as anchors are added.
+    The walked nodes, the decided set and the undecided-input counts last
+    across anchors, so an anchor costs only its new cone and the heads it
+    newly decides: the cone walk and the watcher count run once."""
+
+    __slots__ = ("g", "watchers", "reached", "decided", "undecided_inputs")
+
+    def __init__(self, g: DepGraph, causal: CausalMap):
+        self.g, self.watchers = g, causal.watchers
+        self.reached: set[int] = set()
+        decided = set(_ancestor_atoms(g, _constraint_nodes(g), self.reached))
+        decided.update(n for n, value in g.fixed_nodes.items() if value)
+        decided.update(a for a in range(g.atom_count) if a not in causal.bodies)
+        self.decided = decided
+        self.undecided_inputs = _undecided_inputs(causal, decided)
+        self._close([h for h, count in self.undecided_inputs.items() if count == 0])
+
+    def add(self, anchor: int) -> None:
+        """Counts the anchor as one more constraint seed."""
+        cone = _ancestor_atoms(self.g, [anchor], self.reached)
+        new = [a for a in cone if a not in self.decided]
+        for atom in new:
+            # decided by the cone, so no count of its inputs may decide it again
+            self.undecided_inputs.pop(atom, None)
+        self._close(new)
+
+    def _close(self, stack: list[int]) -> None:
+        """Decides the atoms on stack, then each head whose count of
+        undecided inputs they bring to zero."""
+        decided, counts, watchers = self.decided, self.undecided_inputs, self.watchers
+        decided.update(stack)
+        while stack:
+            for head in watchers.get(stack.pop(), ()):
+                if head in counts:
+                    counts[head] -= 1
+                    if counts[head] == 0:
+                        decided.add(head)
+                        stack.append(head)
 
 
 def _decided_atoms(g: DepGraph, causal: CausalMap, anchors: tuple[int, ...]) -> set[int]:
@@ -352,51 +440,32 @@ def _decided_atoms(g: DepGraph, causal: CausalMap, anchors: tuple[int, ...]) -> 
     graph.least_fixpoint: a head is decided only once all of its bodies
     are, where the fixpoint fires a head on any one body. Written as that
     fixpoint it needs a synthetic clause per head, and it measured slower
-    than this loop."""
-    bodies, watchers = causal.bodies, causal.watchers
-    decided = _ancestor_atoms(g, _constraint_nodes(g) + list(anchors))
-    decided.update(n for n, value in g.fixed_nodes.items() if value)
-    decided.update(a for a in range(g.atom_count) if a not in bodies)
-    # Per undecided head, a count of its (body, literal) pairs still
-    # undecided, which watchers lists once each; a head is decided when its
-    # count reaches zero.
-    undecided_inputs = dict.fromkeys([h for h in bodies if h not in decided], 0)
-    for atom, heads in watchers.items():
-        if atom not in decided:
-            for head in heads:
-                if head in undecided_inputs:
-                    undecided_inputs[head] += 1
-    stack = [head for head, count in undecided_inputs.items() if count == 0]
-    decided.update(stack)
-    while stack:
-        for head in watchers.get(stack.pop(), ()):
-            if head in undecided_inputs:
-                undecided_inputs[head] -= 1
-                if undecided_inputs[head] == 0:
-                    decided.add(head)
-                    stack.append(head)
-    return decided
+    than counting each head's undecided inputs."""
+    coverage = _Coverage(g, causal)
+    for anchor in anchors:
+        coverage.add(anchor)
+    return coverage.decided
 
 
 def synthesized_constraints(graph: DepGraph, causal: CausalMap) -> list[Rule]:
     """Vacuous ":- a, not a." anchors, each forcing a case split on a, for
     the atoms that neither a constraint cone nor propagation can decide:
     most-depended-upon atom first, until all atoms are covered. Every check
-    runs on graph, with the anchors as extra seeds."""
+    runs on graph, with the anchors as extra seeds. The covered set only
+    grows, so one pass over the atoms in that order finds every anchor."""
+    coverage = _Coverage(graph, causal)
+    # atoms are numbered in name order, so ties go to the smallest name
+    order = sorted(range(graph.atom_count), key=lambda a: (-len(graph.pred[a]), a))
     additions: list[Rule] = []
-    anchors: tuple[int, ...] = ()
-    while True:
-        covered = _decided_atoms(graph, causal, anchors)
-        candidates = [a for a in range(graph.atom_count) if a not in covered]
-        if not candidates:
-            return additions
-        # atoms are numbered in name order, so ties go to the smallest name
-        anchor = min(candidates, key=lambda a: (-len(graph.pred[a]), a))
-        anchors += (anchor,)
+    for anchor in order:
+        if anchor in coverage.decided:
+            continue
+        coverage.add(anchor)
         name = graph.names[anchor]
         additions.append(
             Rule(None, (Literal(name, negated=False), Literal(name, negated=True)))
         )
+    return additions
 
 
 def _contains(m: PartialModel, part: PartialModel) -> bool:

@@ -7,18 +7,55 @@ also an ancestor, in the same component. These tests check the cut
 against the untabled search, for every (node, presumed) of seeded random
 programs with even and odd loops and for branches drawn inside each
 component, with one table shared by every call on a program, as in a
-solve.
+solve. The reference search joins with its own copy of the bucketed hash
+join, so a fault in the package's join cannot hide in both.
 """
 
 import random
+from collections.abc import Callable, Iterable
 
 from aspgraph.cycles import cycle_stats
 from aspgraph.graph import DepGraph, build_cnr, cnr_to_dg
-from aspgraph.igasp import PartialModel, ProofTable, _join, prove, solve_igasp
+from aspgraph.igasp import (
+    PartialModel,
+    ProofTable,
+    _join,
+    merge_conjunctive,
+    prove,
+    solve_igasp,
+)
 from aspgraph.oracle import enumerate_stable
 from aspgraph.syntax import parse_program
 
 from conftest import random_program_text
+
+
+def reference_join(
+    left: Iterable[PartialModel], right: list[PartialModel]
+) -> Callable[[PartialModel], list[PartialModel]]:
+    """Hash join of two model lists on the nodes every model of both lists
+    decides. Returns the probe for one left model: its successful unions
+    with the right models, in right's order. A right model that disagrees
+    with the left one on a shared node is never tried, since its union
+    would fail; the conflict test still covers every other node."""
+    shared = -1
+    for known, _ in left:
+        shared &= known
+    for known, _ in right:
+        shared &= known
+    buckets: dict[int, list[PartialModel]] = {}
+    for model in right:
+        buckets.setdefault(model[1] & shared, []).append(model)
+
+    def probe(model: PartialModel) -> list[PartialModel]:
+        known, true = model
+        return [
+            (known | k, true | t)
+            for k, t in buckets.get(true & shared, ())
+            if not known & k & (true ^ t)
+        ]
+
+    return probe
 
 
 def reference_prove(
@@ -49,7 +86,9 @@ def reference_prove(
                 options.append((reference_prove(src, effective_value, branch, g), True))
             options.append((reference_prove(src, not effective_value, branch, g), False))
             joins = [
-                (_join(states, subs), effective) for subs, effective in options if subs
+                (reference_join(states, subs), effective)
+                for subs, effective in options
+                if subs
             ]
             next_states: dict[PartialModel, bool] = {}
             for model, has_effective in states.items():
@@ -131,3 +170,42 @@ def test_tabled_prove_matches_untabled_reference():
             assert set(got) == set(expected), (str(program), g.names[node], presumed, branch)
         assert solve_igasp(program) == enumerate_stable(program)
     assert even >= 10 and odd >= 10 and cyclic_branches >= 100
+
+
+def test_join_probe_is_the_brute_force_union_list():
+    # Every model of a case decides a common core, so some pairs conflict on
+    # a node that both lists decide, which the buckets sort out, and others
+    # only off it, which the conflict test must catch.
+    rng = random.Random(62)
+    seen = {"one": 0, "empty_left": 0, "shared_conflict": 0, "other_conflict": 0}
+
+    def draw(core: int, count: int) -> list[PartialModel]:
+        models = []
+        for _ in range(count):
+            known = core | rng.getrandbits(8)
+            models.append((known, rng.getrandbits(8) & known))
+        return models
+
+    for _ in range(3000):
+        core = rng.getrandbits(8) & rng.getrandbits(8)
+        left = draw(core, rng.choice((0, 1, 2, 5)))
+        right = draw(core, rng.choice((0, 1, 1, 2, 3, 6)))
+        shared = -1
+        for known, _ in left + right:
+            shared &= known
+        probe = _join(left, right)
+        unions = []
+        for known, true in left:
+            expected = [
+                (known | k, true | t) for k, t in right if not known & k & (true ^ t)
+            ]
+            assert probe((known, true)) == expected, (left, right)
+            unions += expected
+            for k, t in right:
+                clash = known & k & (true ^ t)
+                seen["shared_conflict"] += bool(clash & shared)
+                seen["other_conflict"] += bool(clash and not clash & shared)
+        assert merge_conjunctive(left, right) == list(dict.fromkeys(unions))
+        seen["one"] += len(right) == 1 and bool(left)
+        seen["empty_left"] += not left and bool(right)
+    assert min(seen.values()) >= 100, seen
