@@ -3,7 +3,10 @@
 Strongly connected components with at least one internal cycle are wrapped
 into virtual nodes so the stratified solver can treat each tangle as a
 single unit; they are found by an iterative form of Tarjan's algorithm
-(SIAM J. Comput. 1972). Simple cycles inside a component are enumerated by
+(SIAM J. Comput. 1972). A virtual node holds ascending node numbers, and
+the components come ordered by their smallest member, which is their
+smallest atom: conjunction nodes sit between atoms, and constraint nodes
+have no out-edges. Simple cycles inside a component are enumerated by
 Johnson's algorithm (SIAM J. Comput. 1975), which keeps the signs of each
 hop on its path stack, and classified by their count of negative edges:
 even (> 0 and even), odd, or positive (none).
@@ -65,13 +68,10 @@ def classify(negative_edge_count: int) -> CycleKind:
 
 @dataclass(frozen=True)
 class VirtualNode:
-    """One strongly connected component wrapped as a single node."""
+    """One strongly connected component wrapped as a single node: its
+    members, as ascending node numbers."""
 
-    members: frozenset[str]
-
-    @property
-    def key(self) -> str:
-        return min(self.members)
+    members: tuple[int, ...]
 
 
 def _strong_components(
@@ -124,40 +124,41 @@ def _strong_components(
 
 def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     """Virtual nodes for every SCC of size >= 2 or single node with a
-    self-loop; wrapping them leaves the condensation acyclic."""
-    virtual = []
-    names = g.names
+    self-loop, ordered by smallest member; wrapping them leaves the
+    condensation acyclic."""
+    cyclic = []
     succ = g.succ
-    size = len(names)
+    size = len(succ)
     for component in _strong_components(size, range(size), succ.__getitem__):
         if len(component) == 1:
             (node,) = component
             if 2 * node not in succ[node] and 2 * node + 1 not in succ[node]:
                 continue
-        virtual.append(VirtualNode(frozenset([names[i] for i in component])))
-    return sorted(virtual, key=lambda v: v.key)
+        cyclic.append(sorted(component))
+    return [VirtualNode(tuple(members)) for members in sorted(cyclic)]
 
 
 def _signed_cycles(v: VirtualNode, g: DepGraph):
     """Johnson's simple cycles of the component's node graph.
 
-    Each start is the smallest member on a cycle among the members not yet
-    used as a start, and searches only its strong component among them, so
-    each cycle is found once and starts at its smallest member; members
-    outside that component stay blocked. Yields (nodes, hops):
-    hops[i] is the sorted tuple of edge negativity flags from nodes[i] to
-    the next node, (False, True) where parallel edges of both signs join
-    them.
+    The members are taken in name order. Each start is the smallest member
+    on a cycle among the members not yet used as a start, and searches only
+    its strong component among them, so each cycle is found once and starts
+    at its smallest member by name; members outside that component stay
+    blocked. Yields (nodes, hops): nodes are names, and hops[i] is the
+    sorted tuple of edge negativity flags from nodes[i] to the next node,
+    (False, True) where parallel edges of both signs join them.
     """
-    names = sorted(v.members)
-    number = {g.number[name]: i for i, name in enumerate(names)}
+    names = g.names
+    members = sorted(v.members, key=names.__getitem__)
+    local = {m: i for i, m in enumerate(members)}
     flags: dict[tuple[int, int], list[bool]] = {}
-    for i, name in enumerate(names):
-        for e in g.succ[g.number[name]]:
-            j = number.get(e >> 1)
+    for i, m in enumerate(members):
+        for e in g.succ[m]:
+            j = local.get(e >> 1)
             if j is not None:
                 flags.setdefault((i, j), []).append(not e & 1)
-    succ: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in names]
+    succ: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in members]
     for (i, j), negatives in flags.items():
         succ[i].append((j, tuple(sorted(negatives))))
 
@@ -166,17 +167,17 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
         ahead = lambda i: [2 * j for j, _ in succ[i] if j >= s]  # as entries
         cyclic = [
             c
-            for c in _strong_components(len(names), range(s, len(names)), ahead)
+            for c in _strong_components(len(members), range(s, len(members)), ahead)
             if len(c) > 1 or 2 * c[0] in ahead(c[0])
         ]
         if not cyclic:
             return
         component = min(cyclic, key=min)
         s = min(component)
-        blocked = [True] * len(names)
+        blocked = [True] * len(members)
         for i in component:
             blocked[i] = i == s
-        blocked_by = [set() for _ in names]
+        blocked_by = [set() for _ in members]
         # one frame per path node: (node, its unexplored hops, the signs of
         # the hop into it, the cycle count when it was pushed)
         found = 0
@@ -187,7 +188,7 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
                 if w == s:
                     found += 1
                     yield (
-                        tuple(names[frame[0]] for frame in stack),
+                        tuple(names[members[frame[0]]] for frame in stack),
                         tuple(frame[2] for frame in stack[1:]) + (signs,),
                     )
                 elif not blocked[w]:

@@ -13,10 +13,11 @@ programs and every acyclic one are solved without looking for components.
 The batches propagate before they branch. Every ready regular node is taken
 at once, since a regular node never branches: an unfixed one defaults to
 False, in place. Only when no regular node is ready is one component taken,
-the one with the smallest key, and broken into every stable labeling of its
-members; each world gets one branch per labeling. So a constraint's
-conjunction node is processed as soon as its body is decided, and it kills
-bad worlds before the next component multiplies them.
+the ready component with the smallest member (its smallest atom), and broken
+into every stable labeling of its members; each world gets one branch per
+labeling. So a constraint's conjunction node is processed as soon as its
+body is decided, and it kills bad worlds before the next component
+multiplies them.
 
 By the splitting-set theorem (Lifschitz & Turner, "Splitting a logic
 program", ICLP 1994) a component's labelings depend only on the values it
@@ -53,7 +54,7 @@ when its batch comes, and every labeling agrees with it.
 Everything here works on node numbers, the graph's integer adjacency
 lists and its body table, and builds no Edge. A world being solved is a
 list of node values indexed by number, a labeling a dict from member
-number to value, and a component is handled as its sorted member numbers.
+number to value, and a component is handled as its ascending member numbers.
 ``solve_grasp_worlds`` decodes the surviving worlds to names once, at the
 end. The labeling search walks its tree with an explicit stack, so a
 component's size is not bounded by the interpreter's recursion limit.
@@ -75,9 +76,10 @@ def find_roots(g: DepGraph) -> Iterator[tuple[list[int], bool]]:
     as the walk reaches them.
 
     A batch is every ready regular node, by number, or else the ready
-    component with the smallest key, as its sorted member numbers. A
-    regular node never branches, so all of them are taken before the next
-    component multiplies the worlds.
+    component with the smallest member (its smallest atom), as its
+    ascending member numbers. A regular node never branches, so all of them
+    are taken before the next component multiplies the worlds. A
+    component's handle is its smallest member.
 
     The components are found only when the walk first needs one. Until
     then it is Kahn's algorithm over the raw graph, where a node's counter
@@ -94,11 +96,10 @@ def find_roots(g: DepGraph) -> Iterator[tuple[list[int], bool]]:
     succ, pred = g.succ, g.pred
     waiting = list(map(len, pred))  # per handle, once components are wrapped
     handle = list(range(size))
-    components: list[list[int]] = []  # in the order of their keys
-    rank: dict[int, int] = {}  # handle -> place in components
+    components: dict[int, list[int]] = {}  # handle -> members
     wrapped = False
     regular = [n for n in range(size) if not waiting[n]]
-    ready: list[int] = []  # heap of places in components
+    ready: list[int] = []  # heap of component handles
     left = size  # nodes not yet scheduled
     while True:
         if regular:
@@ -111,18 +112,17 @@ def find_roots(g: DepGraph) -> Iterator[tuple[list[int], bool]]:
         elif left and not wrapped:
             wrapped = True
             for v in find_virtual_nodes(g):
-                members = sorted(g.number[m] for m in v.members)
+                members = list(v.members)
                 inside = set(members)
                 h = members[0]
-                rank[h] = len(components)
-                components.append(members)
+                components[h] = members
                 count = 0
                 for m in members:
                     handle[m] = h
                     count += waiting[m] - sum(e >> 1 in inside for e in pred[m])
                 waiting[h] = count
                 if not count:
-                    heapq.heappush(ready, rank[h])
+                    heapq.heappush(ready, h)
             continue
         else:
             break
@@ -134,8 +134,8 @@ def find_roots(g: DepGraph) -> Iterator[tuple[list[int], bool]]:
                 if dst != src:
                     waiting[dst] -= 1
                     if not waiting[dst]:
-                        if dst in rank:
-                            heapq.heappush(ready, rank[dst])
+                        if dst in components:
+                            heapq.heappush(ready, dst)
                         else:
                             regular.append(dst)
     if left:
@@ -468,11 +468,10 @@ def solve_grasp_worlds(program: Program):
     keyed by name and ordered by their projected answer set. Two worlds
     never share one: labelings of a component differ on a member atom."""
     g = cnr_to_dg(build_cnr(program))
-    names = g.names
     atoms = range(g.atom_count)  # numbered in name order
-    worlds = sorted(solve_graph(g), key=lambda w: [names[n] for n in atoms if w.values[n]])
+    worlds = sorted(solve_graph(g), key=lambda w: [n for n in atoms if w.values[n]])
     for w in worlds:
-        w.values = dict(zip(names, w.values))
+        w.values = dict(zip(g.names, w.values))
     return g, worlds
 
 

@@ -389,7 +389,19 @@ def _undecided_inputs(causal: CausalMap, decided: set[int]) -> dict[int, int]:
 
 
 class _Coverage:
-    """The atoms _decided_atoms names, kept up to date as anchors are added.
+    """The decided atoms, kept up to date as anchors are added: the atoms
+    guaranteed a value in every finished partial model. They are facts and
+    rule-less atoms (structurally decided), constraint-cone atoms (decided
+    by the proofs), and the closure of atoms whose every rule body mentions
+    only decided atoms (decided either way by forward propagation).
+
+    An anchor is an atom a whose ":- a, not a." is proved as a goal on a's
+    cone, so each counts as one more constraint seed. The closure is not
+    graph.least_fixpoint: a head is decided only once all of its bodies
+    are, where the fixpoint fires a head on any one body. Written as that
+    fixpoint it needs a synthetic clause per head, and it measured slower
+    than counting each head's undecided inputs.
+
     The walked nodes, the decided set and the undecided-input counts last
     across anchors, so an anchor costs only its new cone and the heads it
     newly decides: the cone walk and the watcher count run once."""
@@ -427,24 +439,6 @@ class _Coverage:
                     if counts[head] == 0:
                         decided.add(head)
                         stack.append(head)
-
-
-def _decided_atoms(g: DepGraph, causal: CausalMap, anchors: tuple[int, ...]) -> set[int]:
-    """Atoms guaranteed a value in every finished partial model: facts and
-    rule-less atoms (structurally decided), constraint-cone atoms (decided
-    by the proofs), and the closure of atoms whose every rule body mentions
-    only decided atoms (decided either way by forward propagation).
-
-    anchors are atoms a whose ":- a, not a." is proved as a goal on a's
-    cone, so each counts as one more constraint seed. The closure is not
-    graph.least_fixpoint: a head is decided only once all of its bodies
-    are, where the fixpoint fires a head on any one body. Written as that
-    fixpoint it needs a synthetic clause per head, and it measured slower
-    than counting each head's undecided inputs."""
-    coverage = _Coverage(g, causal)
-    for anchor in anchors:
-        coverage.add(anchor)
-    return coverage.decided
 
 
 def synthesized_constraints(graph: DepGraph, causal: CausalMap) -> list[Rule]:

@@ -34,7 +34,7 @@ def test_even_pair_is_one_virtual_node():
     g = transformed("p :- not q. q :- not p.")
     virtual = find_virtual_nodes(g)
     assert len(virtual) == 1
-    assert virtual[0].members == {"p", "q"}
+    assert {g.names[m] for m in virtual[0].members} == {"p", "q"}
 
 
 def test_acyclic_graph_has_no_virtual_nodes():
@@ -45,7 +45,7 @@ def test_three_cycle_single_component():
     g = transformed("p :- not q. q :- not r. r :- not p.")
     virtual = find_virtual_nodes(g)
     assert len(virtual) == 1
-    assert virtual[0].members == {"p", "q", "r"}
+    assert {g.names[m] for m in virtual[0].members} == {"p", "q", "r"}
 
 
 def test_enumerate_even_cycle():
@@ -158,7 +158,7 @@ def test_agreement_with_brute_force_on_small_graphs():
         expected = []
         got = []
         for v in find_virtual_nodes(g):
-            expected += _brute_force_cycles(g, v.members)
+            expected += _brute_force_cycles(g, {g.names[m] for m in v.members})
             got += enumerate_cycles(v, g)
         assert sorted(got, key=key) == sorted(expected, key=key)
 
@@ -170,7 +170,7 @@ def test_cycle_stats_agrees_with_brute_force():
         kinds = [
             kind.value
             for v in find_virtual_nodes(g)
-            for _, kind in _brute_force_cycles(g, v.members)
+            for _, kind in _brute_force_cycles(g, {g.names[m] for m in v.members})
         ]
         expected = tuple(kinds.count(k) for k in ("even", "odd", "positive"))
         assert cycle_stats(g) == expected
@@ -184,8 +184,8 @@ def test_partition_and_condensation_acyclic():
         member_of = {}
         for v in virtual:
             for m in v.members:
-                assert m not in member_of
-                member_of[m] = v
+                assert g.names[m] not in member_of
+                member_of[g.names[m]] = v
         handle = lambda n: id(member_of[n]) if n in member_of else n
         # collapse members, then Kahn's algorithm must consume every handle
         successors = {handle(n): set() for n in g.nodes}
@@ -230,8 +230,13 @@ def test_virtual_nodes_match_mutual_reachability():
     for _ in range(200):
         n_atoms = rng.randint(1, 25)
         g = transformed(random_program_text(rng, n_atoms, rng.randint(1, 2 * n_atoms)))
-        members = [v.members for v in find_virtual_nodes(g)]
-        assert members == _mutual_reachability_classes(g)
+        virtual = find_virtual_nodes(g)
+        members = [frozenset(g.names[m] for m in v.members) for v in virtual]
+        assert sorted(members, key=min) == _mutual_reachability_classes(g)
+        # ascending members, the components ordered by their smallest
+        assert all(list(v.members) == sorted(v.members) for v in virtual)
+        smallest = [v.members[0] for v in virtual]
+        assert smallest == sorted(smallest)
 
 
 @pytest.fixture

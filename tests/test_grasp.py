@@ -39,11 +39,6 @@ def models(text, **kwargs):
     return [sorted(m) for m in solve_grasp(parse_program(text), **kwargs)]
 
 
-def members_of(g, v):
-    """A virtual node's members by number, as solve_graph passes them."""
-    return sorted(g.number[m] for m in v.members)
-
-
 def named(g, values):
     """Fixed node values keyed by name: a labeling maps node numbers to
     values, and a world being solved lists them."""
@@ -91,12 +86,12 @@ def test_find_roots_empty_view():
 def _brute_force_batch(g, virtual, removed):
     """Keys of the next batch: the live handles with no in-edge from a live
     node of another handle, taking the regular ones if there are any and
-    else the virtual one with the smallest key."""
+    else the virtual one with the smallest member."""
     handle_of = {n: n for n in g.nodes}
     for v in virtual:
         for m in v.members:
-            handle_of[m] = v.key
-    virtual_keys = {v.key for v in virtual}
+            handle_of[g.names[m]] = g.names[min(v.members)]
+    virtual_keys = {g.names[min(v.members)] for v in virtual}
     live = {n for n in g.nodes if handle_of[n] not in removed}
     roots = set()
     for n in live:
@@ -109,7 +104,7 @@ def _brute_force_batch(g, virtual, removed):
         ):
             roots.add(handle)
     regular = sorted(roots - virtual_keys, key=g.number.__getitem__)
-    return regular or sorted(roots)[:1]
+    return regular or sorted(roots, key=g.number.__getitem__)[:1]
 
 
 def test_find_roots_matches_brute_force_every_layer():
@@ -120,7 +115,7 @@ def test_find_roots_matches_brute_force_every_layer():
         removed = set()
         for nodes, is_component in list(find_roots(g)):
             names = [g.names[n] for n in nodes]
-            keys = [min(names)] if is_component else names
+            keys = [g.names[min(nodes)]] if is_component else names
             assert keys == _brute_force_batch(g, virtual, removed)
             removed.update(keys)
         assert _brute_force_batch(g, virtual, removed) == []
@@ -138,10 +133,10 @@ def reference_find_roots(g):
     first, and the whole walk over the condensation is returned as a list."""
     size = len(g.names)
     handle = list(range(size))
-    components = []  # in the order of their keys
+    components = []  # in the order of their smallest members
     rank = {}  # handle -> place in components
     for v in find_virtual_nodes(g):
-        members = sorted(g.number[m] for m in v.members)
+        members = list(v.members)
         rank[members[0]] = len(components)
         components.append(members)
         for m in members:
@@ -300,6 +295,16 @@ def test_coloring_looks_for_components_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_coloring_components_come_in_vertex_order():
+    # Each vertex's color choice is one component, and all five are ready at
+    # once. The smallest member is the smallest atom, col_v_0, so they go in
+    # vertex order; the smallest member name, a __conj_ node, would put
+    # __conj_10 (vertex 3) before __conj_3 (vertex 1).
+    g = cnr_to_dg(build_cnr(gen_coloring(5, cycle_graph(5))))
+    firsts = [g.names[nodes[0]] for nodes, is_component in find_roots(g) if is_component]
+    assert firsts == [f"col_{v}_0" for v in range(5)]
+
+
 def test_paper_configuration_looks_for_components_only_when_reached(monkeypatch):
     programs = [gen_random(GenConfig(seed=seed, **PAPER_CONFIG)) for seed in range(30)]
     # The solves whose worlds survive to a component batch, walking the
@@ -342,7 +347,7 @@ def _programs(draw):
 def test_schedule_boundary_property(text):
     g = transformed(text)
     schedule = list(find_roots(g))
-    components = [members_of(g, v) for v in find_virtual_nodes(g)]
+    components = [list(v.members) for v in find_virtual_nodes(g)]
     handle = list(range(len(g.names)))
     for members in components:
         for m in members:
@@ -378,7 +383,8 @@ def test_schedule_boundary_property(text):
         )
 
     # a regular batch is every ready regular node; a component batch comes
-    # only when none is ready, and is the ready component with the least key
+    # only when none is ready, and is the ready component with the smallest
+    # member
     for i, (nodes, is_component) in enumerate(schedule):
         waiting_regular = [n for n in regular if place[n] >= i and ready([n], i)]
         if not is_component:
@@ -386,7 +392,7 @@ def test_schedule_boundary_property(text):
             continue
         assert waiting_regular == []
         candidates = [c for c in components if place[c[0]] >= i and ready(c, i)]
-        assert nodes == min(candidates, key=lambda c: min(g.names[m] for m in c))
+        assert nodes == min(candidates, key=min)
 
 
 def _chain(shape, n):
@@ -636,7 +642,7 @@ def test_walk_invariants_on_random_programs(monkeypatch):
 def test_break_cycles_even_pair():
     g = transformed("p :- not q. q :- not p.")
     (v,) = find_virtual_nodes(g)
-    labelings = break_cycles(members_of(g, v), g, initial_world(g))
+    labelings = break_cycles(list(v.members), g, initial_world(g))
     assert [(named(g, l)["p"], named(g, l)["q"]) for l in labelings] == [
         (True, False),
         (False, True),
@@ -650,23 +656,23 @@ def test_break_cycles_returns_member_values_only():
     w = initial_world(g)
     for node in ("s", "t"):
         w.values[g.number[node]] = True
-    labelings = break_cycles(members_of(g, v), g, w)
+    labelings = break_cycles(list(v.members), g, w)
     assert len(labelings) == 2
     for labeling in labelings:
-        assert set(named(g, labeling)) == set(v.members)
+        assert set(named(g, labeling)) == {g.names[m] for m in v.members}
     assert models(text) == [["p", "s", "t"], ["q", "s", "t"]]
 
 
 def test_break_cycles_odd_dies():
     g = transformed("p :- not q. q :- not r. r :- not p.")
     (v,) = find_virtual_nodes(g)
-    assert break_cycles(members_of(g, v), g, initial_world(g)) == []
+    assert break_cycles(list(v.members), g, initial_world(g)) == []
 
 
 def test_break_cycles_positive_all_false():
     g = transformed("p :- q. q :- p.")
     (v,) = find_virtual_nodes(g)
-    (labeling,) = break_cycles(members_of(g, v), g, initial_world(g))
+    (labeling,) = break_cycles(list(v.members), g, initial_world(g))
     assert named(g, labeling) == {"p": False, "q": False}
 
 
@@ -677,7 +683,7 @@ def test_break_cycles_overlapping_even_cycles():
     (v,) = find_virtual_nodes(g)
     labelings = {
         tuple(sorted(a for a in ("p", "q", "r") if named(g, labeling)[a]))
-        for labeling in break_cycles(members_of(g, v), g, initial_world(g))
+        for labeling in break_cycles(list(v.members), g, initial_world(g))
     }
     assert labelings == {("q",), ("p", "r")}
     assert models(text) == [["p", "r"], ["q"]]
@@ -1001,7 +1007,7 @@ def _eval_body(body, value_of):
 def reference_labelings(v, g, w):
     """The re-evaluating labeling search: every affected head's bodies are
     evaluated again at each decision, and foundedness is swept to a fixpoint."""
-    atoms = sorted(m for m in v.members if node_kind(m) is NodeKind.ATOM)
+    atoms = sorted(g.names[m] for m in v.members if node_kind(g.names[m]) is NodeKind.ATOM)
     bodies = {a: node_bodies(g, a) for a in atoms}
     mentions = {a: set() for a in atoms}
     for head, heads_bodies in bodies.items():
@@ -1089,17 +1095,15 @@ def reference_labelings(v, g, w):
 
 def input_nodes(v, g):
     """The names of the nodes whose values a component's labelings read."""
-    members = [g.number[m] for m in sorted(v.members)]
-    return [g.names[n] for n in grasp._context_nodes(members, g)]
+    return [g.names[n] for n in grasp._context_nodes(list(v.members), g)]
 
 
 def component_labelings(v, g, w):
     """The stable labelings of a component under a name-keyed world, by name."""
     by_number = World([w.value(name) for name in g.names])
-    members = [g.number[m] for m in v.members]
     return [
         {g.names[a]: value for a, value in labeling.items()}
-        for labeling in grasp._stable_labelings(members, g, by_number)
+        for labeling in grasp._stable_labelings(list(v.members), g, by_number)
     ]
 
 
@@ -1125,7 +1129,8 @@ def test_component_labelings_match_reference():
                 components += 1
                 counts.add(min(len(labelings), 2))
                 unfixed_facts += any(
-                    g.fixed_value(m) is True and w.value(m) is not True for m in v.members
+                    g.fixed_value(g.names[m]) is True and w.value(g.names[m]) is not True
+                    for m in v.members
                 )
     assert counts == {0, 1, 2}
     assert unfixed_facts > 0

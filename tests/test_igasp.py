@@ -219,7 +219,10 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         augmented_program = program.extended(rules)
         augmented = transformed(str(augmented_program))
         for seeds, graph, prog in (((), g, program), (anchors, augmented, augmented_program)):
-            decided = {g.names[a] for a in igasp._decided_atoms(g, causal, seeds)}
+            coverage = igasp._Coverage(g, causal)
+            for anchor in seeds:
+                coverage.add(anchor)
+            decided = {g.names[a] for a in coverage.decided}
             assert decided == reference_decided_atoms(graph, prog)
     assert anchored > 0
 

@@ -5,6 +5,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "aspgraph"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SOURCE.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -29,3 +30,41 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """The private top-level functions and classes of the modules that no
+    module reads: by name, as an attribute, or in an import."""
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    trees = {
+        "a.py": ast.parse("def _used(): pass\ndef _unused(): pass\nclass _Gone: pass\n"),
+        "b.py": ast.parse("from .a import _used\ndef public(): return _used()\n"),
+    }
+    assert unreferenced_private_definitions(trees) == [
+        "a.py: _unused (line 2)",
+        "a.py: _Gone (line 3)",
+    ]
+
+
+def test_every_private_definition_is_referenced_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert unreferenced_private_definitions(trees) == []
