@@ -31,7 +31,7 @@ from .generate import (
 from .graph import build_cnr, cnr_to_dg, export_dot, graph_to_json
 from .grasp import solve_grasp, solve_grasp_worlds
 from .igasp import QueryAtomUnknown, solve_igasp, solve_query
-from .justify import AtomUnknown, export_dot_world, justify, render_text, tree_to_json
+from .justify import AtomUnknown, atom_node, export_dot_world, justify, render_text, tree_to_json
 from .oracle import enumerate_stable
 from .syntax import ParseError, Program, parse_program
 
@@ -101,13 +101,13 @@ def cmd_justify(args) -> int:
         )
         return EXIT_ERROR
     world = worlds[args.model_index]
-    tree = justify(graph, world, args.atom)
-    if args.format == "json":
-        print(json.dumps(tree_to_json(tree)))
-    elif args.format == "dot":
+    if args.format == "dot":  # the whole valued graph: no tree to build
+        atom_node(graph, args.atom)
         print(export_dot_world(graph, world))
+    elif args.format == "json":
+        print(json.dumps(tree_to_json(justify(graph, world, args.atom))))
     else:
-        print(render_text(tree))
+        print(render_text(justify(graph, world, args.atom)))
     return EXIT_MODELS
 
 

@@ -6,10 +6,10 @@ single unit; they are found by an iterative form of Tarjan's algorithm
 (SIAM J. Comput. 1972). A virtual node holds ascending node numbers, and
 the components come ordered by their smallest member, which is their
 smallest atom: conjunction nodes sit between atoms, and constraint nodes
-have no out-edges. Simple cycles inside a component are enumerated by
-Johnson's algorithm (SIAM J. Comput. 1975), which keeps the signs of each
-hop on its path stack, and classified by their count of negative edges:
-even (> 0 and even), odd, or positive (none).
+have no out-edges. Simple cycles inside a component are enumerated over
+its member numbers by Johnson's algorithm (SIAM J. Comput. 1975), and
+classified by their count of negative edges: even (> 0 and even), odd, or
+positive (none). Names are read only to list cycles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 from .graph import DepGraph
 
@@ -58,12 +57,6 @@ class CycleKind(Enum):
     EVEN = "even"
     ODD = "odd"
     POSITIVE = "positive"
-
-
-def classify(negative_edge_count: int) -> CycleKind:
-    if negative_edge_count == 0:
-        return CycleKind.POSITIVE
-    return CycleKind.ODD if negative_edge_count % 2 else CycleKind.EVEN
 
 
 @dataclass(frozen=True)
@@ -139,32 +132,33 @@ def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
 
 
 def _signed_cycles(v: VirtualNode, g: DepGraph):
-    """Johnson's simple cycles of the component's node graph.
+    """Johnson's simple cycles of the component's node graph, over member
+    positions in number order, with parallel edges merged into one hop
+    (Hawick & James, 2008).
 
-    The members are taken in name order. Each start is the smallest member
-    on a cycle among the members not yet used as a start, and searches only
-    its strong component among them, so each cycle is found once and starts
-    at its smallest member by name; members outside that component stay
-    blocked. Yields (nodes, hops): nodes are names, and hops[i] is the
-    sorted tuple of edge negativity flags from nodes[i] to the next node,
-    (False, True) where parallel edges of both signs join them.
+    Each start is the smallest member on a cycle among the members not yet
+    used as a start, and searches only its strong component among them, so
+    each cycle is found once and starts at its smallest member; members
+    outside that component stay blocked. Yields (path, free, negative):
+    path is the cycle's positions in ``v.members``, free its count of hops
+    joined by edges of both signs, and negative its count of negative-only
+    hops.
     """
-    names = g.names
-    members = sorted(v.members, key=names.__getitem__)
+    members = v.members
     local = {m: i for i, m in enumerate(members)}
-    flags: dict[tuple[int, int], list[bool]] = {}
+    signs: dict[tuple[int, int], int] = {}  # bit 1: a positive edge, 2: a negative one
     for i, m in enumerate(members):
         for e in g.succ[m]:
             j = local.get(e >> 1)
             if j is not None:
-                flags.setdefault((i, j), []).append(not e & 1)
-    succ: list[list[tuple[int, tuple[bool, ...]]]] = [[] for _ in members]
-    for (i, j), negatives in flags.items():
-        succ[i].append((j, tuple(sorted(negatives))))
+                signs[i, j] = signs.get((i, j), 0) | (1 if e & 1 else 2)
+    succ: list[list[tuple[int, bool, bool]]] = [[] for _ in members]
+    for (i, j), bits in signs.items():
+        succ[i].append((j, bits == 3, bits == 2))
 
     s = 0
     while True:
-        ahead = lambda i: [2 * j for j, _ in succ[i] if j >= s]  # as entries
+        ahead = lambda i: [2 * j for j, _, _ in succ[i] if j >= s]  # as entries
         cyclic = [
             c
             for c in _strong_components(len(members), range(s, len(members)), ahead)
@@ -178,25 +172,25 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
         for i in component:
             blocked[i] = i == s
         blocked_by = [set() for _ in members]
-        # one frame per path node: (node, its unexplored hops, the signs of
-        # the hop into it, the cycle count when it was pushed)
+        # one frame per path node: (its unexplored hops, the free and
+        # negative hops up to it, the cycle count when it was pushed)
         found = 0
-        stack = [(s, iter(succ[s]), (), found)]
+        path = [s]
+        stack = [(iter(succ[s]), 0, 0, found)]
         while stack:
-            u, edges, _, pushed_at = stack[-1]
-            for w, signs in edges:
+            edges, free, negative, pushed_at = stack[-1]
+            for w, f, n in edges:
                 if w == s:
                     found += 1
-                    yield (
-                        tuple(names[members[frame[0]]] for frame in stack),
-                        tuple(frame[2] for frame in stack[1:]) + (signs,),
-                    )
+                    yield tuple(path), free + f, negative + n
                 elif not blocked[w]:
                     blocked[w] = True
-                    stack.append((w, iter(succ[w]), signs, found))
+                    path.append(w)
+                    stack.append((iter(succ[w]), free + f, negative + n, found))
                     break
             else:
                 stack.pop()
+                u = path.pop()
                 if found > pushed_at:
                     # a cycle ran through u: unblock it and all that waits on it
                     pending = [u]
@@ -207,9 +201,21 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
                             pending.extend(blocked_by[x])
                             blocked_by[x].clear()
                 else:
-                    for w, _ in succ[u]:
+                    for w, _, _ in succ[u]:
                         blocked_by[w].add(u)
         s += 1
+
+
+def _kinds(free: int, negative: int) -> tuple[int, int, int]:
+    """(even, odd, positive) counts of the sign variants of a cycle with
+    free hops of either sign and negative hops: with a free hop the two
+    parities split evenly, and with no negative hop one variant is positive."""
+    positive = 0 if negative else 1
+    if free:
+        half = 1 << (free - 1)
+        return half - positive, half, positive
+    odd = negative & 1
+    return 1 - odd - positive, odd, positive
 
 
 def enumerate_cycles(
@@ -224,14 +230,17 @@ def enumerate_cycles(
     """
     if cap is None:
         cap = default_cycle_cap()
+    names = [g.names[m] for m in v.members]
     found: list[tuple[tuple[str, ...], CycleKind]] = []
-    count = 0
-    for nodes, hops in _signed_cycles(v, g):
-        for combo in product(*hops):
-            count += 1
-            if count > cap:
-                raise CycleExplosionError(count, cap)
-            found.append((nodes, classify(sum(combo))))
+    for path, free, negative in _signed_cycles(v, g):
+        nodes = [names[i] for i in path]
+        first = nodes.index(min(nodes))
+        nodes = tuple(nodes[first:] + nodes[:first])
+        kinds = _kinds(free, negative)
+        if len(found) + sum(kinds) > cap:
+            raise CycleExplosionError(len(found) + sum(kinds), cap)
+        for kind, count in zip(CycleKind, kinds):  # even, odd, positive
+            found += [(nodes, kind)] * count
     found.sort(key=lambda item: (item[0], item[1].value))
     return found
 
@@ -248,31 +257,17 @@ def cycle_stats_json(g: DepGraph, cap: int | None = None) -> dict:
 
 
 def cycle_stats(g: DepGraph, cap: int | None = None) -> tuple[int, int, int]:
-    """(even, odd, positive) cycle totals across all virtual nodes.
-
-    Sign expansions of parallel-edge cycles are counted combinatorially: a
-    cycle with m both-sign hops splits evenly into 2^(m-1) odd and 2^(m-1)
-    even variants, one of which is all-positive when no hop is forced
-    negative.
-    """
+    """(even, odd, positive) cycle totals across all virtual nodes, each
+    sign variant of a cycle counted."""
     if cap is None:
         cap = default_cycle_cap()
     even = odd = positive = 0
     for v in find_virtual_nodes(g):
-        for _, hops in _signed_cycles(v, g):
-            free = sum(map(len, hops)) - len(hops)  # hops with both signs
-            forced_neg = hops.count((True,))
-            variants = 1 << free
-            if even + odd + positive + variants > cap:
-                raise CycleExplosionError(even + odd + positive + variants, cap)
-            if free:
-                # with any free hop the two parity classes split evenly
-                even_parity = odd_parity = variants // 2
-            else:
-                even_parity = 1 if forced_neg % 2 == 0 else 0
-                odd_parity = 1 - even_parity
-            all_positive = 1 if forced_neg == 0 else 0
-            even += even_parity - all_positive
-            odd += odd_parity
-            positive += all_positive
+        for _, free, negative in _signed_cycles(v, g):
+            e, o, p = _kinds(free, negative)
+            even += e
+            odd += o
+            positive += p
+            if even + odd + positive > cap:
+                raise CycleExplosionError(even + odd + positive, cap)
     return (even, odd, positive)

@@ -11,17 +11,17 @@ when its rule body fails.
 The graph is integers at its core. Nodes are numbered once, in node order:
 the sorted atoms (so an atom's number is its rank by name), then the helper
 nodes in the order their rules appear. A graph keeps its edges once, as the
-arc list ``arcs`` of (src, dst, positive) triples sorted by (src name, dst
-name, sign), the negative sign first. ``cnr_to_dg`` flips the sign of every
-arc that touches a conjunction node in one pass that keeps the list's
-order, so in the transformed graph parallel edges between the same two
-nodes keep the order of their signs before the flip.
+arc list ``arcs`` of (src, dst, positive) triples in number order, the
+negative sign first. ``cnr_to_dg`` flips the sign of every arc that touches
+a conjunction node in one pass that keeps the list's order, so in the
+transformed graph parallel edges between the same two nodes keep the order
+of their signs before the flip.
 
 Each node's out-list ``succ`` and in-list ``pred`` of entries
 ``2 * node + positive`` (a sign is one bit) are filled from the arc list
 by ``fill_adjacency``, both at once, the first time either is read: each
-out-list is then in (dst name, sign) order and each in-list in (src name,
-sign) order, the arc list's. ``cnr_to_dg`` fills the transformed graph's
+out-list is then in (dst, sign) order and each in-list in (src, sign)
+order, the arc list's. ``cnr_to_dg`` fills the transformed graph's
 lists in its own call; the engines read only that graph, so the
 conjunction-node graph's lists are filled only for its exports and tests.
 
@@ -100,12 +100,12 @@ class DepGraph:
     """Numbered nodes with one sorted signed arc list; immutable by convention.
 
     ``names[i]`` is node i and ``number`` maps a name back. ``arcs`` holds
-    every edge once as a (src, dst, positive) triple, in (src name, dst
-    name, sign) order, and is the graph's adjacency: ``succ[i]`` and
-    ``pred[i]``, the out- and in-entries ``2 * node + positive`` of node i,
-    are filled from it on first read. Nodes below ``atom_count`` are the
-    atoms, ``conj[i]`` says whether node i is a conjunction node, and
-    ``fixed_nodes`` maps the fixed nodes to their values, in node order.
+    every edge once as a (src, dst, positive) triple, in number order, and
+    is the graph's adjacency: ``succ[i]`` and ``pred[i]``, the out- and
+    in-entries ``2 * node + positive`` of node i, are filled from it on
+    first read. Nodes below ``atom_count`` are the atoms, ``conj[i]`` says
+    whether node i is a conjunction node, and ``fixed_nodes`` maps the
+    fixed nodes to their values, in node order.
     """
 
     def __init__(
@@ -324,13 +324,10 @@ def build_cnr(program: Program) -> DepGraph:
             arcs.append((conj, head, True))
         seen[key] = helpers
 
-    # Every edge in (src name, dst name, sign) order fills the out-lists in
+    # Every edge in (src, dst, sign) number order fills the out-lists in
     # (dst, sign) order and the in-lists in (src, sign) order.
+    arcs.sort()
     size = len(names)
-    rank = [0] * size
-    for r, i in enumerate(sorted(range(size), key=names.__getitem__)):
-        rank[i] = r
-    arcs.sort(key=lambda e: (rank[e[0]] * size + rank[e[1]]) * 2 + e[2])
     fixed = {**dict.fromkeys(sorted(facts), True), **dict.fromkeys(constraints, False)}
     conj = [False] * size
     for i in conjunctions:

@@ -44,6 +44,14 @@ class JustificationTree:
         return 1 + sum(child.size() for child in self.children)
 
 
+def atom_node(g: DepGraph, atom: str) -> int:
+    """A program atom's node number; AtomUnknown for any other name."""
+    number = g.number.get(atom)
+    if number is None or number >= g.atom_count:
+        raise AtomUnknown(f"{atom!r} is not a program atom")
+    return number
+
+
 def justify(g: DepGraph, w: World, atom: str) -> JustificationTree:
     """Justification tree for an atom in a completed world.
 
@@ -52,9 +60,7 @@ def justify(g: DepGraph, w: World, atom: str) -> JustificationTree:
     reason each one is not effective.
     """
     require_named(w)
-    number = g.number.get(atom)
-    if number is None or number >= g.atom_count:
-        raise AtomUnknown(f"{atom!r} is not a program atom")
+    number = atom_node(g, atom)
     names = g.names
     values = list(map(w.values.get, names))
     if not w.is_complete(g):

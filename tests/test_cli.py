@@ -11,6 +11,8 @@ import pytest
 from aspgraph import cli
 from aspgraph.cli import _run_with_timeout, main
 from aspgraph.generate import GenConfig, gen_random
+from aspgraph.grasp import solve_grasp_worlds
+from aspgraph.justify import export_dot_world
 from aspgraph.syntax import parse_program
 
 from conftest import PAPER_CONFIG
@@ -206,6 +208,26 @@ def test_justify_json(program_file, capsys):
 
 def test_justify_helper_name_rejected(program_file):
     assert main(["justify", program_file("q. p :- q.\n"), "__conj_0"]) == 2
+
+
+def test_justify_dot_builds_no_tree(program_file, capsys):
+    text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 1200))
+    path = program_file(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter default; the host may set more
+    try:
+        assert main(["justify", path, "a1199", "--format", "dot"]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    graph, (world,) = solve_grasp_worlds(parse_program(text))
+    assert capsys.readouterr().out == export_dot_world(graph, world) + "\n"
+    # an unknown atom is rejected as it is for a tree
+    assert main(["justify", path, "zz", "--format", "dot"]) == 2
+    dot_err = capsys.readouterr()
+    assert main(["justify", path, "zz"]) == 2
+    text_err = capsys.readouterr()
+    assert dot_err.out == text_err.out == ""
+    assert dot_err.err == text_err.err == "'zz' is not a program atom\n"
 
 
 def test_justify_unsat_program(program_file):

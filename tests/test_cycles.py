@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from aspgraph.cycles import (
     CycleExplosionError,
     CycleKind,
-    classify,
+    _kinds,
     cycle_stats,
     enumerate_cycles,
     find_virtual_nodes,
@@ -21,13 +22,6 @@ from conftest import random_program_text
 
 def transformed(text):
     return cnr_to_dg(build_cnr(parse_program(text)))
-
-
-def test_classify_by_negative_count():
-    assert classify(0) is CycleKind.POSITIVE
-    assert classify(1) is CycleKind.ODD
-    assert classify(2) is CycleKind.EVEN
-    assert classify(3) is CycleKind.ODD
 
 
 def test_even_pair_is_one_virtual_node():
@@ -129,6 +123,38 @@ def test_cap_env_rejects_non_positive_integers(monkeypatch, value):
         default_cycle_cap()
 
 
+def _kind_of(negatives):
+    """The reference rule: a cycle's kind by its count of negative edges."""
+    if negatives == 0:
+        return CycleKind.POSITIVE
+    return CycleKind.ODD if negatives % 2 else CycleKind.EVEN
+
+
+def test_kinds_count_every_sign_choice():
+    # a free hop is negative or positive, a negative-only hop always negative
+    for free in range(7):
+        for negative in range(5):
+            kinds = [_kind_of(sum(choice) + negative) for choice in product((0, 1), repeat=free)]
+            expected = tuple(kinds.count(k) for k in CycleKind)
+            assert _kinds(free, negative) == expected, (free, negative)
+
+
+def test_census_reads_no_node_name():
+    class Unreadable:
+        def __getitem__(self, i):
+            raise AssertionError(f"the census read the name of node {i}")
+
+    rng = random.Random(17)
+    cyclic = 0
+    for _ in range(30):
+        g = transformed(random_program_text(rng, rng.randint(1, 8), rng.randint(1, 14)))
+        stats = cycle_stats(g)
+        cyclic += any(stats)
+        g.names = Unreadable()
+        assert cycle_stats(g) == stats
+    assert cyclic > 10
+
+
 def _brute_force_cycles(g, members):
     """Exhaustive DFS over simple edge paths; each cycle is rooted at its
     smallest node, so every sign variant appears exactly once."""
@@ -141,7 +167,7 @@ def _brute_force_cycles(g, members):
     def walk(start, node, path, negatives):
         for e in edges.get(node, ()):
             if e.dst == start:
-                found.append((tuple(path), classify(negatives + e.negative)))
+                found.append((tuple(path), _kind_of(negatives + e.negative)))
             elif e.dst not in path and e.dst > start:
                 walk(start, e.dst, path + [e.dst], negatives + e.negative)
 

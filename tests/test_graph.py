@@ -199,11 +199,13 @@ def test_build_deterministic():
 
 def _reference_flip(cnr):
     """Adjacency of the transformed graph as first built: every edge of cnr
-    in (src, dst, sign) order, conjunction-incident signs flipped after the
-    sort, so parallel edges keep the order of their original signs."""
+    in (src, dst, sign) order by node number, conjunction-incident signs
+    flipped after the sort, so parallel edges keep the order of their
+    original signs."""
     out = {n: [] for n in cnr.nodes}
     in_ = {n: [] for n in cnr.nodes}
-    for e in sorted(cnr.edges, key=lambda e: (e.src, e.dst, e.sign.value)):
+    number = cnr.number
+    for e in sorted(cnr.edges, key=lambda e: (number[e.src], number[e.dst], e.sign.value)):
         touches = NodeKind.CONJ in (node_kind(e.src), node_kind(e.dst))
         edge = Edge(e.src, e.dst, e.sign.flipped() if touches else e.sign)
         out[e.src].append(edge)

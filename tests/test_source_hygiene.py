@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "aspgraph"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "aspgraph"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SOURCE.glob("*.py"))
 
@@ -27,7 +28,7 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(tree) == ["os (line 1)", "DepGraph (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
