@@ -13,42 +13,44 @@ The proof search starts from the constraint nodes (always-False heads)
 and works backward: a node presumed False needs every in-edge
 non-effective, a node presumed True needs at least one effective in-edge,
 where an effective edge is a positive edge from a True node or a negative
-edge from a False node. Each proof decides the source of every in-edge
-it meets, so a finished partial model covers the whole ancestor cone of
-its constraint. Programs without enough constraints to reach every atom
-get synthesized ones: vacuous ":- a, not a." anchors that force a case
-split on a. Each is proved as a goal on the program's own graph, built
-once per solve, by proving a False or a True. A fact needs no goal: the
-seed holds it True, so its one proof is part of every model already.
-A goal's proof models are joined, without repeats, with the models found
-so far, and each union is forward-propagated once; a proof is never
-propagated on its own. Propagation is monotone, so fp(left | fp(m)) =
-fp(left | m), and a proof whose own propagation contradicts makes every
-union containing it contradict too: the finished models are the same as
-when each proof is propagated before the join. Finished models are
-totalized (atoms never reached default to False) and kept only if the
-resulting world passes the effective-edge/foundedness validation.
+edge from a False node. Every goal is proved on the seed branch, so a
+proof reads each seed atom, facts and rule-less atoms among them, off the
+branch. It decides the source of every other in-edge it meets, so a
+finished partial model covers its constraint's ancestor cone up to the
+seed. Programs without enough constraints to reach every atom get
+synthesized ones: vacuous ":- a, not a." anchors that force a case split
+on a. Each is proved as a goal on the program's own graph, built once per
+solve, by proving a False or a True. A goal's proof models are joined,
+without repeats, with the models found so far, and each union is
+forward-propagated once; a proof is never propagated on its own.
+Propagation is monotone, so fp(left | fp(m)) = fp(left | m), and a proof
+whose own propagation contradicts makes every union containing it
+contradict too: the finished models are the same as when each proof is
+propagated before the join. Finished models are totalized (atoms never
+reached default to False) and kept only if the resulting world passes the
+effective-edge/foundedness validation.
 
 The proof search walks the graph's own integer lists: node i is bit i,
-its fixed value is read off ``fixed_nodes`` and its in-edges off ``pred``
-(a positive entry is effective when its source is True). A partial model
-is a pair of ints, (known, true): bit i of known says node i is decided,
-bit i of true that it is True (true is always a subset of known). Two
-models conflict exactly when (k1 & k2) & (t1 ^ t2) is nonzero, and their
-union is two ORs. The proof branch, the nodes presumed on the path of
-proofs that led to a sub-goal, is such a pair of ints too, passed down by
-value, so nothing is undone on the way back. Names are decoded only when
-answer sets are extracted.
+and its in-edges are read off ``pred`` (a positive entry is effective
+when its source is True). A partial model is a pair of ints, (known,
+true): bit i of known says node i is decided, bit i of true that it is
+True (true is always a subset of known). Two models conflict exactly
+when (k1 & k2) & (t1 ^ t2) is nonzero, and their union is two ORs. The
+proof branch, the seed and the nodes presumed on the path of proofs that
+led to a sub-goal, is such a pair of ints too, passed down by value, so
+nothing is undone on the way back. Names are decoded only when answer
+sets are extracted.
 
 prove is tabled, one table per solve shared by every goal: a sub-goal's
 models are stored under (node, presumed, known & comp, true & comp) of
 the branch (known, true), where comp is the bit mask of the node's
 strongly connected component, and every later call with that key returns
-the stored list. The key is exact. Every branch node is a descendant of
-the node, since the branch is the path that led to it; the sub-proof
-walks the node's ancestors, so it meets a branch node only if that node is
-also an ancestor, and then it is in the node's component. An acyclic
-node's key ignores the branch. Two kinds of node are not tabled.
+the stored list. The key is exact. The seed is on every branch of the
+solve, and every other branch node is a descendant of the node, since
+the branch is the path that led to it; the sub-proof walks the node's
+ancestors, so it meets such a node only if that node is also an
+ancestor, and then it is in the node's component. An acyclic node's key
+ignores the branch. Two kinds of node are not tabled.
 Conjunction nodes: their proof is one join over their sources, which are
 tabled; storing their models too measured no faster and raised the
 Hamiltonian K4 solve's tracemalloc peak from 2.0 to 2.9 MB. Nodes without
@@ -244,7 +246,7 @@ def forward_propagate(
 class ProofTable:
     """prove's results for one solve, keyed as the module docstring says.
     The components are found on the first lookup, so a solve whose proofs
-    all stop at facts never pays for them."""
+    all stop at the seed never pays for them."""
 
     __slots__ = ("g", "results", "_components")
 
@@ -276,8 +278,11 @@ def prove(
     node: int, presumed: bool, known: int, true: int, table: ProofTable
 ) -> list[PartialModel]:
     """All partial models under which the node carries the presumed value,
-    given the branch (known, true): the nodes presumed on the path of
-    proofs that led here, as bit masks like a partial model's.
+    given the branch (known, true): the seed and the nodes presumed on the
+    path of proofs that led here, as bit masks like a partial model's.
+
+    The branch must hold the seed, so a fact or rule-less atom is read off
+    it like any branch node. A constraint node is only ever proved False.
 
     A presumed-True node needs at least one effective in-edge; presumed
     False needs all in-edges non-effective. Either way the proof decides the
@@ -293,14 +298,6 @@ def prove(
     if known & bit:
         return [(0, 0)] if bool(true & bit) is presumed else []
     g = table.g
-    fixed = g.fixed_nodes.get(node)
-    if fixed is True:
-        return [(bit, bit)] if presumed else []
-    if fixed is False and presumed:
-        return []
-    in_edges = g.pred[node]
-    if not in_edges:
-        return [] if presumed else [(bit, 0)]
     key = None
     if g.succ[node] and not g.conj[node]:
         scope = table.component(node)
@@ -316,7 +313,7 @@ def prove(
     known |= bit
     if presumed:
         true |= bit
-    for entry in in_edges:
+    for entry in g.pred[node]:
         # the edge is effective when its source takes its sign's value
         src, effective_value = entry >> 1, entry & 1 == 1
         if known >> src & 1:
@@ -354,19 +351,17 @@ def _constraint_nodes(g: DepGraph) -> list[int]:
     return [n for n, value in g.fixed_nodes.items() if value is False]
 
 
-def _ancestor_atoms(g: DepGraph, seeds: list[int], reached: set[int]) -> list[int]:
-    """The atoms among seeds and their ancestors that reached does not hold
+def _ancestor_atoms(g: DepGraph, goals: list[int], reached: set[int]) -> list[int]:
+    """The atoms among goals and their ancestors that reached does not hold
     yet. The walk adds each node it meets to reached and stops at the nodes
-    already there, whose ancestors an earlier walk met. Proofs stop at fact
-    nodes, so a fact's own rule ancestors are not reached and must not
-    count as covered."""
-    new = [n for n in seeds if n not in reached]
+    already there: the seed's atoms, where every proof stops, and the nodes
+    whose ancestors an earlier walk met. An ancestor reached only through a
+    seed atom is never proved, so it must not count as covered."""
+    new = [n for n in goals if n not in reached]
     reached.update(new)
     stack = list(new)
     while stack:
         node = stack.pop()
-        if g.fixed_nodes.get(node) is True:
-            continue
         for entry in g.pred[node]:
             src = entry >> 1
             if src not in reached:
@@ -390,13 +385,13 @@ def _undecided_inputs(causal: CausalMap, decided: set[int]) -> dict[int, int]:
 
 class _Coverage:
     """The decided atoms, kept up to date as anchors are added: the atoms
-    guaranteed a value in every finished partial model. They are facts and
-    rule-less atoms (structurally decided), constraint-cone atoms (decided
-    by the proofs), and the closure of atoms whose every rule body mentions
-    only decided atoms (decided either way by forward propagation).
+    guaranteed a value in every finished partial model. They are the seed's
+    atoms, constraint-cone atoms (decided by the proofs, which stop at the
+    seed), and the closure of atoms whose every rule body mentions only
+    decided atoms (decided either way by forward propagation).
 
     An anchor is an atom a whose ":- a, not a." is proved as a goal on a's
-    cone, so each counts as one more constraint seed. The closure is not
+    cone, so each counts as one more constraint goal. The closure is not
     graph.least_fixpoint: a head is decided only once all of its bodies
     are, where the fixpoint fires a head on any one body. Written as that
     fixpoint it needs a synthetic clause per head, and it measured slower
@@ -408,18 +403,17 @@ class _Coverage:
 
     __slots__ = ("g", "watchers", "reached", "decided", "undecided_inputs")
 
-    def __init__(self, g: DepGraph, causal: CausalMap):
+    def __init__(self, g: DepGraph, causal: CausalMap, seed: PartialModel):
         self.g, self.watchers = g, causal.watchers
-        self.reached: set[int] = set()
-        decided = set(_ancestor_atoms(g, _constraint_nodes(g), self.reached))
-        decided.update(n for n, value in g.fixed_nodes.items() if value)
-        decided.update(a for a in range(g.atom_count) if a not in causal.bodies)
+        self.reached = {a for a in range(g.atom_count) if seed[0] >> a & 1}
+        decided = set(self.reached)
+        decided.update(_ancestor_atoms(g, _constraint_nodes(g), self.reached))
         self.decided = decided
         self.undecided_inputs = _undecided_inputs(causal, decided)
         self._close([h for h, count in self.undecided_inputs.items() if count == 0])
 
     def add(self, anchor: int) -> None:
-        """Counts the anchor as one more constraint seed."""
+        """Counts the anchor as one more constraint goal."""
         cone = _ancestor_atoms(self.g, [anchor], self.reached)
         new = [a for a in cone if a not in self.decided]
         for atom in new:
@@ -441,13 +435,13 @@ class _Coverage:
                         stack.append(head)
 
 
-def synthesized_constraints(graph: DepGraph, causal: CausalMap) -> list[Rule]:
+def synthesized_constraints(graph: DepGraph, causal: CausalMap, seed: PartialModel) -> list[Rule]:
     """Vacuous ":- a, not a." anchors, each forcing a case split on a, for
-    the atoms that neither a constraint cone nor propagation can decide:
-    most-depended-upon atom first, until all atoms are covered. Every check
-    runs on graph, with the anchors as extra seeds. The covered set only
-    grows, so one pass over the atoms in that order finds every anchor."""
-    coverage = _Coverage(graph, causal)
+    the atoms that neither the seed, a constraint cone nor propagation
+    decides: most-depended-upon atom first, until all atoms are covered.
+    Every check runs on graph, with the anchors as extra goals. The covered
+    set only grows, so one pass in that order finds every anchor."""
+    coverage = _Coverage(graph, causal, seed)
     # atoms are numbered in name order, so ties go to the smallest name
     order = sorted(range(graph.atom_count), key=lambda a: (-len(graph.pred[a]), a))
     additions: list[Rule] = []
@@ -482,7 +476,8 @@ def _settled(
     """The finished models when the seed decides the solve: none when it
     makes a constraint body true, the seed alone when it decides every
     atom, and so makes every constraint body false. None when the proof
-    search must decide."""
+    search must decide. The proof search would end with a total seed alone
+    too, but its coverage pass made chain's igasp solves about 8 % slower."""
     known, true = seed
     false = known ^ true
     if any(pos & true == pos and neg & false == neg for pos, neg in constraints):
@@ -497,14 +492,14 @@ def _finished_models(
 ) -> list[PartialModel]:
     """Forward-propagated partial models that extend the seed and falsify
     every constraint: the program's, then each synthesized one, by one of
-    its literals proved false."""
+    its literals proved false. Every goal is proved on the seed branch."""
     models = [seed]
     goals = [[(c, False)] for c in _constraint_nodes(g)]
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
     for goal in goals:
         # The proofs are joined unpropagated, as the module docstring says.
-        proofs = [m for node, value in goal for m in prove(node, value, 0, 0, table)]
+        proofs = [m for node, value in goal for m in prove(node, value, *seed, table)]
         # merge_conjunctive lists the unions of each left model in the order
         # of models, so one pointer finds, for each union, a left model that
         # it contains; propagation starts from the nodes the union adds.
@@ -530,7 +525,7 @@ def _candidates(g: DepGraph) -> list[frozenset[str]]:
     seed = _seed(g, causal)
     models = _settled(g, seed, causal.constraints)
     if models is None:
-        synthesized = synthesized_constraints(g, causal)
+        synthesized = synthesized_constraints(g, causal, seed)
         # prove recurses once per node of a proof path; the caller's limit
         # is restored on the way out.
         limit = sys.getrecursionlimit()

@@ -1,14 +1,17 @@
 """The tabled prove against the untabled proof search it replaced.
 
 A table entry is keyed by the branch cut down to the node's strongly
-connected component. That is exact because every branch node is a
-descendant of the node proved, so a sub-proof can meet one only if it is
-also an ancestor, in the same component. These tests check the cut
-against the untabled search, for every (node, presumed) of seeded random
-programs with even and odd loops and for branches drawn inside each
-component, with one table shared by every call on a program, as in a
-solve. The reference search joins with its own copy of the bucketed hash
-join, so a fault in the package's join cannot hide in both.
+connected component. That is exact because the seed is on every branch
+of a solve and every other branch node is a descendant of the node
+proved, so a sub-proof can meet one only if it is also an ancestor, in
+the same component. These tests check the cut against the untabled
+search, for every (node, presumed) of seeded random programs with even
+and odd loops, on the program's seed branch and on branches that extend
+it with nodes drawn inside each component, with one table shared by
+every call on a program, as in a solve. A constraint node is proved
+False only, as in a solve. The reference search joins with its own copy
+of the bucketed hash join, so a fault in the package's join cannot hide
+in both.
 """
 
 import random
@@ -20,6 +23,8 @@ from aspgraph.igasp import (
     PartialModel,
     ProofTable,
     _join,
+    _seed,
+    build_causal_map,
     merge_conjunctive,
     prove,
     solve_igasp,
@@ -145,31 +150,36 @@ def test_component_masks_are_the_strong_components():
 
 
 def test_tabled_prove_matches_untabled_reference():
-    even = odd = cyclic_branches = 0
+    even = odd = cyclic_branches = seeded_branches = 0
     for rng, program in looping_programs(61, 150):
         g = cnr_to_dg(build_cnr(program))
         cnr_even, cnr_odd, _ = cycle_stats(build_cnr(program))
         even += cnr_even > 0
         odd += cnr_odd > 0
         table = ProofTable(g)
+        known, true = _seed(g, build_causal_map(g))
+        seed = {n: bool(true >> n & 1) for n in range(len(g.names)) if known >> n & 1}
         goals = []
         for node, members in enumerate(components(g)):
-            others = sorted(members - {node})
-            branches = [{}]
+            others = sorted(members - {node} - seed.keys())
+            branches = [seed]
             for _ in range(3 if others else 0):
                 drawn = rng.sample(others, rng.randint(1, len(others)))
-                branches.append({m: rng.random() < 0.5 for m in drawn})
-            goals += [(node, presumed, b) for presumed in (False, True) for b in branches]
+                branches.append({**seed, **{m: rng.random() < 0.5 for m in drawn}})
+            constraint = node >= g.atom_count and not g.conj[node]
+            presumptions = (False,) if constraint else (False, True)
+            goals += [(node, presumed, b) for presumed in presumptions for b in branches]
         # in random order, so table hits come from every kind of earlier call
         rng.shuffle(goals)
         for node, presumed, branch in goals:
-            cyclic_branches += bool(branch)
+            cyclic_branches += len(branch) > len(seed)
+            seeded_branches += bool(seed)
             expected = reference_prove(node, presumed, dict(branch), g)
             got = prove(node, presumed, *masks(branch), table)
             assert len(got) == len(set(got))
             assert set(got) == set(expected), (str(program), g.names[node], presumed, branch)
         assert solve_igasp(program) == enumerate_stable(program)
-    assert even >= 10 and odd >= 10 and cyclic_branches >= 100
+    assert even >= 10 and odd >= 10 and cyclic_branches >= 100 and seeded_branches >= 100
 
 
 def test_join_probe_is_the_brute_force_union_list():
