@@ -6,8 +6,9 @@ Kripke-Kleene model (Fitting, JLP 1985), and every answer set extends it
 (Van Gelder, Ross & Schlipf, JACM 1991). Two seeds settle the solve
 without a proof. When the seed makes some constraint body true (every
 positive literal True, every negated one False), there is no answer set.
-When the seed decides every atom, it is the one candidate, validated like
-any other. Otherwise the proof search below starts from the seed.
+When the seed decides every atom, it is the well-founded model, and so the
+one answer set, with no validation (Van Gelder, Ross & Schlipf, JACM
+1991). Otherwise the proof search below starts from the seed.
 
 The proof search starts from the constraint nodes (always-False heads)
 and works backward: a node presumed False needs every in-edge
@@ -101,12 +102,10 @@ class QueryAtomUnknown(ValueError):
 
 
 def _names(g: DepGraph, mask: int) -> frozenset[str]:
-    names = []
-    while mask:
-        low = mask & -mask
-        names.append(g.names[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(names)
+    """The names of the mask's nodes, in one scan of its binary digits:
+    reversed, digit i is bit i."""
+    bits = bin(mask)[:1:-1]
+    return frozenset([name for name, bit in zip(g.names, bits) if bit == "1"])
 
 
 def _join(
@@ -477,7 +476,13 @@ def _settled(
     makes a constraint body true, the seed alone when it decides every
     atom, and so makes every constraint body false. None when the proof
     search must decide. The proof search would end with a total seed alone
-    too, but its coverage pass made chain's igasp solves about 8 % slower."""
+    too, but its coverage pass made chain's igasp solves about 8 % slower.
+
+    A total seed needs no validation either. The seed is Fitting's model,
+    and a total Fitting model is the well-founded model, since the
+    well-founded model extends it; a total well-founded model is the
+    program's unique stable model (Van Gelder, Ross & Schlipf, JACM 1991).
+    Every constraint body is false in it, so it is the one answer set."""
     known, true = seed
     false = known ^ true
     if any(pos & true == pos and neg & false == neg for pos, neg in constraints):
@@ -517,13 +522,16 @@ def _finished_models(
     return models
 
 
-def _candidates(g: DepGraph) -> list[frozenset[str]]:
-    """The program atoms True in each finished model, without repeats: the
-    seed's answer when it settles the solve, else the proof search's. The
-    causal map is freed on return, before validation."""
+def _candidates(g: DepGraph) -> tuple[list[frozenset[str]], bool]:
+    """The program atoms True in each finished model, without repeats, and
+    whether the seed settled the solve. A settled solve's models are its
+    answer sets, as _settled says; the proof search's are candidates that
+    still need validation. The causal map is freed on return, before
+    validation."""
     causal = build_causal_map(g)
     seed = _seed(g, causal)
     models = _settled(g, seed, causal.constraints)
+    settled = models is not None
     if models is None:
         synthesized = synthesized_constraints(g, causal, seed)
         # prove recurses once per node of a proof path; the caller's limit
@@ -536,14 +544,19 @@ def _candidates(g: DepGraph) -> list[frozenset[str]]:
             sys.setrecursionlimit(limit)
     atoms = (1 << g.atom_count) - 1
     true_atoms = dict.fromkeys(true & atoms for _, true in models)
-    return [_names(g, mask) for mask in true_atoms]
+    return [_names(g, mask) for mask in true_atoms], settled
 
 
 def solve_igasp(program: Program) -> list[frozenset[str]]:
-    """Answer sets computed top-down, sorted lexicographically."""
+    """Answer sets computed top-down, sorted lexicographically. A settled
+    solve's model, if any, is the answer set by the theorem in _settled's
+    docstring, so only the proof search's candidates are validated."""
     g = cnr_to_dg(build_cnr(program))
+    candidates, settled = _candidates(g)
+    if settled:
+        return candidates
     answer_sets = []
-    for candidate in _candidates(g):
+    for candidate in candidates:
         world = world_from_atoms(g, candidate)
         if check_justified(g, world):
             answer_sets.append(candidate)

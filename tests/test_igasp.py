@@ -23,6 +23,7 @@ from aspgraph.igasp import (
     solve_igasp,
     solve_query,
 )
+from aspgraph.justify import check_justified
 from aspgraph.oracle import enumerate_stable, is_stable
 from aspgraph.syntax import Literal, Rule, parse_program
 from aspgraph.worlds import world_from_atoms
@@ -684,6 +685,47 @@ def test_seed_agrees_with_every_model_and_settled_solves_are_exact():
     assert outcomes == {None, 0, 1}
 
 
+def test_a_total_seed_is_the_one_answer_set_past_the_oracle_cap():
+    # A total seed is the well-founded model, so the program's unique stable
+    # model, and solve_igasp returns it unvalidated. is_stable has no atom
+    # cap, so the mid-size and paper-configuration programs check it where
+    # enumerate_stable cannot.
+    rng = random.Random(7)
+    small = [random_program_text(rng, rng.randint(1, 18), rng.randint(1, 30)) for _ in range(3000)]
+    rng = random.Random(5)
+    mid = []
+    for _ in range(200):
+        n = rng.randint(25, 60)
+        mid.append(random_program_text(rng, n, rng.randint(n, 2 * n), constraint_fraction=0.02))
+    paper = [
+        gen_random(GenConfig(seed=seed, **{**PAPER_CONFIG, "constraint_fraction": fraction}))
+        for seed in range(20210707, 20210737)
+        for fraction in (0, 0.01)
+    ]
+    groups = {
+        "small": [parse_program(text) for text in small],
+        "mid": [parse_program(text) for text in mid],
+        "paper": paper,
+    }
+    settled = dict.fromkeys(groups, 0)
+    past_cap = 0
+    for group, programs in groups.items():
+        for program in programs:
+            g = cnr_to_dg(build_cnr(program))
+            causal = build_causal_map(g)
+            seed = igasp._seed(g, causal)
+            if igasp._settled(g, seed, causal.constraints) != [seed]:
+                continue
+            answer = frozenset(g.names[a] for a in range(g.atom_count) if seed[1] >> a & 1)
+            assert solve_igasp(program) == [answer], program
+            assert check_justified(g, world_from_atoms(g, answer)), program
+            assert is_stable(program, answer), program
+            settled[group] += 1
+            past_cap += g.atom_count > 20
+    assert settled["small"] > 900 and settled["mid"] > 60 and settled["paper"] > 15, settled
+    assert past_cap > 80, past_cap
+
+
 def test_constraint_bodies_undo_the_conjunction_flip():
     g = transformed("a :- not b. b :- not a. c. :- a, not c. :- not b. :- c, c.")
     bits = {name: 1 << g.number[name] for name in "abc"}
@@ -843,15 +885,31 @@ def test_query_deepest_atom_of_2000_link_chain(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", ["pos", "naf", "mixed"])
 def test_settled_chain_solve_and_query_skip_the_proof_search(shape, monkeypatch):
-    # The seed decides every atom of the benchmark's chains.
-    counts = count_calls(monkeypatch, "prove", "synthesized_constraints")
+    # The seed decides every atom of the benchmark's chains, and a total
+    # seed is the answer set with no validation.
+    counts = count_calls(monkeypatch, "prove", "synthesized_constraints", "check_justified")
     n = 2000
     program = parse_program(chain_text(shape, n))
     assert solve_igasp(program) == [chain_model(shape, n)]
     deepest = n - 1 if shape == "naf" else n
     assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
     assert solve_query(program, f"a{deepest}", positive=False) == []
-    assert counts == {"prove": 0, "synthesized_constraints": 0}
+    assert counts == {"prove": 0, "synthesized_constraints": 0, "check_justified": 0}
+
+
+def test_proof_search_candidates_are_validated(monkeypatch):
+    # The seed leaves the positive loop open, and the proof of :- not p.
+    # finds {p, q}, which is unfounded: validation is what rejects it.
+    verdicts = []
+    original = igasp.check_justified
+
+    def recorded(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(igasp, "check_justified", recorded)
+    assert models("p :- q. q :- p. :- not p.") == []
+    assert verdicts == [False]
 
 
 def test_query_soundness_random():
