@@ -30,16 +30,18 @@ into one table (``DepGraph.bodies``): a conjunction-node source expands to
 its in-edges with the flip undone, a direct source is a one-literal body,
 and a fact is the empty body. The atoms' rows come first, then one row per
 constraint node with that node as head. ``least_fixpoint`` over the atom
-rows is the one foundedness check: grasp's labeling search and
-``justify.check_justified`` both use it.
+rows is the one foundedness check: grasp's labeling search, igasp's
+stability check of its candidates (over the rows of the reduct) and
+``justify.check_justified`` all use it.
 
 The engines, the model checks, justification and export read the integer
 lists and the table: cycles' ``find_virtual_nodes`` and cycle enumeration,
-grasp, igasp, ``worlds.world_from_atoms``, ``justify`` and
-``check_justified``, and the DOT/JSON exports, which share one output order
-(``export_order``). Names appear only in what these emit. ``out_edges``,
-``in_edges`` and ``edges`` are the name-level view: they build ``Edge``
-objects on demand, on every call, for graph equality and tests.
+grasp, igasp, ``worlds.world_from_atoms`` for grasp's worlds and the CLI,
+``justify`` and ``check_justified``, and the DOT/JSON exports, which share
+one output order (``export_order``). Names appear only in what these emit.
+``out_edges``, ``in_edges`` and ``edges`` are the name-level view: they
+build ``Edge`` objects on demand, on every call, for graph equality and
+tests.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ Kripke-Kleene model (Fitting, JLP 1985), and every answer set extends it
 without a proof. When the seed makes some constraint body true (every
 positive literal True, every negated one False), there is no answer set.
 When the seed decides every atom, it is the well-founded model, and so the
-one answer set, with no validation (Van Gelder, Ross & Schlipf, JACM
-1991). Otherwise the proof search below starts from the seed.
+one answer set, with no stability check (Van Gelder, Ross & Schlipf,
+JACM 1991). Otherwise the proof search below starts from the seed.
 
 The proof search starts from the constraint nodes (always-False heads)
 and works backward: a node presumed False needs every in-edge
@@ -28,8 +28,12 @@ Propagation is monotone, so fp(left | fp(m)) = fp(left | m), and a proof
 whose own propagation contradicts makes every union containing it
 contradict too: the finished models are the same as when each proof is
 propagated before the join. Finished models are totalized (atoms never
-reached default to False) and kept only if the resulting world passes the
-effective-edge/foundedness validation.
+reached default to False), and a proof may close an unfounded positive
+loop, so each candidate M, the mask of its True atoms, is kept only if it
+is stable (Gelfond & Lifschitz, ICLP 1988): no constraint body holds in M,
+and the least fixpoint of the reduct, the atom rows with no negated atom
+in M, derives exactly M. That is one ``graph.least_fixpoint`` call per
+candidate, on masks, before any name is decoded.
 
 The proof search walks the graph's own integer lists: node i is bit i,
 and its in-edges are read off ``pred`` (a positive entry is effective
@@ -88,10 +92,8 @@ from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from .cycles import _strong_components
-from .graph import DepGraph, build_cnr, cnr_to_dg
-from .justify import check_justified
+from .graph import DepGraph, build_cnr, cnr_to_dg, least_fixpoint
 from .syntax import Literal, Program, Rule
-from .worlds import world_from_atoms
 
 # (known, true) bit masks over node numbers; true is a subset of known.
 PartialModel = tuple[int, int]
@@ -160,18 +162,20 @@ class CausalMap(NamedTuple):
     """Rule bodies per head atom, the conditions that force it True, as
     (pos_mask, neg_mask) pairs; watchers maps each atom to the heads whose
     bodies mention it, once per mention; constraints holds one such pair
-    per constraint node, in node order."""
+    per constraint node, in node order; row_neg holds the neg_mask of each
+    atom row of the body table, in row order, for the stability check."""
 
     bodies: dict[int, list[tuple[int, int]]]
     watchers: dict[int, list[int]]
     constraints: list[tuple[int, int]]
+    row_neg: list[int]
 
 
 def build_causal_map(g: DepGraph) -> CausalMap:
     """The causal map of the graph's body table."""
     t = g.bodies
     atom_rows = t.start[-1]
-    causal = CausalMap({}, {}, [])
+    causal = CausalMap({}, {}, [], [])
     for i, (head, pos, neg) in enumerate(zip(t.head, t.pos, t.neg)):
         pos_mask = neg_mask = 0
         for atom in pos:
@@ -184,6 +188,7 @@ def build_causal_map(g: DepGraph) -> CausalMap:
         for atom in pos + neg:
             causal.watchers.setdefault(atom, []).append(head)
         causal.bodies.setdefault(head, []).append((pos_mask, neg_mask))
+        causal.row_neg.append(neg_mask)
     return causal
 
 
@@ -287,9 +292,9 @@ def prove(
     False needs all in-edges non-effective. Either way the proof decides the
     source of every in-edge, so surviving models cover the full cone.
     Revisiting a branch node with the same presumption closes a cycle and
-    stands as a coinductive hypothesis (the final stability validation
-    discards unfounded positive loops); an opposite presumption is a
-    contradiction and yields no models.
+    stands as a coinductive hypothesis (the stability check of each
+    candidate, _stable, discards unfounded positive loops); an opposite
+    presumption is a contradiction and yields no models.
 
     Results are tabled in table and shared: callers must not mutate them.
     """
@@ -469,6 +474,25 @@ def _seed(g: DepGraph, causal: CausalMap) -> PartialModel:
     return forward_propagate((ruleless, 0), causal)
 
 
+def _violated(constraints: list[tuple[int, int]], true: int, false: int) -> bool:
+    """Whether some constraint body holds: every positive atom in true and
+    every negated atom in false."""
+    return any(pos & true == pos and neg & false == neg for pos, neg in constraints)
+
+
+def _stable(g: DepGraph, causal: CausalMap, true: int) -> bool:
+    """Whether the atoms of the mask true are an answer set (Gelfond &
+    Lifschitz, ICLP 1988): no constraint body holds when every other atom
+    is False, and the least fixpoint of the reduct, the atom rows none of
+    whose negated atoms is in true, derives exactly true."""
+    if _violated(causal.constraints, true, ((1 << g.atom_count) - 1) ^ true):
+        return False
+    t = g.bodies
+    reduct = [i for i, neg in enumerate(causal.row_neg) if not neg & true]
+    derived = least_fixpoint(t.head, t.pos, t.pos_uses, reduct)
+    return len(derived) == true.bit_count() and all(true >> a & 1 for a in derived)
+
+
 def _settled(
     g: DepGraph, seed: PartialModel, constraints: list[tuple[int, int]]
 ) -> list[PartialModel] | None:
@@ -478,14 +502,13 @@ def _settled(
     search must decide. The proof search would end with a total seed alone
     too, but its coverage pass made chain's igasp solves about 8 % slower.
 
-    A total seed needs no validation either. The seed is Fitting's model,
-    and a total Fitting model is the well-founded model, since the
+    A total seed needs no stability check either. The seed is Fitting's
+    model, and a total Fitting model is the well-founded model, since the
     well-founded model extends it; a total well-founded model is the
     program's unique stable model (Van Gelder, Ross & Schlipf, JACM 1991).
     Every constraint body is false in it, so it is the one answer set."""
     known, true = seed
-    false = known ^ true
-    if any(pos & true == pos and neg & false == neg for pos, neg in constraints):
+    if _violated(constraints, true, known ^ true):
         return []
     if known == (1 << g.atom_count) - 1:
         return [seed]
@@ -522,44 +545,30 @@ def _finished_models(
     return models
 
 
-def _candidates(g: DepGraph) -> tuple[list[frozenset[str]], bool]:
-    """The program atoms True in each finished model, without repeats, and
-    whether the seed settled the solve. A settled solve's models are its
-    answer sets, as _settled says; the proof search's are candidates that
-    still need validation. The causal map is freed on return, before
-    validation."""
+def solve_igasp(program: Program) -> list[frozenset[str]]:
+    """Answer sets computed top-down, sorted lexicographically. A settled
+    solve's model, if any, is the answer set, as _settled says. Each of the
+    proof search's candidates is kept only if it passes _stable, checked on
+    masks while the causal map is alive, and only the kept masks are
+    decoded to names."""
+    g = cnr_to_dg(build_cnr(program))
     causal = build_causal_map(g)
     seed = _seed(g, causal)
     models = _settled(g, seed, causal.constraints)
-    settled = models is not None
-    if models is None:
-        synthesized = synthesized_constraints(g, causal, seed)
-        # prove recurses once per node of a proof path; the caller's limit
-        # is restored on the way out.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
-        try:
-            models = _finished_models(g, causal, synthesized, seed)
-        finally:
-            sys.setrecursionlimit(limit)
     atoms = (1 << g.atom_count) - 1
-    true_atoms = dict.fromkeys(true & atoms for _, true in models)
-    return [_names(g, mask) for mask in true_atoms], settled
-
-
-def solve_igasp(program: Program) -> list[frozenset[str]]:
-    """Answer sets computed top-down, sorted lexicographically. A settled
-    solve's model, if any, is the answer set by the theorem in _settled's
-    docstring, so only the proof search's candidates are validated."""
-    g = cnr_to_dg(build_cnr(program))
-    candidates, settled = _candidates(g)
-    if settled:
-        return candidates
-    answer_sets = []
-    for candidate in candidates:
-        world = world_from_atoms(g, candidate)
-        if check_justified(g, world):
-            answer_sets.append(candidate)
+    if models is not None:
+        return [_names(g, true & atoms) for _, true in models]
+    synthesized = synthesized_constraints(g, causal, seed)
+    # prove recurses once per node of a proof path; the caller's limit is
+    # restored on the way out.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
+    try:
+        models = _finished_models(g, causal, synthesized, seed)
+    finally:
+        sys.setrecursionlimit(limit)
+    candidates = dict.fromkeys(true & atoms for _, true in models)
+    answer_sets = [_names(g, true) for true in candidates if _stable(g, causal, true)]
     return sorted(answer_sets, key=sorted)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -886,30 +887,115 @@ def test_query_deepest_atom_of_2000_link_chain(shape, monkeypatch):
 @pytest.mark.parametrize("shape", ["pos", "naf", "mixed"])
 def test_settled_chain_solve_and_query_skip_the_proof_search(shape, monkeypatch):
     # The seed decides every atom of the benchmark's chains, and a total
-    # seed is the answer set with no validation.
-    counts = count_calls(monkeypatch, "prove", "synthesized_constraints", "check_justified")
+    # seed is the answer set with no stability check.
+    counts = count_calls(monkeypatch, "prove", "synthesized_constraints", "_stable")
     n = 2000
     program = parse_program(chain_text(shape, n))
     assert solve_igasp(program) == [chain_model(shape, n)]
     deepest = n - 1 if shape == "naf" else n
     assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
     assert solve_query(program, f"a{deepest}", positive=False) == []
-    assert counts == {"prove": 0, "synthesized_constraints": 0, "check_justified": 0}
+    assert counts == {"prove": 0, "synthesized_constraints": 0, "_stable": 0}
 
 
 def test_proof_search_candidates_are_validated(monkeypatch):
     # The seed leaves the positive loop open, and the proof of :- not p.
-    # finds {p, q}, which is unfounded: validation is what rejects it.
+    # finds {p, q}, which is unfounded: the stability check is what
+    # rejects it.
     verdicts = []
-    original = igasp.check_justified
+    original = igasp._stable
 
     def recorded(*args):
         verdicts.append(original(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(igasp, "check_justified", recorded)
+    monkeypatch.setattr(igasp, "_stable", recorded)
     assert models("p :- q. q :- p. :- not p.") == []
     assert verdicts == [False]
+
+
+# --- the stability check ------------------------------------------------------
+
+
+def stable_by_mask(g, causal, interpretation):
+    """igasp's stability check of an interpretation given by atom names."""
+    mask = 0
+    for name in interpretation:
+        mask |= 1 << g.number[name]
+    return igasp._stable(g, causal, mask)
+
+
+def near_answer_sets(rng, atoms, answer_sets, flips=None):
+    """Each answer set, and each flipped by one atom: every atom, or flips
+    random ones. Then four random interpretations."""
+    for answer in answer_sets:
+        yield answer
+        for atom in atoms if flips is None else rng.sample(atoms, min(flips, len(atoms))):
+            yield answer ^ {atom}
+    for _ in range(4):
+        yield frozenset(a for a in atoms if rng.random() < 0.5)
+
+
+def test_the_stability_check_agrees_with_the_oracle_and_check_justified():
+    rng = random.Random(44)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        text = random_program_text(rng, rng.randint(1, 8), rng.randint(1, 12))
+        program = parse_program(text)
+        g = transformed(text)
+        causal = build_causal_map(g)
+        atoms = sorted(program.atoms)
+        for interpretation in near_answer_sets(rng, atoms, enumerate_stable(program)):
+            expected = is_stable(program, interpretation)
+            case = (text, sorted(interpretation))
+            assert stable_by_mask(g, causal, interpretation) is expected, case
+            assert check_justified(g, world_from_atoms(g, interpretation)) is expected, case
+            verdicts[expected] += 1
+    assert verdicts[True] > 200 and verdicts[False] > 2000, verdicts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p :- q, not q. q :- not r. r :- not q.",
+        "p :- p, not p. p :- not q. q :- not p.",
+        ":- p, not p. p :- not q. q :- not p. r :- p, not p, q.",
+        "a :- not b. a :- not b. b :- not a. b :- not a. :- c. c :- a, a.",
+        "p. p. q :- p. q :- p. r :- q, not s. s :- not r. :- r, not p.",
+    ],
+)
+def test_the_stability_check_on_contradictory_bodies_and_duplicate_rules(text):
+    program = parse_program(text)
+    g = transformed(text)
+    causal = build_causal_map(g)
+    atoms = sorted(program.atoms)
+    stable = 0
+    for size in range(len(atoms) + 1):
+        for subset in itertools.combinations(atoms, size):
+            expected = is_stable(program, subset)
+            assert stable_by_mask(g, causal, subset) is expected, subset
+            assert check_justified(g, world_from_atoms(g, subset)) is expected, subset
+            stable += expected
+    assert stable == len(solve_grasp(program)) > 0
+
+
+def test_the_stability_check_past_the_oracle_cap():
+    # is_stable has no atom cap; grasp's answer sets and their one-atom
+    # flips are the interpretations nearest to the verdict's edge.
+    rng = random.Random(45)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(25, 60)
+        text = random_program_text(rng, n, rng.randint(n, 2 * n), constraint_fraction=0.02)
+        program = parse_program(text)
+        g = transformed(text)
+        causal = build_causal_map(g)
+        answer_sets = solve_grasp(program)[:2]
+        for interpretation in near_answer_sets(rng, sorted(program.atoms), answer_sets, 10):
+            expected = is_stable(program, interpretation)
+            assert stable_by_mask(g, causal, interpretation) is expected, text
+            verdicts[expected] += 1
+    assert verdicts[True] > 60 and verdicts[False] > 1000, verdicts
 
 
 def test_query_soundness_random():

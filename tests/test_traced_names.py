@@ -15,7 +15,8 @@ from aspgraph.syntax import parse_program
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Span names the tracer opens on 3-coloring of C5: every wrapped name but
-# the census, which no solve calls.
+# the census, which no solve calls. igasp.validate wraps check_justified,
+# which the test calls itself.
 SPANS = {
     "graph.build_cnr",
     "graph.cnr_to_dg",
@@ -69,6 +70,9 @@ def test_tracer_wraps_every_traced_name_and_restores_it(monkeypatch):
         assert len(igasp.solve_igasp(anchored)) == 4
         atom = sorted(worlds[0].true_atoms(g))[0]
         justify.justify(g, worlds[0], atom)
+        # No solve opens igasp.validate any more: igasp checks its
+        # candidates on masks, with no check_justified call.
+        assert justify.check_justified(g, worlds[0])
     finally:
         tracer.uninstall()
     assert SPANS <= set(tracer.calls)
