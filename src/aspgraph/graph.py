@@ -29,10 +29,14 @@ Every rule body is compiled from the lists once per graph, on first use,
 into one table (``DepGraph.bodies``): a conjunction-node source expands to
 its in-edges with the flip undone, a direct source is a one-literal body,
 and a fact is the empty body. The atoms' rows come first, then one row per
-constraint node with that node as head. ``least_fixpoint`` over the atom
-rows is the one foundedness check: grasp's labeling search, igasp's
-stability check of its candidates (over the rows of the reduct) and
-``justify.check_justified`` all use it.
+constraint node with that node as head. The same pass stores each row's
+atoms as bit masks and, per node, the heads of the rows that mention it,
+which is all igasp's forward propagation reads. ``least_fixpoint`` over
+the atom rows is the one foundedness check, and ``stable``, the fixpoint
+of the reduct's rows plus a test of the constraint rows, is the one
+answer-set check: igasp keeps a candidate and ``justify.check_justified``
+accepts a world only if ``stable`` accepts its true atoms' mask. grasp's
+labeling search uses the fixpoint over a component's own rows.
 
 The engines, the model checks, justification and export read the integer
 lists and the table: cycles' ``find_virtual_nodes`` and cycle enumeration,
@@ -192,25 +196,30 @@ class Bodies(NamedTuple):
     """Every distinct rule body of a graph, grouped by head.
 
     Body i has head ``head[i]``, positive atoms ``pos[i]`` and negated atoms
-    ``neg[i]``, each atom once. Atom a's bodies are ``start[a]`` up to
-    ``start[a + 1]``, and a fact is one empty body. The rows from
-    ``start[-1]`` on are the constraints' bodies, one per constraint node,
-    in node order, with the node as head. ``pos_uses[a]`` lists the atom
-    rows in which a is a positive literal.
+    ``neg[i]``, each atom once, and ``masks[i]`` holds the same two atom
+    sets as bit masks, (pos_mask, neg_mask), bit a for atom a. Atom a's
+    bodies are ``start[a]`` up to ``start[a + 1]``, and a fact is one empty
+    body. The rows from ``start[-1]`` on are the constraints' bodies, one
+    per constraint node, in node order, with the node as head.
+    ``pos_uses[a]`` lists the atom rows in which a is a positive literal,
+    and ``watchers[n]`` the heads of the atom rows that mention node n, once
+    per mention; only atoms are mentioned, so a helper node's list is empty.
     """
 
     head: list[int]
     pos: list[tuple[int, ...]]
     neg: list[tuple[int, ...]]
+    masks: list[tuple[int, int]]
     start: list[int]
     pos_uses: list[list[int]]
+    watchers: list[list[int]]
 
 
 def compile_bodies(g: DepGraph) -> Bodies:
     """The body table of a graph, before or after the conjunction flip."""
     pred, conj, flipped, fixed = g.pred, g.conj, g.transformed, g.fixed_nodes
-    t = Bodies([], [], [], [0], [[] for _ in range(g.atom_count)])
-    head, pos, neg, start, pos_uses = t
+    t = Bodies([], [], [], [], [0], [[] for _ in range(g.atom_count)], [[] for _ in g.names])
+    head, pos, neg, masks, start, pos_uses, watchers = t
     # atoms, then constraint nodes: the helpers that are not conjunctions
     for node in range(len(g.names)):
         if conj[node]:
@@ -218,25 +227,45 @@ def compile_bodies(g: DepGraph) -> Bodies:
         if fixed.get(node) is True:
             pos.append(())
             neg.append(())
+            masks.append((0, 0))
         for entry in pred[node]:
             src = entry >> 1
             if conj[src]:  # a literal is positive where its bit is not flipped
-                entries = pred[src]
-                pos.append(tuple([e >> 1 for e in entries if e & 1 != flipped]))
-                neg.append(tuple([e >> 1 for e in entries if e & 1 == flipped]))
+                lits: tuple[list[int], list[int]] = ([], [])
+                mask = [0, 0]
+                for e in pred[src]:
+                    negated = e & 1 == flipped
+                    lits[negated].append(e >> 1)
+                    mask[negated] |= 1 << (e >> 1)
+                pos.append(tuple(lits[0]))
+                neg.append(tuple(lits[1]))
+                masks.append((mask[0], mask[1]))
             elif entry & 1:
                 pos.append((src,))
                 neg.append(())
+                masks.append((1 << src, 0))
             else:
                 pos.append(())
                 neg.append((src,))
+                masks.append((0, 1 << src))
         head += [node] * (len(pos) - len(head))
         if node < g.atom_count:
             start.append(len(pos))
     for i in range(start[-1]):
         for atom in pos[i]:
             pos_uses[atom].append(i)
+            watchers[atom].append(head[i])
+        for atom in neg[i]:
+            watchers[atom].append(head[i])
     return t
+
+
+def violated(t: Bodies, true: int, false: int) -> bool:
+    """Whether some constraint body of the table holds: every positive atom
+    in the mask true and every negated atom in the mask false."""
+    return any(
+        pos & true == pos and neg & false == neg for pos, neg in t.masks[t.start[-1] :]
+    )
 
 
 def least_fixpoint(head, pos, pos_uses, holding) -> set[int]:
@@ -266,6 +295,21 @@ def least_fixpoint(head, pos, pos_uses, holding) -> set[int]:
                 if waiting[i] == 0:
                     ready.append(i)
     return founded
+
+
+def stable(g: DepGraph, true: int) -> bool:
+    """Whether the atoms of the mask true are an answer set (Gelfond &
+    Lifschitz, ICLP 1988): no constraint body holds when every other atom
+    is False, and the least fixpoint of the reduct, the atom rows none of
+    whose negated atoms is in true, derives exactly true. This is the
+    package's one answer-set check; it reads only the body table, so it
+    gives the same verdict on a graph before and after the flip."""
+    t = g.bodies
+    if violated(t, true, ((1 << g.atom_count) - 1) ^ true):
+        return False
+    reduct = [i for i, (_, neg) in enumerate(t.masks[: t.start[-1]]) if not neg & true]
+    derived = least_fixpoint(t.head, t.pos, t.pos_uses, reduct)
+    return len(derived) == true.bit_count() and all(true >> a & 1 for a in derived)
 
 
 def build_cnr(program: Program) -> DepGraph:

@@ -36,7 +36,7 @@ would reject later, so the labelings come out the same and in the same
 order, True first. The member bodies come from the graph's body table, where
 a fact is the empty body. Foundedness, at a leaf of the search and for a
 component without negation inside, is the graph module's one least
-fixpoint, the same one ``check_justified`` uses.
+fixpoint, the one that ``graph.stable``, the answer-set check, is built on.
 
 After a batch's values are set, the two value rules
 

@@ -32,7 +32,7 @@ reached default to False), and a proof may close an unfounded positive
 loop, so each candidate M, the mask of its True atoms, is kept only if it
 is stable (Gelfond & Lifschitz, ICLP 1988): no constraint body holds in M,
 and the least fixpoint of the reduct, the atom rows with no negated atom
-in M, derives exactly M. That is one ``graph.least_fixpoint`` call per
+in M, derives exactly M. That is one ``graph.stable`` call per
 candidate, on masks, before any name is decoded.
 
 The proof search walks the graph's own integer lists: node i is bit i,
@@ -76,23 +76,22 @@ models that agree with it there, the only ones whose union can succeed.
 A one-model right list, the most common in the proof search, skips the
 buckets: its probe is one conflict test and one union.
 
-Forward propagation is a worklist over the causal map, compiled from the
-graph's body table to one (pos_mask, neg_mask) pair per rule body and, per
-atom, the heads whose bodies mention it: after one pass over every head,
-only the heads watching a newly decided atom are checked again (Dowling &
-Gallier's linear-time Horn propagation, 1984, with the "all bodies false"
-rule added). The table's constraint rows give the constraints' pairs,
-which the seed is tested against.
+Forward propagation is a worklist over the graph's body table, which
+holds one (pos_mask, neg_mask) pair per rule body and, per node, the heads
+whose bodies mention it: after one pass over every head, only the heads
+watching a newly decided atom are checked again (Dowling & Gallier's
+linear-time Horn propagation, 1984, with the "all bodies false" rule
+added). The table's constraint rows are the pairs the seed is tested
+against.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterable
-from typing import NamedTuple
 
 from .cycles import _strong_components
-from .graph import DepGraph, build_cnr, cnr_to_dg, least_fixpoint
+from .graph import Bodies, DepGraph, build_cnr, cnr_to_dg, stable, violated
 from .syntax import Literal, Program, Rule
 
 # (known, true) bit masks over node numbers; true is a subset of known.
@@ -158,47 +157,19 @@ def merge_conjunctive(
     return list(dict.fromkeys(union for ma in a for union in unions_with_b(ma)))
 
 
-class CausalMap(NamedTuple):
-    """Rule bodies per head atom, the conditions that force it True, as
-    (pos_mask, neg_mask) pairs; watchers maps each atom to the heads whose
-    bodies mention it, once per mention; constraints holds one such pair
-    per constraint node, in node order; row_neg holds the neg_mask of each
-    atom row of the body table, in row order, for the stability check."""
-
-    bodies: dict[int, list[tuple[int, int]]]
-    watchers: dict[int, list[int]]
-    constraints: list[tuple[int, int]]
-    row_neg: list[int]
-
-
-def build_causal_map(g: DepGraph) -> CausalMap:
-    """The causal map of the graph's body table."""
-    t = g.bodies
-    atom_rows = t.start[-1]
-    causal = CausalMap({}, {}, [], [])
-    for i, (head, pos, neg) in enumerate(zip(t.head, t.pos, t.neg)):
-        pos_mask = neg_mask = 0
-        for atom in pos:
-            pos_mask |= 1 << atom
-        for atom in neg:
-            neg_mask |= 1 << atom
-        if i >= atom_rows:
-            causal.constraints.append((pos_mask, neg_mask))
-            continue
-        for atom in pos + neg:
-            causal.watchers.setdefault(atom, []).append(head)
-        causal.bodies.setdefault(head, []).append((pos_mask, neg_mask))
-        causal.row_neg.append(neg_mask)
-    return causal
+def _heads(t: Bodies) -> list[int]:
+    """The atoms with at least one rule body, in number order."""
+    start = t.start
+    return [a for a in range(len(start) - 1) if start[a] < start[a + 1]]
 
 
 def forward_propagate(
-    m: PartialModel, causal: CausalMap, base: PartialModel | None = None
+    m: PartialModel, g: DepGraph, base: PartialModel | None = None
 ) -> PartialModel | None:
-    """Least fixpoint of the causal map over m: a rule whose body is fully
-    decided true forces its head True, and an atom all of whose bodies are
-    decided false is forced False. Returns None when a forced value
-    contradicts an existing entry (the caller drops the model).
+    """Least fixpoint of the graph's atom rows over m: a rule whose body is
+    fully decided true forces its head True, and an atom all of whose
+    bodies are decided false is forced False. Returns None when a forced
+    value contradicts an existing entry (the caller drops the model).
 
     base, when given, is a model contained in m that is a fixpoint already.
     A head none of whose bodies mentions a node m adds to base is forced in
@@ -208,23 +179,24 @@ def forward_propagate(
     This is not graph.least_fixpoint: it is three-valued, and it adds the
     "all bodies false" rule, which a Horn fixpoint over True atoms cannot
     express."""
+    t = g.bodies
+    start, masks, watchers = t.start, t.masks, t.watchers
     known, true = m
     false = known ^ true
-    bodies, watchers = causal.bodies, causal.watchers
     if base is None:
         # Every head once, then only the heads watching a newly decided atom.
-        pending = list(bodies)
+        pending = _heads(t)
     else:
         pending = []
         added = known & ~base[0]
         while added:
             low = added & -added
-            pending.extend(watchers.get(low.bit_length() - 1, ()))
+            pending.extend(watchers[low.bit_length() - 1])
             added ^= low
     while pending:
         head = pending.pop()
         forced = False
-        for pos, neg in bodies[head]:
+        for pos, neg in masks[start[head] : start[head + 1]]:
             if pos & false or neg & true:
                 continue
             if pos & true == pos and neg & false == neg:
@@ -243,7 +215,7 @@ def forward_propagate(
             true |= bit
         else:
             false |= bit
-        pending.extend(watchers.get(head, ()))
+        pending.extend(watchers[head])
     return known, true
 
 
@@ -293,7 +265,7 @@ def prove(
     source of every in-edge, so surviving models cover the full cone.
     Revisiting a branch node with the same presumption closes a cycle and
     stands as a coinductive hypothesis (the stability check of each
-    candidate, _stable, discards unfounded positive loops); an opposite
+    candidate, graph.stable, discards unfounded positive loops); an opposite
     presumption is a contradiction and yields no models.
 
     Results are tabled in table and shared: callers must not mutate them.
@@ -375,11 +347,11 @@ def _ancestor_atoms(g: DepGraph, goals: list[int], reached: set[int]) -> list[in
     return [n for n in new if n < g.atom_count]
 
 
-def _undecided_inputs(causal: CausalMap, decided: set[int]) -> dict[int, int]:
+def _undecided_inputs(t: Bodies, decided: set[int]) -> dict[int, int]:
     """Per undecided head, a count of its (body, literal) pairs whose atom
     is undecided, which watchers lists once each."""
-    counts = dict.fromkeys([h for h in causal.bodies if h not in decided], 0)
-    for atom, heads in causal.watchers.items():
+    counts = dict.fromkeys([h for h in _heads(t) if h not in decided], 0)
+    for atom, heads in enumerate(t.watchers):
         if atom not in decided:
             for head in heads:
                 if head in counts:
@@ -407,13 +379,13 @@ class _Coverage:
 
     __slots__ = ("g", "watchers", "reached", "decided", "undecided_inputs")
 
-    def __init__(self, g: DepGraph, causal: CausalMap, seed: PartialModel):
-        self.g, self.watchers = g, causal.watchers
+    def __init__(self, g: DepGraph, seed: PartialModel):
+        self.g, self.watchers = g, g.bodies.watchers
         self.reached = {a for a in range(g.atom_count) if seed[0] >> a & 1}
         decided = set(self.reached)
         decided.update(_ancestor_atoms(g, _constraint_nodes(g), self.reached))
         self.decided = decided
-        self.undecided_inputs = _undecided_inputs(causal, decided)
+        self.undecided_inputs = _undecided_inputs(g.bodies, decided)
         self._close([h for h, count in self.undecided_inputs.items() if count == 0])
 
     def add(self, anchor: int) -> None:
@@ -431,7 +403,7 @@ class _Coverage:
         decided, counts, watchers = self.decided, self.undecided_inputs, self.watchers
         decided.update(stack)
         while stack:
-            for head in watchers.get(stack.pop(), ()):
+            for head in watchers[stack.pop()]:
                 if head in counts:
                     counts[head] -= 1
                     if counts[head] == 0:
@@ -439,13 +411,13 @@ class _Coverage:
                         stack.append(head)
 
 
-def synthesized_constraints(graph: DepGraph, causal: CausalMap, seed: PartialModel) -> list[Rule]:
+def synthesized_constraints(graph: DepGraph, seed: PartialModel) -> list[Rule]:
     """Vacuous ":- a, not a." anchors, each forcing a case split on a, for
     the atoms that neither the seed, a constraint cone nor propagation
     decides: most-depended-upon atom first, until all atoms are covered.
     Every check runs on graph, with the anchors as extra goals. The covered
     set only grows, so one pass in that order finds every anchor."""
-    coverage = _Coverage(graph, causal, seed)
+    coverage = _Coverage(graph, seed)
     # atoms are numbered in name order, so ties go to the smallest name
     order = sorted(range(graph.atom_count), key=lambda a: (-len(graph.pred[a]), a))
     additions: list[Rule] = []
@@ -464,38 +436,17 @@ def _contains(m: PartialModel, part: PartialModel) -> bool:
     return not part[0] & ~m[0] and m[1] & part[0] == part[1]
 
 
-def _seed(g: DepGraph, causal: CausalMap) -> PartialModel:
+def _seed(g: DepGraph) -> PartialModel:
     """Forward propagation from the rule-less atoms, all False: Fitting's
     fixpoint, which every answer set extends. It never contradicts: a
     rule-less atom is no head, and a body decided true or false stays so."""
     ruleless = (1 << g.atom_count) - 1  # the atoms are the first nodes
-    for head in causal.bodies:
+    for head in _heads(g.bodies):
         ruleless &= ~(1 << head)
-    return forward_propagate((ruleless, 0), causal)
+    return forward_propagate((ruleless, 0), g)
 
 
-def _violated(constraints: list[tuple[int, int]], true: int, false: int) -> bool:
-    """Whether some constraint body holds: every positive atom in true and
-    every negated atom in false."""
-    return any(pos & true == pos and neg & false == neg for pos, neg in constraints)
-
-
-def _stable(g: DepGraph, causal: CausalMap, true: int) -> bool:
-    """Whether the atoms of the mask true are an answer set (Gelfond &
-    Lifschitz, ICLP 1988): no constraint body holds when every other atom
-    is False, and the least fixpoint of the reduct, the atom rows none of
-    whose negated atoms is in true, derives exactly true."""
-    if _violated(causal.constraints, true, ((1 << g.atom_count) - 1) ^ true):
-        return False
-    t = g.bodies
-    reduct = [i for i, neg in enumerate(causal.row_neg) if not neg & true]
-    derived = least_fixpoint(t.head, t.pos, t.pos_uses, reduct)
-    return len(derived) == true.bit_count() and all(true >> a & 1 for a in derived)
-
-
-def _settled(
-    g: DepGraph, seed: PartialModel, constraints: list[tuple[int, int]]
-) -> list[PartialModel] | None:
+def _settled(g: DepGraph, seed: PartialModel) -> list[PartialModel] | None:
     """The finished models when the seed decides the solve: none when it
     makes a constraint body true, the seed alone when it decides every
     atom, and so makes every constraint body false. None when the proof
@@ -508,7 +459,7 @@ def _settled(
     program's unique stable model (Van Gelder, Ross & Schlipf, JACM 1991).
     Every constraint body is false in it, so it is the one answer set."""
     known, true = seed
-    if _violated(constraints, true, known ^ true):
+    if violated(g.bodies, true, known ^ true):
         return []
     if known == (1 << g.atom_count) - 1:
         return [seed]
@@ -516,7 +467,7 @@ def _settled(
 
 
 def _finished_models(
-    g: DepGraph, causal: CausalMap, synthesized: list[Rule], seed: PartialModel
+    g: DepGraph, synthesized: list[Rule], seed: PartialModel
 ) -> list[PartialModel]:
     """Forward-propagated partial models that extend the seed and falsify
     every constraint: the program's, then each synthesized one, by one of
@@ -536,7 +487,7 @@ def _finished_models(
         for m in merge_conjunctive(models, list(dict.fromkeys(proofs))):
             while not _contains(m, models[left]):
                 left += 1
-            propagated = forward_propagate(m, causal, models[left])
+            propagated = forward_propagate(m, g, models[left])
             if propagated is not None:
                 merged.append(propagated)
         models = list(dict.fromkeys(merged))
@@ -548,27 +499,25 @@ def _finished_models(
 def solve_igasp(program: Program) -> list[frozenset[str]]:
     """Answer sets computed top-down, sorted lexicographically. A settled
     solve's model, if any, is the answer set, as _settled says. Each of the
-    proof search's candidates is kept only if it passes _stable, checked on
-    masks while the causal map is alive, and only the kept masks are
-    decoded to names."""
+    proof search's candidates is kept only if it passes graph.stable,
+    checked on masks, and only the kept masks are decoded to names."""
     g = cnr_to_dg(build_cnr(program))
-    causal = build_causal_map(g)
-    seed = _seed(g, causal)
-    models = _settled(g, seed, causal.constraints)
+    seed = _seed(g)
+    models = _settled(g, seed)
     atoms = (1 << g.atom_count) - 1
     if models is not None:
         return [_names(g, true & atoms) for _, true in models]
-    synthesized = synthesized_constraints(g, causal, seed)
+    synthesized = synthesized_constraints(g, seed)
     # prove recurses once per node of a proof path; the caller's limit is
     # restored on the way out.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
     try:
-        models = _finished_models(g, causal, synthesized, seed)
+        models = _finished_models(g, synthesized, seed)
     finally:
         sys.setrecursionlimit(limit)
     candidates = dict.fromkeys(true & atoms for _, true in models)
-    answer_sets = [_names(g, true) for true in candidates if _stable(g, causal, true)]
+    answer_sets = [_names(g, true) for true in candidates if stable(g, true)]
     return sorted(answer_sets, key=sorted)
 
 

@@ -12,16 +12,17 @@ world once into a list by node number, walks each node's ``pred`` entries
 (an entry is effective when its source's value equals its sign bit) in
 (source name, sign) order, and names a node only in the tree it returns.
 ``export_dot_world`` walks ``graph.export_order``, as the graph exports do.
-``check_justified`` validates a whole world and checks foundedness with the
-graph's one least fixpoint over its body table.
+``check_justified`` validates a whole world on either graph: the world
+must be the one ``worlds.world_from_atoms`` gives its true atoms, and those
+atoms must pass ``graph.stable``, the package's one answer-set check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import SIGNS, DepGraph, NodeKind, export_order, least_fixpoint
-from .worlds import World, require_named
+from .graph import SIGNS, DepGraph, NodeKind, export_order, stable
+from .worlds import World, require_named, world_from_atoms
 
 
 class AtomUnknown(ValueError):
@@ -41,7 +42,14 @@ class JustificationTree:
     primary: bool = False
 
     def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
+        """The number of nodes, counted with an explicit stack, so a tree
+        of any depth is counted."""
+        count = 0
+        stack = [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
 
 def atom_node(g: DepGraph, atom: str) -> int:
@@ -114,43 +122,26 @@ def justify(g: DepGraph, w: World, atom: str) -> JustificationTree:
 
 
 def check_justified(g: DepGraph, w: World) -> bool:
-    """Post-hoc validator: the world's True projection is an answer set.
+    """Post-hoc validator: the world is the valuation of an answer set.
 
-    Requires a complete world consistent with fixed values in which every
-    True node is a fact or has an effective in-edge, no False node receives
-    an effective edge, and every True atom is founded: it lies in the least
-    fixpoint of the graph's rule bodies that hold, so it is derivable from
-    facts and negation without resting on a positive cycle.
+    Works on either graph, before or after the conjunction flip. The world
+    must be complete, its values must be those ``world_from_atoms`` gives
+    its true atoms M on this graph (facts, constraint nodes and conjunction
+    nodes included), and ``graph.stable`` must accept M's mask: no
+    constraint body holds in M, and the reduct's least fixpoint is M.
     """
     if not w.is_complete(g):  # raises on a world over node numbers
         return False
-    values = list(map(w.values.__getitem__, g.names))
-    fixed_nodes = g.fixed_nodes
-    for node, fixed in fixed_nodes.items():
-        if values[node] != fixed:
-            return False
-    for node, entries in enumerate(g.pred):
-        for e in entries:
-            if values[e >> 1] == e & 1:  # an effective in-edge
-                if not values[node]:
-                    return False
-                break
-        else:
-            if values[node] and fixed_nodes.get(node) is not True:
-                return False
-    # After the checks above only a True atom has a body that holds, and
-    # only True atoms need a derivation.
-    t = g.bodies
-    value_of = values.__getitem__
-    true_atoms = [a for a in range(g.atom_count) if values[a]]
-    holding = [
-        i
-        for a in true_atoms
-        for i in range(t.start[a], t.start[a + 1])
-        if all(map(value_of, t.pos[i])) and not any(map(value_of, t.neg[i]))
-    ]
-    founded = least_fixpoint(t.head, t.pos, t.pos_uses, holding)
-    return all(a in founded for a in true_atoms)
+    values = w.values
+    true_atoms = [name for name in g.names[: g.atom_count] if values[name]]
+    expected = world_from_atoms(g, true_atoms).values
+    if any(values[name] != value for name, value in expected.items()):
+        return False
+    number = g.number
+    mask = 0
+    for name in true_atoms:
+        mask |= 1 << number[name]
+    return stable(g, mask)
 
 
 def render_text(tree: JustificationTree) -> str:
@@ -168,13 +159,27 @@ def render_text(tree: JustificationTree) -> str:
 
 
 def tree_to_json(tree: JustificationTree) -> dict:
-    return {
-        "node": tree.node,
-        "value": tree.value,
-        "reason": tree.reason,
-        "primary": tree.primary,
-        "children": [tree_to_json(child) for child in tree.children],
-    }
+    """The tree as nested dicts, children in order; the walk keeps its own
+    stack, so a tree of any depth converts."""
+
+    def node_json(node: JustificationTree) -> dict:
+        return {
+            "node": node.node,
+            "value": node.value,
+            "reason": node.reason,
+            "primary": node.primary,
+            "children": [],
+        }
+
+    root = node_json(tree)
+    stack = [(tree, root)]
+    while stack:
+        node, doc = stack.pop()
+        for child in node.children:
+            child_doc = node_json(child)
+            doc["children"].append(child_doc)
+            stack.append((child, child_doc))
+    return root
 
 
 def export_dot_world(g: DepGraph, w: World) -> str:

@@ -388,6 +388,56 @@ def test_one_igasp_solve_compiles_one_body_table(monkeypatch):
         assert compiled == 1
 
 
+def test_a_solve_compiles_each_graphs_table_at_most_once(monkeypatch):
+    # igasp's propagation, synthesis, constraint test and stability check,
+    # and grasp's labeling search, all read the graph's one table.
+    compiled = []
+    original = graph_module.compile_bodies
+
+    def counted(g):
+        compiled.append(g)  # kept alive, so no two graphs share an id
+        return original(g)
+
+    reached = {"prove": 0, "break_cycles": 0}
+
+    def counting(module, name):
+        wrapped = getattr(module, name)
+
+        def call(*args):
+            reached[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    monkeypatch.setattr(graph_module, "compile_bodies", counted)
+    counting(igasp, "prove")
+    counting(grasp, "break_cycles")
+    texts = ["p :- not q. q :- not p. :- p, q.", "p :- q. q :- p. :- not p."]
+    programs = [parse_program(text) for text in texts] + [gen_coloring(5, cycle_graph(5))]
+    for program in programs:
+        for solve, reaches in ((igasp.solve_igasp, "prove"), (grasp.solve_grasp, "break_cycles")):
+            compiled.clear()
+            reached[reaches] = 0
+            solve(program)
+            assert reached[reaches] > 0  # the proof search, or a component
+            assert len({id(g) for g in compiled}) == len(compiled) == 1
+
+
+def test_the_body_tables_masks_and_watchers_restate_its_rows():
+    rng = random.Random(31)
+    for _ in range(200):
+        cnr = build_cnr(parse_program(random_program_text(rng, rng.randint(1, 8), 10)))
+        for g in (cnr, cnr_to_dg(cnr)):
+            t = g.bodies
+            watchers = [[] for _ in g.names]  # every node, helpers included
+            for i, (pos, neg) in enumerate(zip(t.pos, t.neg)):
+                assert t.masks[i] == (sum(1 << a for a in pos), sum(1 << a for a in neg))
+                if i < t.start[-1]:
+                    for atom in pos + neg:
+                        watchers[atom].append(t.head[i])
+            assert t.watchers == watchers
+
+
 def test_a_solve_fills_only_the_transformed_graphs_lists(monkeypatch):
     # The arc list is each graph's adjacency; succ and pred are filled from
     # it once, on first read. The engines read only the transformed graph.

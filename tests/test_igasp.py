@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from aspgraph import igasp
 from aspgraph.generate import GenConfig, cycle_graph, gen_coloring, gen_hamiltonian, gen_random
-from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind
+from aspgraph.graph import NodeKind, atoms_of, build_cnr, cnr_to_dg, node_kind, stable
 from aspgraph.grasp import solve_grasp
 from aspgraph.igasp import (
     ProofTable,
     QueryAtomUnknown,
-    build_causal_map,
     forward_propagate,
     merge_conjunctive,
     prove,
@@ -99,8 +98,7 @@ def test_empty_program():
 
 def synthesized(text):
     g = transformed(text)
-    causal = build_causal_map(g)
-    rules = igasp.synthesized_constraints(g, causal, igasp._seed(g, causal))
+    rules = igasp.synthesized_constraints(g, igasp._seed(g))
     return [str(rule) for rule in rules]
 
 
@@ -241,9 +239,8 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         )
         program = parse_program(text)
         g = transformed(text)
-        causal = build_causal_map(g)
-        seed = igasp._seed(g, causal)
-        rules = igasp.synthesized_constraints(g, causal, seed)
+        seed = igasp._seed(g)
+        rules = igasp.synthesized_constraints(g, seed)
         assert rules == reference_synthesized_constraints(program)
         anchors = tuple(g.number[rule.body[0].atom] for rule in rules if len(rule.body) == 2)
         anchored += bool(anchors)
@@ -252,7 +249,7 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         augmented_program = program.extended(rules)
         augmented = transformed(str(augmented_program))
         for seeds, graph, prog in (((), g, program), (anchors, augmented, augmented_program)):
-            coverage = igasp._Coverage(g, causal, seed)
+            coverage = igasp._Coverage(g, seed)
             for anchor in seeds:
                 coverage.add(anchor)
             decided = {g.names[a] for a in coverage.decided}
@@ -270,8 +267,7 @@ def test_constraint_free_programs_get_anchors_only_and_solve_exactly():
         )
         program = parse_program(text)
         g = transformed(text)
-        causal = build_causal_map(g)
-        rules = igasp.synthesized_constraints(g, causal, igasp._seed(g, causal))
+        rules = igasp.synthesized_constraints(g, igasp._seed(g))
         for rule in rules:
             assert len(rule.body) == 2, text
             pos, neg = rule.body
@@ -307,10 +303,9 @@ def test_anchor_synthesis_walks_and_counts_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(igasp, "_undecided_inputs", counted)
-    causal = build_causal_map(g)
-    seed = igasp._seed(g, causal)
+    seed = igasp._seed(g)
     g.pred = CountingList(g.pred)
-    rules = igasp.synthesized_constraints(g, causal, seed)
+    rules = igasp.synthesized_constraints(g, seed)
     assert len(rules) == n
     assert counts["_undecided_inputs"] == 1
     # one read per atom to order the anchors, then one per node walked
@@ -339,7 +334,7 @@ def test_prove_fact_leaf():
     # the seed holds the fact True, so the seed branch decides it
     g = transformed("q.")
     q = g.number["q"]
-    seed = igasp._seed(g, build_causal_map(g))
+    seed = igasp._seed(g)
     assert values(seed, g.number) == {"q": True}
     assert prove(q, True, *seed, ProofTable(g)) == [(0, 0)]
     assert prove(q, False, *seed, ProofTable(g)) == []
@@ -474,27 +469,28 @@ def test_merge_conjunctive_equals_nested_loop_reference():
 # --- forward propagation ----------------------------------------------------
 
 
-def causal_map(text):
-    """The program's causal map and the bits of its graph's nodes."""
+def graph_bits(text):
+    """The program's transformed graph, whose body table forward_propagate
+    reads, and the bits of its nodes."""
     g = transformed(text)
-    return build_causal_map(g), g.number
+    return g, g.number
 
 
 def test_forward_propagate_fires_rules():
-    cmap, bits = causal_map("c :- a. d :- not b.")
-    out = forward_propagate(pm({"a": True, "b": False}, bits), cmap)
+    g, bits = graph_bits("c :- a. d :- not b.")
+    out = forward_propagate(pm({"a": True, "b": False}, bits), g)
     assert values(out, bits) == {"a": True, "b": False, "c": True, "d": True}
 
 
 def test_forward_propagate_fixpoint_when_nothing_applies():
-    cmap, bits = causal_map("c :- a. :- b.")
+    g, bits = graph_bits("c :- a. :- b.")
     start = pm({"b": True}, bits)
-    assert forward_propagate(start, cmap) == start
+    assert forward_propagate(start, g) == start
 
 
 def test_forward_propagate_contradiction_drops_model():
-    cmap, bits = causal_map("x :- a.")
-    assert forward_propagate(pm({"a": True, "x": False}, bits), cmap) is None
+    g, bits = graph_bits("x :- a.")
+    assert forward_propagate(pm({"a": True, "x": False}, bits), g) is None
 
 
 def test_forward_propagate_idempotent():
@@ -502,14 +498,14 @@ def test_forward_propagate_idempotent():
     for _ in range(60):
         text = random_program_text(rng, 4, rng.randint(1, 6))
         program = parse_program(text)
-        cmap, bits = causal_map(text)
+        g, bits = graph_bits(text)
         start = pm(
             {a: rng.random() < 0.5 for a in list(program.atoms)[: rng.randint(0, 3)]},
             bits,
         )
-        once = forward_propagate(start, cmap)
+        once = forward_propagate(start, g)
         if once is not None:
-            twice = forward_propagate(once, cmap)
+            twice = forward_propagate(once, g)
             assert twice is not None and twice == once
 
 
@@ -518,17 +514,17 @@ def test_forward_propagate_from_base_equals_full_pass():
     # nodes it adds to either side, and ends where the full pass ends. A
     # union with the unpropagated right side, as _finished_models joins a
     # proof, ends there too: propagation is monotone.
-    cmap, bits = causal_map("c :- a, b. d :- c.")
+    g, bits = graph_bits("c :- a, b. d :- c.")
     left, right = pm({"a": True}, bits), pm({"b": True}, bits)
     union = pm({"a": True, "b": True}, bits)
-    assert forward_propagate(union, cmap, left) == forward_propagate(union, cmap)
-    assert values(forward_propagate(union, cmap, right), bits)["d"] is True
+    assert forward_propagate(union, g, left) == forward_propagate(union, g)
+    assert values(forward_propagate(union, g, right), bits)["d"] is True
 
     rng = random.Random(33)
     outcomes = set()
     for _ in range(300):
         text = random_program_text(rng, rng.randint(2, 6), rng.randint(1, 10))
-        cmap, bits = causal_map(text)
+        g, bits = graph_bits(text)
         atoms = sorted(parse_program(text).atoms)
         for _ in range(6):
             sides = [{}, {}]
@@ -537,19 +533,19 @@ def test_forward_propagate_from_base_equals_full_pass():
                 if pick < 0.6:
                     sides[pick < 0.3][atom] = rng.random() < 0.5
             raw = pm(sides[1], bits)
-            left, right = (forward_propagate(pm(side, bits), cmap) for side in sides)
+            left, right = (forward_propagate(pm(side, bits), g) for side in sides)
             if left is None or left[0] & raw[0] & (left[1] ^ raw[1]):
                 continue
             raw_union = (left[0] | raw[0], left[1] | raw[1])
-            raw_full = forward_propagate(raw_union, cmap, left)
-            assert raw_full == forward_propagate(raw_union, cmap)
+            raw_full = forward_propagate(raw_union, g, left)
+            assert raw_full == forward_propagate(raw_union, g)
             if right is None or left[0] & right[0] & (left[1] ^ right[1]):
                 assert raw_full is None
                 continue
             union = (left[0] | right[0], left[1] | right[1])
-            full = forward_propagate(union, cmap)
-            assert forward_propagate(union, cmap, left) == full
-            assert forward_propagate(union, cmap, right) == full
+            full = forward_propagate(union, g)
+            assert forward_propagate(union, g, left) == full
+            assert forward_propagate(union, g, right) == full
             assert raw_full == full
             outcomes.add("dropped" if full is None else "same" if full == union else "extended")
     assert outcomes == {"dropped", "same", "extended"}
@@ -558,14 +554,15 @@ def test_forward_propagate_from_base_equals_full_pass():
 # --- joining each goal's proofs ----------------------------------------------
 
 
-def reference_finished_models(g, causal, synthesized):
+def reference_finished_models(g, synthesized):
     """_finished_models with two sweeps per union: every proof, on the seed
     branch, is propagated on its own, then joined, and each union is
     propagated again."""
     ruleless = (1 << g.atom_count) - 1
-    for head in causal.bodies:
+    t = g.bodies
+    for head in t.head[: t.start[-1]]:
         ruleless &= ~(1 << head)
-    seed = forward_propagate((ruleless, 0), causal)
+    seed = forward_propagate((ruleless, 0), g)
     found = [seed] if seed is not None else []
     goals = [[(c, False)] for c in igasp._constraint_nodes(g)]
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
@@ -574,7 +571,7 @@ def reference_finished_models(g, causal, synthesized):
         alternatives = []
         for node, value in goal:
             for m in prove(node, value, *seed, table):
-                propagated = forward_propagate(m, causal)
+                propagated = forward_propagate(m, g)
                 if propagated is not None:
                     alternatives.append(propagated)
         merged = []
@@ -582,7 +579,7 @@ def reference_finished_models(g, causal, synthesized):
         for m in merge_conjunctive(found, list(dict.fromkeys(alternatives))):
             while not igasp._contains(m, found[left]):
                 left += 1
-            propagated = forward_propagate(m, causal, found[left])
+            propagated = forward_propagate(m, g, found[left])
             if propagated is not None:
                 merged.append(propagated)
         found = list(dict.fromkeys(merged))
@@ -594,15 +591,14 @@ def reference_finished_models(g, causal, synthesized):
 def finished_model_sets(text):
     """The set of _finished_models' models and of the reference's."""
     g = transformed(text)
-    causal = build_causal_map(g)
-    seed = igasp._seed(g, causal)
-    synthesized = igasp.synthesized_constraints(g, causal, seed)
+    seed = igasp._seed(g)
+    synthesized = igasp.synthesized_constraints(g, seed)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
     try:
         return (
-            set(igasp._finished_models(g, causal, synthesized, seed)),
-            set(reference_finished_models(g, causal, synthesized)),
+            set(igasp._finished_models(g, synthesized, seed)),
+            set(reference_finished_models(g, synthesized)),
         )
     finally:
         sys.setrecursionlimit(limit)
@@ -671,15 +667,14 @@ def test_seed_agrees_with_every_model_and_settled_solves_are_exact():
         text = random_program_text(rng, rng.randint(1, 7), rng.randint(1, 12))
         program = parse_program(text)
         g = transformed(text)
-        causal = build_causal_map(g)
-        seed = igasp._seed(g, causal)
+        seed = igasp._seed(g)
         known, true = seed
         expected = enumerate_stable(program)
         for model in expected:
             for atom in range(g.atom_count):
                 if known >> atom & 1:
                     assert (g.names[atom] in model) == bool(true >> atom & 1), text
-        settled = igasp._settled(g, seed, causal.constraints)
+        settled = igasp._settled(g, seed)
         if settled is not None:
             assert solve_igasp(program) == expected, text
         outcomes.add(None if settled is None else len(settled))
@@ -713,9 +708,8 @@ def test_a_total_seed_is_the_one_answer_set_past_the_oracle_cap():
     for group, programs in groups.items():
         for program in programs:
             g = cnr_to_dg(build_cnr(program))
-            causal = build_causal_map(g)
-            seed = igasp._seed(g, causal)
-            if igasp._settled(g, seed, causal.constraints) != [seed]:
+            seed = igasp._seed(g)
+            if igasp._settled(g, seed) != [seed]:
                 continue
             answer = frozenset(g.names[a] for a in range(g.atom_count) if seed[1] >> a & 1)
             assert solve_igasp(program) == [answer], program
@@ -727,10 +721,16 @@ def test_a_total_seed_is_the_one_answer_set_past_the_oracle_cap():
     assert past_cap > 80, past_cap
 
 
+def constraint_masks(g):
+    """The (pos_mask, neg_mask) pairs of the body table's constraint rows."""
+    t = g.bodies
+    return t.masks[t.start[-1] :]
+
+
 def test_constraint_bodies_undo_the_conjunction_flip():
     g = transformed("a :- not b. b :- not a. c. :- a, not c. :- not b. :- c, c.")
     bits = {name: 1 << g.number[name] for name in "abc"}
-    assert build_causal_map(g).constraints == [
+    assert constraint_masks(g) == [
         (bits["a"], bits["c"]),
         (0, bits["b"]),
         (bits["c"], 0),
@@ -751,7 +751,7 @@ def test_causal_constraints_are_the_programs_headless_rules():
                 for lit in rule.body:
                     masks[lit.negated] |= 1 << g.number[lit.atom]
                 expected.setdefault(frozenset(rule.body), tuple(masks))
-        assert build_causal_map(g).constraints == list(expected.values()), text
+        assert constraint_masks(g) == list(expected.values()), text
         constrained += bool(expected)
     assert constrained > 500
 
@@ -888,14 +888,14 @@ def test_query_deepest_atom_of_2000_link_chain(shape, monkeypatch):
 def test_settled_chain_solve_and_query_skip_the_proof_search(shape, monkeypatch):
     # The seed decides every atom of the benchmark's chains, and a total
     # seed is the answer set with no stability check.
-    counts = count_calls(monkeypatch, "prove", "synthesized_constraints", "_stable")
+    counts = count_calls(monkeypatch, "prove", "synthesized_constraints", "stable")
     n = 2000
     program = parse_program(chain_text(shape, n))
     assert solve_igasp(program) == [chain_model(shape, n)]
     deepest = n - 1 if shape == "naf" else n
     assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
     assert solve_query(program, f"a{deepest}", positive=False) == []
-    assert counts == {"prove": 0, "synthesized_constraints": 0, "_stable": 0}
+    assert counts == {"prove": 0, "synthesized_constraints": 0, "stable": 0}
 
 
 def test_proof_search_candidates_are_validated(monkeypatch):
@@ -903,13 +903,13 @@ def test_proof_search_candidates_are_validated(monkeypatch):
     # finds {p, q}, which is unfounded: the stability check is what
     # rejects it.
     verdicts = []
-    original = igasp._stable
+    original = igasp.stable
 
     def recorded(*args):
         verdicts.append(original(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(igasp, "_stable", recorded)
+    monkeypatch.setattr(igasp, "stable", recorded)
     assert models("p :- q. q :- p. :- not p.") == []
     assert verdicts == [False]
 
@@ -917,12 +917,13 @@ def test_proof_search_candidates_are_validated(monkeypatch):
 # --- the stability check ------------------------------------------------------
 
 
-def stable_by_mask(g, causal, interpretation):
-    """igasp's stability check of an interpretation given by atom names."""
+def stable_by_mask(g, interpretation):
+    """The package's stability check of an interpretation given by atom
+    names."""
     mask = 0
     for name in interpretation:
         mask |= 1 << g.number[name]
-    return igasp._stable(g, causal, mask)
+    return stable(g, mask)
 
 
 def near_answer_sets(rng, atoms, answer_sets, flips=None):
@@ -943,12 +944,11 @@ def test_the_stability_check_agrees_with_the_oracle_and_check_justified():
         text = random_program_text(rng, rng.randint(1, 8), rng.randint(1, 12))
         program = parse_program(text)
         g = transformed(text)
-        causal = build_causal_map(g)
         atoms = sorted(program.atoms)
         for interpretation in near_answer_sets(rng, atoms, enumerate_stable(program)):
             expected = is_stable(program, interpretation)
             case = (text, sorted(interpretation))
-            assert stable_by_mask(g, causal, interpretation) is expected, case
+            assert stable_by_mask(g, interpretation) is expected, case
             assert check_justified(g, world_from_atoms(g, interpretation)) is expected, case
             verdicts[expected] += 1
     assert verdicts[True] > 200 and verdicts[False] > 2000, verdicts
@@ -966,17 +966,18 @@ def test_the_stability_check_agrees_with_the_oracle_and_check_justified():
 )
 def test_the_stability_check_on_contradictory_bodies_and_duplicate_rules(text):
     program = parse_program(text)
-    g = transformed(text)
-    causal = build_causal_map(g)
+    cnr = build_cnr(program)
+    g = cnr_to_dg(cnr)
     atoms = sorted(program.atoms)
-    stable = 0
+    answer_sets = 0
     for size in range(len(atoms) + 1):
         for subset in itertools.combinations(atoms, size):
             expected = is_stable(program, subset)
-            assert stable_by_mask(g, causal, subset) is expected, subset
-            assert check_justified(g, world_from_atoms(g, subset)) is expected, subset
-            stable += expected
-    assert stable == len(solve_grasp(program)) > 0
+            for graph in (g, cnr):  # the table, so the verdict, ignores the flip
+                assert stable_by_mask(graph, subset) is expected, subset
+                assert check_justified(graph, world_from_atoms(graph, subset)) is expected, subset
+            answer_sets += expected
+    assert answer_sets == len(solve_grasp(program)) > 0
 
 
 def test_the_stability_check_past_the_oracle_cap():
@@ -989,11 +990,10 @@ def test_the_stability_check_past_the_oracle_cap():
         text = random_program_text(rng, n, rng.randint(n, 2 * n), constraint_fraction=0.02)
         program = parse_program(text)
         g = transformed(text)
-        causal = build_causal_map(g)
         answer_sets = solve_grasp(program)[:2]
         for interpretation in near_answer_sets(rng, sorted(program.atoms), answer_sets, 10):
             expected = is_stable(program, interpretation)
-            assert stable_by_mask(g, causal, interpretation) is expected, text
+            assert stable_by_mask(g, interpretation) is expected, text
             verdicts[expected] += 1
     assert verdicts[True] > 60 and verdicts[False] > 1000, verdicts
 
@@ -1074,7 +1074,7 @@ def test_positive_loop_rejection():
 
 
 def test_reversed_positive_chain_one_model():
-    # Rules listed last link first: a sweep over the causal map in rule
+    # Rules listed last link first: a sweep over the body table in row
     # order decides one link per pass; the worklist decides all in one.
     n = 2000
     text = "".join(f"a{i} :- a{i - 1}.\n" for i in range(n, 0, -1)) + "a0.\n"

@@ -24,7 +24,6 @@ from aspgraph.igasp import (
     ProofTable,
     _join,
     _seed,
-    build_causal_map,
     merge_conjunctive,
     prove,
     solve_igasp,
@@ -157,7 +156,7 @@ def test_tabled_prove_matches_untabled_reference():
         even += cnr_even > 0
         odd += cnr_odd > 0
         table = ProofTable(g)
-        known, true = _seed(g, build_causal_map(g))
+        known, true = _seed(g)
         seed = {n: bool(true >> n & 1) for n in range(len(g.names)) if known >> n & 1}
         goals = []
         for node, members in enumerate(components(g)):

@@ -276,6 +276,64 @@ def test_check_justified_long_shuffled_chain():
     assert not check_justified(g, world_from_atoms(g, names[:-1]))
 
 
+def reference_tree_json(tree):
+    """The recursive conversion tree_to_json replaced."""
+    return {
+        "node": tree.node,
+        "value": tree.value,
+        "reason": tree.reason,
+        "primary": tree.primary,
+        "children": [reference_tree_json(child) for child in tree.children],
+    }
+
+
+def reference_size(tree):
+    """The recursive count JustificationTree.size replaced."""
+    return 1 + sum(reference_size(child) for child in tree.children)
+
+
+def test_tree_size_and_json_match_their_recursive_forms():
+    rng = random.Random(32)
+    trees = 0
+    for _ in range(150):
+        program = parse_program(random_program_text(rng, rng.randint(2, 8), rng.randint(2, 14)))
+        g, worlds = solve_grasp_worlds(program)
+        for w in worlds[:2]:
+            for atom in sorted(program.atoms):
+                tree = justify(g, w, atom)
+                assert tree.size() == reference_size(tree)
+                assert tree_to_json(tree) == reference_tree_json(tree)
+                trees += tree.size() > 2
+    assert trees >= 100
+
+
+def test_tree_size_and_json_deeper_than_the_recursion_limit():
+    depth = 5000
+    tree = JustificationTree("a0", False, "no rules")
+    for i in range(1, depth):
+        children = (tree, JustificationTree(f"b{i}", True, "fact")) if i % 2 else (tree,)
+        tree = JustificationTree(f"a{i}", True, f"rule {i}", children, primary=i % 3 == 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        size = tree.size()
+        doc = tree_to_json(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert size == depth + depth // 2
+    node = doc
+    for i in range(depth - 1, 0, -1):
+        assert (node["node"], node["reason"], node["primary"]) == (f"a{i}", f"rule {i}", i % 3 == 0)
+        assert len(node["children"]) == 1 + i % 2
+        if i % 2:
+            side = node["children"][1]
+            assert (side["node"], side["reason"], side["children"]) == (f"b{i}", "fact", [])
+        node = node["children"][0]
+    assert node == {
+        "node": "a0", "value": False, "reason": "no rules", "primary": False, "children": []
+    }
+
+
 def test_validator_agrees_with_oracle():
     rng = random.Random(44)
     for _ in range(60):

@@ -69,3 +69,43 @@ def test_the_check_sees_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced_in_the_package():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
     assert unreferenced_private_definitions(trees) == []
+
+
+
+def recursion_limit_sites(trees: dict[str, ast.Module]) -> list[str]:
+    """Where the modules name setrecursionlimit, as module.function for a
+    top-level function, module.Class for a class, or module.<module>."""
+    sites = []
+    for module, tree in trees.items():
+        stem = module.removesuffix(".py")
+        for top in tree.body:
+            for node in ast.walk(top):
+                named = (
+                    (isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit")
+                    or (isinstance(node, ast.Name) and node.id == "setrecursionlimit")
+                    or (isinstance(node, ast.alias) and node.name == "setrecursionlimit")
+                )
+                if named:
+                    scope = getattr(top, "name", "<module>")
+                    sites.append(f"{stem}.{scope}")
+    return sorted(set(sites))
+
+
+def test_the_check_sees_every_recursion_limit_site():
+    trees = {
+        "a.py": ast.parse(
+            "import sys\nsys.setrecursionlimit(2000)\n"
+            "def f():\n    def g():\n        sys.setrecursionlimit(3000)\n"
+            "class C:\n    def m(self):\n        return sys.setrecursionlimit\n"
+        ),
+        "b.py": ast.parse("from sys import setrecursionlimit as raise_it\n"),
+        "c.py": ast.parse("import sys\ndef h():\n    return sys.getrecursionlimit()\n"),
+    }
+    assert recursion_limit_sites(trees) == ["a.<module>", "a.C", "a.f", "b.<module>"]
+
+
+def test_the_recursion_limit_is_raised_only_by_solve_igasp():
+    # A walk with its own stack needs no raised limit; igasp's proof search
+    # is the one recursion left, so no other site may come back.
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert recursion_limit_sites(trees) == ["igasp.solve_igasp"]
