@@ -22,18 +22,22 @@ seed. Programs without enough constraints to reach every atom get
 synthesized ones: vacuous ":- a, not a." anchors that force a case split
 on a. Each is proved as a goal on the program's own graph, built once per
 solve, by proving a False or a True. A goal's proof models are joined,
-without repeats, with the models found so far, and each union is
-forward-propagated once; a proof is never propagated on its own.
-Propagation is monotone, so fp(left | fp(m)) = fp(left | m), and a proof
-whose own propagation contradicts makes every union containing it
-contradict too: the finished models are the same as when each proof is
-propagated before the join. Finished models are totalized (atoms never
-reached default to False), and a proof may close an unfounded positive
-loop, so each candidate M, the mask of its True atoms, is kept only if it
-is stable (Gelfond & Lifschitz, ICLP 1988): no constraint body holds in M,
-and the least fixpoint of the reduct, the atom rows with no negated atom
-in M, derives exactly M. That is one ``graph.stable`` call per
-candidate, on masks, before any name is decoded.
+without repeats, with the models found so far; a proof is never
+propagated on its own. Propagation is monotone, so fp(left | fp(m)) =
+fp(left | m), and a proof whose own propagation contradicts makes every
+union containing it contradict too: the finished models are the same as
+when each proof is propagated before the join. A union is
+forward-propagated once, and only when its goal is open: when some head
+outside the goal's cone and the cones joined before it watches the cone.
+A closed goal's unions are fixpoints already, as _finished_models shows;
+on the 3-colorings of C5-C8 no goal is open. Finished models are
+totalized (atoms never reached default to False), and a proof may close
+an unfounded positive loop, so each candidate M, the mask of its True
+atoms, is kept only if it is stable (Gelfond & Lifschitz, ICLP 1988): no
+constraint body holds in M, and the least fixpoint of the reduct, the
+atom rows with no negated atom in M, derives exactly M. That is one
+``graph.stable`` call per candidate, on masks, before any name is
+decoded.
 
 The proof search walks the graph's own integer lists: node i is bit i,
 and its in-edges are read off ``pred`` (a positive entry is effective
@@ -471,26 +475,49 @@ def _finished_models(
 ) -> list[PartialModel]:
     """Forward-propagated partial models that extend the seed and falsify
     every constraint: the program's, then each synthesized one, by one of
-    its literals proved false. Every goal is proved on the seed branch."""
+    its literals proved false. Every goal is proved on the seed branch.
+
+    covered holds the seed's atoms and the cone of every goal joined so
+    far, each walked up to covered: every model so far decides every node
+    in it, since a proof decides its goal's whole cone up to the seed. A
+    union decides covered after its goal's walk, and each head it decides
+    already agrees with its bodies: a proved head has every body decided,
+    and a forced one stays forced. So propagation can reject no union, and
+    it can only force a head outside covered that watches a node the union
+    adds, all of which are in the goal's cone. When no such head watches
+    the cone, the goal is closed and its unions are fixpoints already: they
+    are kept as merge_conjunctive lists them. An open goal's unions are
+    propagated, each from a left model it contains. This is the splitting
+    set theorem's reading (Lifschitz & Turner, ICLP 1994): the atoms
+    outside a closed cone cannot react to its values before their own goal
+    comes."""
     models = [seed]
     goals = [[(c, False)] for c in _constraint_nodes(g)]
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
+    watchers = g.bodies.watchers
+    covered = {a for a in range(g.atom_count) if seed[0] >> a & 1}
     for goal in goals:
         # The proofs are joined unpropagated, as the module docstring says.
         proofs = [m for node, value in goal for m in prove(node, value, *seed, table)]
-        # merge_conjunctive lists the unions of each left model in the order
-        # of models, so one pointer finds, for each union, a left model that
-        # it contains; propagation starts from the nodes the union adds.
-        merged = []
-        left = 0
-        for m in merge_conjunctive(models, list(dict.fromkeys(proofs))):
-            while not _contains(m, models[left]):
-                left += 1
-            propagated = forward_propagate(m, g, models[left])
-            if propagated is not None:
-                merged.append(propagated)
-        models = list(dict.fromkeys(merged))
+        unions = merge_conjunctive(models, list(dict.fromkeys(proofs)))
+        cone = _ancestor_atoms(g, [node for node, _ in goal], covered)
+        if all(head in covered for atom in cone for head in watchers[atom]):
+            models = unions
+        else:
+            # merge_conjunctive lists the unions of each left model in the
+            # order of models, so one pointer finds, for each union, a left
+            # model that it contains; propagation starts from the nodes the
+            # union adds.
+            merged = []
+            left = 0
+            for m in unions:
+                while not _contains(m, models[left]):
+                    left += 1
+                propagated = forward_propagate(m, g, models[left])
+                if propagated is not None:
+                    merged.append(propagated)
+            models = list(dict.fromkeys(merged))
         if not models:
             return []
     return models

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import itertools
 import math
@@ -554,6 +555,14 @@ def test_forward_propagate_from_base_equals_full_pass():
 # --- joining each goal's proofs ----------------------------------------------
 
 
+def goal_list(g, synthesized):
+    """_finished_models' goals, in its order: the constraint nodes proved
+    False, then each synthesized constraint's literals."""
+    goals = [[(c, False)] for c in igasp._constraint_nodes(g)]
+    goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
+    return goals
+
+
 def reference_finished_models(g, synthesized):
     """_finished_models with two sweeps per union: every proof, on the seed
     branch, is propagated on its own, then joined, and each union is
@@ -564,10 +573,8 @@ def reference_finished_models(g, synthesized):
         ruleless &= ~(1 << head)
     seed = forward_propagate((ruleless, 0), g)
     found = [seed] if seed is not None else []
-    goals = [[(c, False)] for c in igasp._constraint_nodes(g)]
-    goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
-    for goal in goals:
+    for goal in goal_list(g, synthesized):
         alternatives = []
         for node, value in goal:
             for m in prove(node, value, *seed, table):
@@ -593,13 +600,20 @@ def finished_model_sets(text):
     g = transformed(text)
     seed = igasp._seed(g)
     synthesized = igasp.synthesized_constraints(g, seed)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
-    try:
+    with recursion_limit_for(g):
         return (
             set(igasp._finished_models(g, synthesized, seed)),
             set(reference_finished_models(g, synthesized)),
         )
+
+
+@contextlib.contextmanager
+def recursion_limit_for(g):
+    """solve_igasp's recursion limit for prove on g, restored on the way out."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
+    try:
+        yield
     finally:
         sys.setrecursionlimit(limit)
 
@@ -621,10 +635,36 @@ def test_finished_models_equal_the_propagate_every_proof_reference(monkeypatch):
     assert outcomes == {None, False, True}
 
 
+def seed_atoms(g, seed):
+    return {a for a in range(g.atom_count) if seed[0] >> a & 1}
+
+
+def cone_walk(g, goal, covered):
+    """The goal's nodes and ancestors outside covered, found by a walk that
+    does not pass through covered; each node found joins covered."""
+    cone = [n for n in dict.fromkeys(node for node, _ in goal) if n not in covered]
+    covered.update(cone)
+    stack = list(cone)
+    while stack:
+        for entry in g.pred[stack.pop()]:
+            if entry >> 1 not in covered:
+                covered.add(entry >> 1)
+                cone.append(entry >> 1)
+                stack.append(entry >> 1)
+    return cone
+
+
+def is_open(g, cone, covered):
+    """Whether a head outside covered watches a node of the cone; only
+    atoms have watchers."""
+    watchers = g.bodies.watchers
+    return any(head not in covered for n in cone for head in watchers[n])
+
+
 def count_propagations_and_unions(monkeypatch):
-    """Counts, from now on, of forward_propagate's calls and of the unions
-    merge_conjunctive returns."""
-    counts = {"propagate": 0, "unions": 0}
+    """Counts, from now on, of forward_propagate's calls and, per call of
+    merge_conjunctive, of the unions it returns."""
+    counts = {"propagate": 0, "unions": []}
     propagate, merge = igasp.forward_propagate, igasp.merge_conjunctive
 
     def counted_propagate(*args):
@@ -633,7 +673,7 @@ def count_propagations_and_unions(monkeypatch):
 
     def counted_merge(a, b):
         unions = merge(a, b)
-        counts["unions"] += len(unions)
+        counts["unions"].append(len(unions))
         return unions
 
     monkeypatch.setattr(igasp, "forward_propagate", counted_propagate)
@@ -642,16 +682,109 @@ def count_propagations_and_unions(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "program, answer_sets",
-    [(gen_coloring(5, cycle_graph(5)), 30), (gen_hamiltonian(4), 6)],
+    "program, answer_sets, propagations",
+    [(gen_coloring(5, cycle_graph(5)), 30, 1), (gen_hamiltonian(4), 6, 681)],
     ids=["C5", "K4"],
 )
-def test_one_propagation_for_the_seed_and_per_union(monkeypatch, program, answer_sets):
-    # a proof is never propagated on its own, only the unions it joins
+def test_one_propagation_for_the_seed_and_per_open_union(
+    monkeypatch, program, answer_sets, propagations
+):
+    # a proof is never propagated on its own, and a union only when its
+    # goal is open: some head outside the goal's cone watches the cone
+    g = cnr_to_dg(build_cnr(program))
+    seed = igasp._seed(g)
+    covered = seed_atoms(g, seed)
+    opened = []
+    for goal in goal_list(g, igasp.synthesized_constraints(g, seed)):
+        opened.append(is_open(g, cone_walk(g, goal, covered), covered))
     counts = count_propagations_and_unions(monkeypatch)
     assert len(solve_igasp(program)) == answer_sets
-    assert counts["unions"] >= answer_sets
-    assert counts["propagate"] == 1 + counts["unions"]
+    assert len(counts["unions"]) == len(opened)
+    assert sum(counts["unions"]) >= answer_sets
+    open_unions = sum(n for n, flag in zip(counts["unions"], opened) if flag)
+    assert counts["propagate"] == 1 + open_unions == propagations
+
+
+def propagate_every_union(g, synthesized, seed, on_goal=None):
+    """_finished_models with every union propagated, from a left model it
+    contains, closed goal or open. on_goal, when given, sees each goal with
+    its proofs and its (union, propagated union) pairs before they join."""
+    models = [seed]
+    table = ProofTable(g)
+    for goal in goal_list(g, synthesized):
+        proofs = [m for node, value in goal for m in prove(node, value, *seed, table)]
+        proofs = list(dict.fromkeys(proofs))
+        steps = []
+        left = 0
+        for union in merge_conjunctive(models, proofs):
+            while not igasp._contains(union, models[left]):
+                left += 1
+            steps.append((union, forward_propagate(union, g, models[left])))
+        if on_goal is not None:
+            on_goal(goal, proofs, steps)
+        models = list(dict.fromkeys(m for _, m in steps if m is not None))
+        if not models:
+            return []
+    return models
+
+
+@pytest.fixture(scope="module")
+def proof_searches():
+    """(name, graph, synthesized constraints, seed) of the programs that
+    reach the proof search, among 3000 random 5-18-atom programs and the
+    classic workload's seeds 1-3."""
+    texts = []
+    rng = random.Random(2021)
+    for i in range(3000):
+        n = rng.randint(5, 18)
+        texts.append((f"random {i}", random_program_text(rng, n, rng.randint(n, 2 * n))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+    texts += [(item.name, item.text) for seed in (1, 2, 3) for item in workloads.classic(seed)]
+    searches = []
+    for name, text in texts:
+        g = transformed(text)
+        seed = igasp._seed(g)
+        if igasp._settled(g, seed) is None:
+            searches.append((name, g, igasp.synthesized_constraints(g, seed), seed))
+    assert len(searches) > 800
+    return searches
+
+
+def test_proofs_decide_their_cones_and_closed_goals_are_fixpoints(proof_searches):
+    # The two facts closed goals skip propagation on: every proof decides
+    # its goal's cone outside the cones joined before it, and no union is
+    # rejected, nor changed when its goal is closed.
+    seen = {"closed": 0, "open": 0, "forced": 0}
+    for name, g, synthesized, seed in proof_searches:
+        covered = seed_atoms(g, seed)
+
+        def on_goal(goal, proofs, steps):
+            cone = cone_walk(g, goal, covered)
+            cone_mask = sum(1 << n for n in cone)
+            for known, _ in proofs:
+                assert not cone_mask & ~known, name
+            opened = is_open(g, cone, covered)
+            for union, propagated in steps:
+                assert propagated is not None, name
+                if opened:
+                    assert igasp._contains(propagated, union), name
+                    seen["forced"] += propagated != union
+                else:
+                    assert propagated == union, name
+            seen["open" if opened else "closed"] += 1
+
+        with recursion_limit_for(g):
+            propagate_every_union(g, synthesized, seed, on_goal)
+    assert min(seen.values()) > 0, seen
+
+
+def test_finished_models_equal_the_propagate_every_union_loop(proof_searches):
+    for name, g, synthesized, seed in proof_searches:
+        with recursion_limit_for(g):
+            expected = propagate_every_union(g, synthesized, seed)
+            assert igasp._finished_models(g, synthesized, seed) == expected, name
 
 
 # --- the seed ---------------------------------------------------------------
