@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .cycles import (
     CycleExplosionError,
-    CycleKind,
     VirtualNode,
     cycle_stats,
-    enumerate_cycles,
     find_virtual_nodes,
 )
 from .generate import ConfigError, GenConfig, gen_classic, gen_random
@@ -54,7 +52,6 @@ __all__ = [
     "AtomUnknown",
     "ConfigError",
     "CycleExplosionError",
-    "CycleKind",
     "DepGraph",
     "DoubleTransformError",
     "Edge",
@@ -77,7 +74,6 @@ __all__ = [
     "check_justified",
     "cnr_to_dg",
     "cycle_stats",
-    "enumerate_cycles",
     "enumerate_stable",
     "export_dot",
     "find_virtual_nodes",

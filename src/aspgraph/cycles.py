@@ -9,7 +9,7 @@ smallest atom: conjunction nodes sit between atoms, and constraint nodes
 have no out-edges. Simple cycles inside a component are enumerated over
 its member numbers by Johnson's algorithm (SIAM J. Comput. 1975), and
 classified by their count of negative edges: even (> 0 and even), odd, or
-positive (none). Names are read only to list cycles.
+positive (none). No node name is read: the census only counts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from enum import Enum
 
 from .graph import DepGraph
 
@@ -45,18 +44,15 @@ def default_cycle_cap() -> int:
 
 
 class CycleExplosionError(RuntimeError):
-    """Simple-cycle count exceeded the enumeration cap."""
+    """The census counted more signed simple cycles than the cycle cap."""
 
     def __init__(self, partial_count: int, cap: int):
-        super().__init__(f"more than {cap} simple cycles (stopped at {partial_count})")
+        super().__init__(
+            f"cycle cap hit: more than {cap} signed simple cycles "
+            f"(stopped at {partial_count}); {CYCLE_CAP_ENV} sets the cap"
+        )
         self.partial_count = partial_count
         self.cap = cap
-
-
-class CycleKind(Enum):
-    EVEN = "even"
-    ODD = "odd"
-    POSITIVE = "positive"
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def find_virtual_nodes(g: DepGraph) -> list[VirtualNode]:
     return [VirtualNode(tuple(members)) for members in sorted(cyclic)]
 
 
-def _signed_cycles(v: VirtualNode, g: DepGraph):
+def _signed_cycles(v: VirtualNode, g: DepGraph) -> Iterator[tuple[int, int]]:
     """Johnson's simple cycles of the component's node graph, over member
     positions in number order, with parallel edges merged into one hop
     (Hawick & James, 2008).
@@ -139,10 +135,9 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
     Each start is the smallest member on a cycle among the members not yet
     used as a start, and searches only its strong component among them, so
     each cycle is found once and starts at its smallest member; members
-    outside that component stay blocked. Yields (path, free, negative):
-    path is the cycle's positions in ``v.members``, free its count of hops
-    joined by edges of both signs, and negative its count of negative-only
-    hops.
+    outside that component stay blocked. Yields (free, negative) per
+    cycle: free is its count of hops joined by edges of both signs, and
+    negative its count of negative-only hops.
     """
     members = v.members
     local = {m: i for i, m in enumerate(members)}
@@ -172,25 +167,22 @@ def _signed_cycles(v: VirtualNode, g: DepGraph):
         for i in component:
             blocked[i] = i == s
         blocked_by = [set() for _ in members]
-        # one frame per path node: (its unexplored hops, the free and
-        # negative hops up to it, the cycle count when it was pushed)
+        # one frame per path node: (the node, its unexplored hops, the free
+        # and negative hops up to it, the cycle count when it was pushed)
         found = 0
-        path = [s]
-        stack = [(iter(succ[s]), 0, 0, found)]
+        stack = [(s, iter(succ[s]), 0, 0, found)]
         while stack:
-            edges, free, negative, pushed_at = stack[-1]
+            u, edges, free, negative, pushed_at = stack[-1]
             for w, f, n in edges:
                 if w == s:
                     found += 1
-                    yield tuple(path), free + f, negative + n
+                    yield free + f, negative + n
                 elif not blocked[w]:
                     blocked[w] = True
-                    path.append(w)
-                    stack.append((iter(succ[w]), free + f, negative + n, found))
+                    stack.append((w, iter(succ[w]), free + f, negative + n, found))
                     break
             else:
                 stack.pop()
-                u = path.pop()
                 if found > pushed_at:
                     # a cycle ran through u: unblock it and all that waits on it
                     pending = [u]
@@ -218,33 +210,6 @@ def _kinds(free: int, negative: int) -> tuple[int, int, int]:
     return 1 - odd - positive, odd, positive
 
 
-def enumerate_cycles(
-    v: VirtualNode, g: DepGraph, cap: int | None = None
-) -> list[tuple[tuple[str, ...], CycleKind]]:
-    """All simple directed cycles within the component, classified.
-
-    Where two atoms are connected by parallel edges of both signs, each sign
-    combination counts as a distinct cycle. Cycles are rotated to start at
-    their smallest node and returned in lexicographic order. Raises
-    CycleExplosionError past the cap (default 10^6).
-    """
-    if cap is None:
-        cap = default_cycle_cap()
-    names = [g.names[m] for m in v.members]
-    found: list[tuple[tuple[str, ...], CycleKind]] = []
-    for path, free, negative in _signed_cycles(v, g):
-        nodes = [names[i] for i in path]
-        first = nodes.index(min(nodes))
-        nodes = tuple(nodes[first:] + nodes[:first])
-        kinds = _kinds(free, negative)
-        if len(found) + sum(kinds) > cap:
-            raise CycleExplosionError(len(found) + sum(kinds), cap)
-        for kind, count in zip(CycleKind, kinds):  # even, odd, positive
-            found += [(nodes, kind)] * count
-    found.sort(key=lambda item: (item[0], item[1].value))
-    return found
-
-
 def cycle_stats_json(g: DepGraph, cap: int | None = None) -> dict:
     """Benchmark-table record for one program's graph."""
     even, odd, positive = cycle_stats(g, cap)
@@ -263,7 +228,7 @@ def cycle_stats(g: DepGraph, cap: int | None = None) -> tuple[int, int, int]:
         cap = default_cycle_cap()
     even = odd = positive = 0
     for v in find_virtual_nodes(g):
-        for _, free, negative in _signed_cycles(v, g):
+        for free, negative in _signed_cycles(v, g):
             e, o, p = _kinds(free, negative)
             even += e
             odd += o

@@ -39,7 +39,7 @@ accepts a world only if ``stable`` accepts its true atoms' mask. grasp's
 labeling search uses the fixpoint over a component's own rows.
 
 The engines, the model checks, justification and export read the integer
-lists and the table: cycles' ``find_virtual_nodes`` and cycle enumeration,
+lists and the table: cycles' ``find_virtual_nodes`` and the cycle census,
 grasp, igasp, ``worlds.world_from_atoms`` for grasp's worlds and the CLI,
 ``justify`` and ``check_justified``, and the DOT/JSON exports, which share
 one output order (``export_order``). Names appear only in what these emit.

@@ -129,6 +129,17 @@ def test_bad_cycle_cap_exits_2(program_file, capsys, monkeypatch, value):
     assert "more than" not in err and "invalid literal" not in err
 
 
+def test_cycle_cap_hit_names_the_cap(program_file, capsys, monkeypatch):
+    # the complete 6-atom positive digraph has 409 simple cycles
+    k6 = "".join(f"x{i} :- x{j}.\n" for i in range(6) for j in range(6) if i != j)
+    monkeypatch.setenv("ASPGRAPH_CYCLE_CAP", "10")
+    assert main(["graph", program_file(k6), "--format", "stats"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cycle cap" in captured.err and "ASPGRAPH_CYCLE_CAP" in captured.err
+
+
 def test_justify_deep_chain_exits_2(program_file, capsys):
     text = "a0.\n" + "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 3001))
     limit = sys.getrecursionlimit()

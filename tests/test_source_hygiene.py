@@ -109,3 +109,58 @@ def test_the_recursion_limit_is_raised_only_by_solve_igasp():
     # is the one recursion left, so no other site may come back.
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
     assert recursion_limit_sites(trees) == ["igasp.solve_igasp"]
+
+
+def unexported_imports(tree: ast.Module) -> list[str]:
+    """The public names a module imports and leaves out of its __all__."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return [
+        f"{alias.asname or alias.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+        and (alias.asname or alias.name) not in exported
+    ]
+
+
+def test_the_check_sees_an_unexported_import():
+    tree = ast.parse(
+        "from .a import Kept, Dropped, _private\nfrom .b import f as g\n"
+        "__all__ = ['Kept']\n"
+    )
+    assert unexported_imports(tree) == ["Dropped (line 1)", "g (line 2)"]
+
+
+def test_exports_resolve_and_every_public_import_is_exported():
+    import aspgraph
+
+    assert [name for name in aspgraph.__all__ if not hasattr(aspgraph, name)] == []
+    assert len(set(aspgraph.__all__)) == len(aspgraph.__all__)
+    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    assert unexported_imports(init) == []
+
+
+def attribute_reads(tree: ast.Module, attr: str) -> list[int]:
+    """The lines where a module reads ``.attr`` off any object."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    )
+
+
+def test_the_check_sees_an_attribute_read():
+    tree = ast.parse("def f(g):\n    n = g.names\n    return g.succ, g.names[0]\n")
+    assert attribute_reads(tree, "names") == [2, 3]
+
+
+def test_the_census_reads_no_node_name():
+    # cycles.py works on node numbers only, so no census can read a name
+    tree = ast.parse((SOURCE / "cycles.py").read_text(encoding="utf-8"))
+    assert attribute_reads(tree, "names") == []
