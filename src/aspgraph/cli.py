@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import multiprocessing
-import multiprocessing.connection
 import sys
 import time
 
@@ -56,6 +52,8 @@ def _format_model(model: frozenset[str]) -> str:
 
 
 def _models_json(models: list[frozenset[str]], **extra) -> str:
+    import json
+
     doc = {"answer_sets": [sorted(m) for m in models], "count": len(models)}
     doc.update(extra)
     return json.dumps(doc)
@@ -105,6 +103,8 @@ def cmd_justify(args) -> int:
         atom_node(graph, args.atom)
         print(export_dot_world(graph, world))
     elif args.format == "json":
+        import json
+
         print(json.dumps(tree_to_json(justify(graph, world, args.atom))))
     else:
         print(render_text(justify(graph, world, args.atom)))
@@ -147,12 +147,12 @@ def cmd_graph(args) -> int:
     g = build_cnr(program)
     if args.stage == "dg":
         g = cnr_to_dg(g)
-    if args.format == "stats":
-        print(json.dumps(cycle_stats_json(g)))
-    elif args.format == "json":
-        print(json.dumps(graph_to_json(g)))
-    else:
+    if args.format == "dot":
         print(export_dot(g))
+    else:
+        import json
+
+        print(json.dumps(cycle_stats_json(g) if args.format == "stats" else graph_to_json(g)))
     return EXIT_MODELS
 
 
@@ -180,7 +180,11 @@ def _run_with_timeout(text: str, solver: str, timeout: float):
     exited without a result, comes back as SolverFailed.
 
     The result is read before the child is joined: a child blocks on a
-    result larger than the pipe buffer until it is read."""
+    result larger than the pipe buffer until it is read. multiprocessing is
+    loaded here, as bench alone starts child processes."""
+    import multiprocessing
+    import multiprocessing.connection
+
     receiver, sender = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(target=_bench_worker, args=(text, solver, sender))
     proc.start()
@@ -208,8 +212,22 @@ def _run_with_timeout(text: str, solver: str, timeout: float):
 
 def _bench_config(args) -> GenConfig:
     if args.gen_config:
+        import json
+
         with open(args.gen_config, "r", encoding="utf-8") as handle:
-            return GenConfig(**json.load(handle))
+            try:
+                doc = json.load(handle)
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"{args.gen_config}: not valid JSON: {err}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.gen_config}: the config must be a JSON object")
+        for key in doc:
+            if key not in GenConfig.__slots__:
+                raise ConfigError(f"{args.gen_config}: unknown config key {key!r}")
+        for key in ("num_atoms", "num_rules"):
+            if key not in doc:
+                raise ConfigError(f"{args.gen_config}: missing config key {key!r}")
+        return GenConfig(**doc)
     return GenConfig(
         num_atoms=300,
         num_rules=300,
@@ -246,7 +264,7 @@ def cmd_bench(args) -> int:
         timeouts: dict[str, int] = {s: 0 for s in solvers}
         for index in range(args.programs_per_round):
             seed = base.seed + (round_no - 1) * args.programs_per_round + index
-            program = gen_random(dataclasses.replace(base, seed=seed))
+            program = gen_random(base.replace(seed=seed))
             text = str(program)
             rules_total += len(program.rules)
             try:
@@ -293,6 +311,8 @@ def cmd_bench(args) -> int:
             row[f"{solver}_timeouts"] = timeouts[solver]
         rows.append(row)
     if args.json:
+        import json
+
         print(json.dumps({"rows": rows, "cycle_cap": default_cycle_cap()}))
     else:
         headers = ["Round", "#Rules", "#EC", "#OC", "#Overflow"]

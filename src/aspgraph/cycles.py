@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import DepGraph
 
@@ -55,8 +55,7 @@ class CycleExplosionError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class VirtualNode:
+class VirtualNode(NamedTuple):
     """One strongly connected component wrapped as a single node: its
     members, as ascending node numbers."""
 

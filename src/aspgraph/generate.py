@@ -8,9 +8,7 @@ be regenerated.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass
 
 from .syntax import Literal, Program, Rule, print_program
 
@@ -19,28 +17,85 @@ class ConfigError(ValueError):
     """Invalid generator configuration."""
 
 
-@dataclass(frozen=True)
 class GenConfig:
-    num_atoms: int
-    num_rules: int
-    max_body_len: int = 3
-    naf_probability: float = 0.5
-    constraint_fraction: float = 0.05
-    seed: int = 0
+    """A validated, immutable random-generation configuration: equal and
+    hashed as the tuple of its fields."""
 
-    def __post_init__(self):
-        if self.num_atoms < 1:
-            raise ConfigError("num_atoms must be positive")
-        if self.num_rules < 1:
-            raise ConfigError("num_rules must be positive")
-        if self.max_body_len < 1:
-            raise ConfigError("max_body_len must be positive")
-        for name in ("naf_probability", "constraint_fraction"):
-            value = getattr(self, name)
+    __slots__ = (
+        "num_atoms",
+        "num_rules",
+        "max_body_len",
+        "naf_probability",
+        "constraint_fraction",
+        "seed",
+    )
+
+    def __init__(
+        self,
+        num_atoms: int,
+        num_rules: int,
+        max_body_len: int = 3,
+        naf_probability: float = 0.5,
+        constraint_fraction: float = 0.05,
+        seed: int = 0,
+    ):
+        integers = {
+            "num_atoms": num_atoms,
+            "num_rules": num_rules,
+            "max_body_len": max_body_len,
+            "seed": seed,
+        }
+        fractions = {"naf_probability": naf_probability, "constraint_fraction": constraint_fraction}
+        # bool is a subclass of int, so it is refused first
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, value in fractions.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        for name in ("num_atoms", "num_rules", "max_body_len"):
+            if integers[name] < 1:
+                raise ConfigError(f"{name} must be positive")
+        for name, value in fractions.items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be within [0, 1]")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
+        values = (num_atoms, num_rules, max_body_len, naf_probability, constraint_fraction, seed)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GenConfig, self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.asdict().items())
+        return f"GenConfig({fields})"
+
+    def asdict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return dict(zip(self.__slots__, self._fields()))
+
+    def replace(self, **changes) -> GenConfig:
+        """A copy with some fields changed, validated as a new config."""
+        return GenConfig(**{**self.asdict(), **changes})
 
 
 def _draw_body(rng: random.Random, atoms: list[str], length: int, naf: float):
@@ -82,7 +137,9 @@ def gen_random(config: GenConfig) -> Program:
 
 
 def render_with_header(config: GenConfig, program: Program) -> str:
-    return f"% genconfig: {json.dumps(asdict(config), sort_keys=True)}\n" + print_program(
+    import json  # loaded only by the commands that write a header
+
+    return f"% genconfig: {json.dumps(config.asdict(), sort_keys=True)}\n" + print_program(
         program
     )
 

@@ -50,7 +50,6 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -91,8 +90,7 @@ def node_kind(node_id: str) -> NodeKind:
     return NodeKind.ATOM
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     sign: Sign

@@ -19,7 +19,7 @@ atoms must pass ``graph.stable``, the package's one answer-set check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import SIGNS, DepGraph, NodeKind, export_order, stable
 from .worlds import World, require_named, world_from_atoms
@@ -33,8 +33,7 @@ class WorldIncomplete(ValueError):
     """Justification requires every node to carry a value."""
 
 
-@dataclass(frozen=True)
-class JustificationTree:
+class JustificationTree(NamedTuple):
     node: str
     value: bool
     reason: str

@@ -13,7 +13,8 @@ used as an atom name. A headless rule is an integrity constraint and must
 have a non-empty body.
 
 ``Literal`` and ``Rule`` are named tuples: immutable, compared and hashed
-as tuples of their fields, so a rule body hashes in C.
+as tuples of their fields, so a rule body hashes in C. ``Program`` is a
+slotted class whose fields cannot be assigned.
 
 ``parse_program`` takes the tokens as plain strings with one ``findall``,
 in which a character no token can start comes out as a token of its own;
@@ -25,7 +26,6 @@ the line and column of an error are worked out from the text only when a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -76,19 +76,37 @@ class Rule(NamedTuple):
         return f"{self.head} :- {body}."
 
 
-@dataclass(frozen=True)
 class Program:
-    """An ordered list of ground rules."""
+    """An ordered list of ground rules, immutable: equal when the rules are."""
 
-    rules: tuple[Rule, ...]
-    _atoms: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rules", "_atoms")
 
-    def __post_init__(self):
-        rules = self.rules
+    def __init__(self, rules: tuple[Rule, ...]):
         names = {rule.head for rule in rules}
         names.discard(None)  # the head of a constraint
         names.update([lit.atom for rule in rules for lit in rule.body])
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_atoms", frozenset(names))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Program, (self.rules,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rules == other.rules
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rules,))
+
+    def __repr__(self) -> str:
+        return f"Program(rules={self.rules!r})"
 
     @property
     def atoms(self) -> frozenset[str]:

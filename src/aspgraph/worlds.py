@@ -13,15 +13,28 @@ end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import DepGraph
 
 
-@dataclass
 class World:
-    values: dict[str, bool] | list[bool | None] = field(default_factory=dict)
-    consistent: bool = True
+    """A mutable assignment and its consistency flag; equal when both are,
+    and unhashable."""
+
+    __slots__ = ("values", "consistent")
+
+    def __init__(
+        self, values: dict[str, bool] | list[bool | None] | None = None, consistent: bool = True
+    ):
+        self.values = {} if values is None else values
+        self.consistent = consistent
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values, self.consistent) == (other.values, other.consistent)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"World(values={self.values!r}, consistent={self.consistent!r})"
 
     def value(self, node: str) -> bool | None:
         require_named(self)

@@ -334,6 +334,39 @@ def test_bench_shape(tmp_path, capsys):
         assert row["grasp_timeouts"] == 0
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"num_atoms": true, "num_rules": 5}', "num_atoms must be an integer, got True"),
+        ('{"num_atoms": 2.5, "num_rules": 5}', "num_atoms must be an integer, got 2.5"),
+        ('{"num_atoms": "5", "num_rules": 5}', "num_atoms must be an integer, got '5'"),
+        ('{"num_atoms": 5, "num_rules": 5, "atoms": 5}', "unknown config key 'atoms'"),
+        ('{"num_atoms": 5}', "missing config key 'num_rules'"),
+        ("[5, 5]", "the config must be a JSON object"),
+        ('{"num_atoms": 5,', "not valid JSON: Expecting property name"),
+    ],
+    ids=["bool", "float", "string", "unknown-key", "missing-key", "list", "invalid"],
+)
+def test_bench_gen_config_of_the_wrong_shape_exits_2(tmp_path, capsys, config, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config)
+    argv = ["bench", "--rounds", "1", "--programs-per-round", "1"]
+    assert main(argv + ["--gen-config", str(config_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_bench_validates_each_programs_seed(tmp_path, capsys):
+    # program i of a round runs on the base config with seed + i, which
+    # must pass the same check as the base seed
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"num_atoms": 4, "num_rules": 4, "seed": 2**64 - 1}))
+    argv = ["bench", "--rounds", "1", "--programs-per-round", "2"]
+    assert main(argv + ["--gen-config", str(config_path)]) == 2
+    assert capsys.readouterr() == ("", "seed must fit in 64 unsigned bits\n")
+
+
 def test_bench_igasp_on_the_paper_configuration_has_no_timeouts(capsys):
     argv = ["bench", "--rounds", "1", "--programs-per-round", "3"]
     assert main(argv + ["--solvers", "grasp,igasp", "--json"]) == 0

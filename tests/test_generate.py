@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import permutations, product
 
 import pytest
@@ -66,6 +67,66 @@ def test_config_validation():
         GenConfig(num_atoms=1, num_rules=1, naf_probability=1.5)
     with pytest.raises(ConfigError):
         GenConfig(num_atoms=1, num_rules=1, constraint_fraction=-0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("num_atoms", True, "an integer"),
+        ("num_atoms", 2.5, "an integer"),
+        ("num_rules", "5", "an integer"),
+        ("max_body_len", 3.0, "an integer"),
+        ("seed", False, "an integer"),
+        ("naf_probability", True, "a real number"),
+        ("constraint_fraction", "0.1", "a real number"),
+        ("constraint_fraction", None, "a real number"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(field, value, kind):
+    # bool is an int, so True would otherwise pass for a 1-atom config
+    with pytest.raises(ConfigError, match=f"^{field} must be {kind}, got {value!r}$"):
+        GenConfig(**{"num_atoms": 4, "num_rules": 5, field: value})
+
+
+def test_config_fractions_may_be_integers():
+    config = GenConfig(num_atoms=4, num_rules=5, naf_probability=1, constraint_fraction=0)
+    assert (config.naf_probability, config.constraint_fraction) == (1, 0)
+
+
+def test_config_is_an_immutable_record():
+    config = GenConfig(num_atoms=3, num_rules=4, seed=7)
+    with pytest.raises(AttributeError):
+        config.seed = 8
+    with pytest.raises(AttributeError):
+        del config.seed
+    assert config == GenConfig(3, 4, 3, 0.5, 0.05, 7)
+    assert hash(config) == hash(GenConfig(3, 4, seed=7))
+    assert config != GenConfig(3, 4, seed=8)
+    assert repr(config) == (
+        "GenConfig(num_atoms=3, num_rules=4, max_body_len=3, naf_probability=0.5, "
+        "constraint_fraction=0.05, seed=7)"
+    )
+    assert list(config.asdict().items()) == [
+        ("num_atoms", 3),
+        ("num_rules", 4),
+        ("max_body_len", 3),
+        ("naf_probability", 0.5),
+        ("constraint_fraction", 0.05),
+        ("seed", 7),
+    ]
+    assert pickle.loads(pickle.dumps(config)) == config
+
+
+def test_config_replace_validates_the_copy():
+    config = GenConfig(num_atoms=3, num_rules=4, seed=7)
+    assert config.replace(seed=8, num_rules=2) == GenConfig(3, 2, seed=8)
+    assert config.seed == 7
+    with pytest.raises(ConfigError, match="seed must fit in 64 unsigned bits"):
+        config.replace(seed=2**64)
+    with pytest.raises(ConfigError, match="num_atoms must be an integer"):
+        config.replace(num_atoms=True)
+    with pytest.raises(TypeError):
+        config.replace(atoms=3)
 
 
 def test_header_round_trips_config():

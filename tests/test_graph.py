@@ -320,14 +320,15 @@ def test_parallel_edges_keep_original_sign_order():
 @pytest.fixture
 def edges_built(monkeypatch):
     """The number of Edge objects built so far in the test, as a one-item list."""
+    # Edge is a named tuple, built in its __new__
     created = [0]
-    original = Edge.__init__
+    original = Edge.__new__
 
-    def counted(self, *args, **kwargs):
+    def counted(cls, *args, **kwargs):
         created[0] += 1
-        original(self, *args, **kwargs)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Edge, "__init__", counted)
+    monkeypatch.setattr(Edge, "__new__", counted)
     return created
 
 

@@ -134,6 +134,19 @@ def test_world_over_node_numbers_rejected():
             method(*args)
 
 
+def test_world_is_a_mutable_unhashable_record():
+    w = World({"p": True})
+    assert w == World(values={"p": True}, consistent=True) != World({"p": True}, False)
+    assert World() == World({}) and World().values is not World().values
+    assert repr(w) == "World(values={'p': True}, consistent=True)"
+    copy = w.copy()
+    copy.values["p"] = False
+    copy.consistent = False
+    assert w == World({"p": True})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(w)
+
+
 def test_is_complete_needs_every_node_name():
     g = transformed("a. b :- a, not c.")
     full = dict.fromkeys(g.names, False)

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +166,57 @@ def test_the_census_reads_no_node_name():
     # cycles.py works on node numbers only, so no census can read a name
     tree = ast.parse((SOURCE / "cycles.py").read_text(encoding="utf-8"))
     assert attribute_reads(tree, "names") == []
+
+
+# -- start-up: the package loads only what solving needs
+
+# Modules that only records, JSON output or bench's child processes need;
+# dataclasses alone brings in inspect, ast, dis and tokenize.
+START_UP_EXCLUDED = ("dataclasses", "inspect", "json", "multiprocessing")
+
+
+def loaded_modules(statement: str, names: tuple[str, ...]) -> list[str]:
+    """Which of names are in sys.modules after statement runs in a fresh
+    ``python -I``, with the package imported from this source tree."""
+    code = (
+        f"import sys\nsys.path.insert(0, {str(SOURCE.parent)!r})\n{statement}\n"
+        f"print(' '.join(name for name in {names!r} if name in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    return done.stdout.split()
+
+
+def test_the_check_sees_a_loaded_module():
+    assert loaded_modules("import dataclasses", START_UP_EXCLUDED) == ["dataclasses", "inspect"]
+
+
+@pytest.mark.parametrize("module", ["aspgraph", "aspgraph.cli"])
+def test_import_loads_no_dataclasses_inspect_json_or_multiprocessing(module):
+    assert loaded_modules(f"import {module}", START_UP_EXCLUDED) == []
+
+
+def absolute_imports(tree: ast.Module) -> list[str]:
+    """The modules a module imports by absolute name, at any depth."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+def test_the_check_sees_a_nested_import():
+    tree = ast.parse(
+        "import os.path\nfrom .graph import Edge\n"
+        "def f():\n    from dataclasses import dataclass\n"
+    )
+    assert absolute_imports(tree) == ["os.path", "dataclasses"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [name for name in absolute_imports(tree) if name.split(".")[0] == "dataclasses"] == []

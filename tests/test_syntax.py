@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,23 @@ def test_equal_records_hash_alike():
     assert len({Rule(None, body), Rule(None, body, 0), Rule(None, body, 1)}) == 2
     # a body deduplicated as a frozenset, the way build_cnr keys rules
     assert frozenset(body + body[:1]) == frozenset(reversed(body))
+
+
+def test_program_is_an_immutable_record():
+    program = parse_program("p :- not q.")
+    rules = program.rules
+    for name in ("rules", "_atoms", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(program, name, ())
+    with pytest.raises(AttributeError):
+        del program.rules
+    assert program.rules is rules and program.atoms == {"p", "q"}
+    same = Program(rules=rules)
+    assert same == program and hash(same) == hash(program)
+    assert program != Program(()) and program != rules
+    assert repr(Program(())) == "Program(rules=())"
+    assert repr(program) == f"Program(rules={rules!r})"
+    assert pickle.loads(pickle.dumps(program)) == program
 
 
 def test_record_defaults_str_and_repr():
