@@ -35,6 +35,10 @@ EXIT_MODELS = 0
 EXIT_NO_MODELS = 1
 EXIT_ERROR = 2
 
+# The largest bench --timeout, in seconds: multiprocessing.connection.wait
+# polls in int32 milliseconds.
+MAX_TIMEOUT = 2147483
+
 SOLVERS = {
     "grasp": solve_grasp,
     "igasp": solve_igasp,
@@ -243,7 +247,7 @@ def cmd_bench(args) -> int:
     for flag, value, ok, bound in (
         ("--rounds", rounds, rounds >= 1, "at least 1"),
         ("--programs-per-round", per_round, per_round >= 1, "at least 1"),
-        ("--timeout", args.timeout, args.timeout > 0, "above 0"),
+        ("--timeout", args.timeout, 0 < args.timeout <= MAX_TIMEOUT, f"in (0, {MAX_TIMEOUT}]"),
     ):
         if not ok:
             print(f"{flag} must be {bound}, got {value}", file=sys.stderr)
@@ -405,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=10.0,
-        help="wall-time limit in seconds per solve (default 10); the cycle census "
-        "runs without one, until the cycle cap stops it",
+        help=f"wall-time limit in seconds per solve, at most {MAX_TIMEOUT} (default 10); "
+        "the cycle census runs without one, until the cycle cap stops it",
     )
     bench.add_argument("--json", action="store_true")
     bench.set_defaults(func=cmd_bench)

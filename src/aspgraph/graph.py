@@ -30,13 +30,16 @@ into one table (``DepGraph.bodies``): a conjunction-node source expands to
 its in-edges with the flip undone, a direct source is a one-literal body,
 and a fact is the empty body. The atoms' rows come first, then one row per
 constraint node with that node as head. The same pass stores each row's
-atoms as bit masks and, per node, the heads of the rows that mention it,
-which is all igasp's forward propagation reads. ``least_fixpoint`` over
-the atom rows is the one foundedness check, and ``stable``, the fixpoint
-of the reduct's rows plus a test of the constraint rows, is the one
-answer-set check: igasp keeps a candidate and ``justify.check_justified``
-accepts a world only if ``stable`` accepts its true atoms' mask. grasp's
-labeling search uses the fixpoint over a component's own rows.
+atoms as bit masks and, per node, the heads of the rows that mention it.
+``fitting`` applies Fitting's two rules over such masks to a fixpoint, the
+one three-valued propagator: igasp's forward propagation runs it on these
+rows, and grasp's labeling search on a component's rows, remapped to bits
+of the members. ``least_fixpoint`` over the atom rows is the one
+foundedness check, and ``stable``, the fixpoint of the reduct's rows plus a
+test of the constraint rows, is the one answer-set check: igasp keeps a
+candidate and ``justify.check_justified`` accepts a world only if
+``stable`` accepts its true atoms' mask. grasp's labeling search uses the
+fixpoint over a component's own rows.
 
 The engines, the model checks, justification and export read the integer
 lists and the table: cycles' ``find_virtual_nodes`` and the cycle census,
@@ -264,6 +267,47 @@ def violated(t: Bodies, true: int, false: int) -> bool:
     return any(
         pos & true == pos and neg & false == neg for pos, neg in t.masks[t.start[-1] :]
     )
+
+
+def fitting(known, true, pending, masks, start, watchers) -> tuple[int, int] | None:
+    """Fitting's two rules (Fitting, JLP 1985) to a fixpoint over the partial
+    model (known, true), bit masks like igasp's: a head with a body whose
+    positive bits are true and negated bits false is True, and a head whose
+    bodies are all false is False. None when a rule contradicts a known head.
+    Unlike least_fixpoint it is three-valued, and it has the second rule.
+
+    Head h's bodies are the (pos_mask, neg_mask) pairs ``masks[start[h] :
+    start[h + 1]]``, and ``watchers[n]`` lists the heads whose bodies mention
+    bit n. The heads in pending (copied) are checked first, then only those
+    watching a newly decided bit (Dowling & Gallier's linear-time Horn
+    propagation, 1984, with the second rule added); so from a fixpoint that
+    some decisions extend, pending need only hold their watchers."""
+    false = known ^ true
+    pending = list(pending)
+    while pending:
+        head = pending.pop()
+        forced = False
+        for pos, neg in masks[start[head] : start[head + 1]]:
+            if pos & false or neg & true:
+                continue
+            if pos & true == pos and neg & false == neg:
+                forced = True
+                break
+            forced = None
+        if forced is None:
+            continue
+        bit = 1 << head
+        if known & bit:
+            if bool(true & bit) is not forced:
+                return None
+            continue
+        known |= bit
+        if forced:
+            true |= bit
+        else:
+            false |= bit
+        pending.extend(watchers[head])
+    return known, true
 
 
 def least_fixpoint(head, pos, pos_uses, holding) -> set[int]:

@@ -25,18 +25,18 @@ reads from below: its members, the sources of their in-edges and the body
 atoms of a conjunction-node source. So a component batch keys each world by
 its values on those nodes and breaks the component once per distinct key;
 the worlds that share a key share its read-only labelings, for that batch
-only. The labeling search itself keeps counters (Dowling & Gallier's
-linear-time Horn propagation, 1984): each member body counts its false and
-its undecided literals and each head its true and its non-false bodies, so
-checking a head takes constant time and a decision touches only the bodies
-that mention it. After every decision the search sets the values those
-counters force, transitively: a head with a true body is True, and a head
-with no live body is False. Forcing cuts only branches that the checks
-would reject later, so the labelings come out the same and in the same
-order, True first. The member bodies come from the graph's body table, where
-a fact is the empty body. Foundedness, at a leaf of the search and for a
-component without negation inside, is the graph module's one least
-fixpoint, the one that ``graph.stable``, the answer-set check, is built on.
+only. A state of the labeling search is two bit masks over the members,
+(known, true), and each member body is a mask pair, so a branch is a copy
+of two ints. Before the first decision and after each one the search runs
+``graph.fitting``, the one three-valued propagator, which igasp's forward
+propagation runs too: a head with a true body is True, and a head with no
+live body is False, transitively (Fitting, JLP 1985). This cuts only
+branches that the support checks would reject later, so the labelings come
+out the same and in the same order, True first. The member bodies come
+from the graph's body table, where a fact is the empty body. Foundedness,
+at a leaf of the search and for a component without negation inside, is
+the graph module's one least fixpoint, the one that ``graph.stable``, the
+answer-set check, is built on.
 
 After a batch's values are set, the two value rules
 
@@ -66,7 +66,7 @@ import heapq
 from collections.abc import Iterator
 
 from .cycles import find_virtual_nodes
-from .graph import DepGraph, build_cnr, cnr_to_dg, least_fixpoint
+from .graph import DepGraph, build_cnr, cnr_to_dg, fitting, least_fixpoint
 from .syntax import Program
 from .worlds import World, initial_world
 
@@ -197,199 +197,103 @@ def _stable_labelings(
     have a satisfied body; a True atom needs a satisfiable one) and filtered
     for foundedness.
 
-    Member atoms are numbered in name order and their bodies, read from the
-    graph's body table (a fact's is empty), in table order; a member True
-    from outside gets one more empty body, since its context supports it.
-    Each body counts its false and its undecided literals, and each head
-    its true and its non-false bodies, so a head is checked in constant
-    time and a decision, or its undoing, touches only the bodies that
-    mention it. The search tree is walked depth first with an explicit
-    stack, True before False at each decision.
-
-    Before the first decision and after each one, the search sets every
-    value the counters force: a head with a true body is True, and a head
-    with no live body is False. Forcing follows the changed heads through
-    the bodies that mention them, so it is transitive; the forced atoms go
-    onto a trail per depth, which is undone on backtrack, and a decision
-    already forced when the search reaches it is passed through once.
-    Either value forcing rules out would fail its head's check later on
-    every path, so the labelings, and their order, are the ones the search
-    finds without forcing; only the dead branches are cut.
+    Member atoms are numbered in name order, and a search state is two bit
+    masks over those positions, (known, true). Each member body, in body
+    table order, becomes a (pos, neg) mask pair: an outside literal that
+    fails drops the body, one that holds drops the literal, and an unfixed
+    one sets a bit no member has, so the body is never true or false. A
+    member True from outside starts True, with one more empty body, since
+    its context supports it. graph.fitting sets the values Fitting's rules
+    force before the first decision and after each one; that cuts only dead
+    branches, so the labelings and their order are the ones a plain search
+    finds. The first open member is decided True, then False, depth first
+    on a stack of states, and a leaf is kept when the one least fixpoint
+    over its true bodies founds every True member.
     """
     atoms = sorted(m for m in members if m < g.atom_count)
     number = {a: j for j, a in enumerate(atoms)}
-    value: list[bool | None] = [True if w.values[a] is True else None for a in atoms]
-    t = g.bodies
+    values, t = w.values, g.bodies
+    unfixed = 1 << len(atoms)  # no member's bit: never known
+    everyone = unfixed - 1
+    known = true = 0
     head_of: list[int] = []
+    masks: list[tuple[int, int]] = []
+    start = [0]
     pos_members: list[list[int]] = []  # positive member literals per body
-    false: list[int] = []
-    undecided: list[int] = []
-    outside_ok: list[int] = []  # bodies whose outside literals all hold
-    uses: list[list[tuple[int, bool]]] = [[] for _ in atoms]  # (body, negated)
     pos_uses: list[list[int]] = [[] for _ in atoms]
-    member_naf = False
+    watchers: list[list[int]] = [[] for _ in atoms]
     for head, atom in enumerate(atoms):
         lo, hi = t.start[atom], t.start[atom + 1]
         bodies = list(zip(t.pos[lo:hi], t.neg[lo:hi]))
-        if value[head]:  # True from outside: its context is an empty body
+        if values[atom] is True:  # True from outside: its context is an empty body
+            known |= 1 << head
+            true |= 1 << head
             bodies.append(((), ()))
+        # An outside literal that fails drops the body (the breaks below), one
+        # that holds drops the literal, and an unfixed one adds the unfixed bit.
         for body_pos, body_neg in bodies:
-            i = len(head_of)
-            head_of.append(head)
-            pos = []
-            f = u = 0
-            blocked = False
-            for negated, lits in ((False, body_pos), (True, body_neg)):
-                for lit in lits:
+            pos = neg = 0
+            inside = []  # the member literals, positive ones first
+            for lit in body_pos:
+                j = number.get(lit)
+                if j is not None:
+                    pos |= 1 << j
+                    inside.append(j)
+                elif values[lit] is None:
+                    pos |= unfixed
+                elif values[lit] is False:
+                    break
+            else:
+                members_pos = inside[:]
+                for lit in body_neg:
                     j = number.get(lit)
-                    if j is None:
-                        val = w.values[lit]
-                        if val is None:
-                            u += 1
-                            blocked = True
-                        elif val == negated:
-                            f += 1
-                            blocked = True
-                        continue
-                    member_naf = member_naf or negated
-                    if not negated:
-                        pos.append(j)
-                        pos_uses[j].append(i)
-                    if value[j] is None:
-                        u += 1
-                        uses[j].append((i, negated))
-                    elif negated:
-                        f += 1
-            pos_members.append(pos)
-            false.append(f)
-            undecided.append(u)
-            if not blocked:
-                outside_ok.append(i)
-    decisions = [j for j, val in enumerate(value) if val is None]
+                    if j is not None:
+                        neg |= 1 << j
+                        inside.append(j)
+                    elif values[lit] is None:
+                        neg |= unfixed
+                    elif values[lit]:
+                        break
+                else:
+                    for j in members_pos:
+                        pos_uses[j].append(len(masks))
+                    for j in inside:
+                        watchers[j].append(head)
+                    pos_members.append(members_pos)
+                    head_of.append(head)
+                    masks.append((pos, neg))
+        start.append(len(masks))
 
     # A component whose member atoms never occur negated in member bodies
     # has positive internal cycles only, hence exactly one stable labeling:
     # the support fixpoint from externally true members, all else False.
-    if not member_naf:
-        fixed = least_fixpoint(head_of, pos_members, pos_uses, outside_ok)
+    if not any(neg & everyone for _, neg in masks):
+        holding = [i for i, (pos, neg) in enumerate(masks) if not (pos | neg) & unfixed]
+        fixed = least_fixpoint(head_of, pos_members, pos_uses, holding)
         return [{a: (j in fixed) for j, a in enumerate(atoms)}]
 
-    true_bodies = [0] * len(atoms)
-    live_bodies = [0] * len(atoms)  # bodies that are not (yet) False
-    for i, head in enumerate(head_of):
-        if not false[i]:
-            live_bodies[head] += 1
-            if not undecided[i]:
-                true_bodies[head] += 1
-    watchers = [list(dict.fromkeys(head_of[i] for i, _ in body_uses)) for body_uses in uses]
-
-    def head_ok(head: int) -> bool:
-        val = value[head]
-        if val is None:
-            return True
-        if val:
-            return live_bodies[head] > 0
-        return not true_bodies[head]
-
-    def decide(j: int, val: bool) -> None:
-        for i, negated in uses[j]:
-            undecided[i] -= 1
-            if val == negated:
-                if not false[i]:
-                    live_bodies[head_of[i]] -= 1
-                false[i] += 1
-            elif not undecided[i] and not false[i]:
-                true_bodies[head_of[i]] += 1
-
-    def undo(j: int, val: bool) -> None:
-        for i, negated in uses[j]:
-            if val == negated:
-                false[i] -= 1
-                if not false[i]:
-                    live_bodies[head_of[i]] += 1
-            elif not undecided[i] and not false[i]:
-                true_bodies[head_of[i]] -= 1
-            undecided[i] += 1
-
-    def force(j: int, trail: list[int]) -> bool:
-        """Check the heads a change of j touched, and set every value the
-        counters force from there, transitively, onto trail: a head with a
-        true body is True, one with no live body False. False on a head
-        that fails its check."""
-        changed = [j]
-        while changed:
-            k = changed.pop()
-            if not head_ok(k):
-                return False
-            for h in watchers[k]:
-                if value[h] is not None:
-                    if not head_ok(h):
-                        return False
-                    continue
-                if true_bodies[h]:
-                    val = True
-                elif not live_bodies[h]:
-                    val = False
-                else:
-                    continue
-                value[h] = val
-                decide(h, val)
-                trail.append(h)
-                changed.append(h)
-        return True
-
-    for j in decisions:  # the values forced before the first decision
-        if value[j] is None and (true_bodies[j] or not live_bodies[j]):
-            value[j] = val = bool(true_bodies[j])
-            decide(j, val)
-            if not force(j, []):
-                return []
-    decisions = [j for j in decisions if value[j] is None]
-
     results: list[dict[int, bool]] = []
-    # tries[d]: 0 while decision d is open, 1 or 2 once it has been set True
-    # or False on the current path, PASSED once it came forced from above;
-    # trails[d]: the values forced after it. Both stay while the search is
-    # below d, and are undone when it comes back.
-    PASSED = 3
-    tries = [0] * len(decisions)
-    trails: list[list[int]] = [[] for _ in decisions]
-    depth = 0
-    while depth >= 0:
-        if depth == len(decisions):
-            true_bodies_now = [
-                i for i in range(len(head_of)) if not false[i] and not undecided[i]
-            ]
-            founded = least_fixpoint(head_of, pos_members, pos_uses, true_bodies_now)
-            if all(j in founded for j, val in enumerate(value) if val):
-                results.append(dict(zip(atoms, value)))
-            depth -= 1
+    state = fitting(known, true, range(len(atoms)), masks, start, watchers)
+    stack = [] if state is None else [state]
+    while stack:
+        known, true = stack.pop()
+        open_members = everyone & ~known
+        if open_members:
+            bit = open_members & -open_members
+            j = bit.bit_length() - 1
+            # False is pushed first, so the True branch is searched first.
+            for branch in (true, true | bit):
+                state = fitting(known | bit, branch, watchers[j], masks, start, watchers)
+                if state is not None:
+                    stack.append(state)
             continue
-        j = decisions[depth]
-        t = tries[depth]
-        if not t and value[j] is not None:  # forced from above: pass through once
-            tries[depth] = PASSED
-            depth += 1
-            continue
-        if t:
-            trail = trails[depth]
-            for k in reversed(trail):
-                undo(k, value[k])
-                value[k] = None
-            trail.clear()
-            if t != PASSED:
-                undo(j, value[j])
-                value[j] = None
-            if t != 1:
-                tries[depth] = 0
-                depth -= 1
-                continue
-        val = not t  # True first
-        tries[depth] = t + 1
-        value[j] = val
-        decide(j, val)
-        if force(j, trails[depth]):
-            depth += 1
+        false = known ^ true
+        holding = [
+            i for i, (pos, neg) in enumerate(masks) if pos & true == pos and neg & false == neg
+        ]
+        # A true body's head is True here, so the founded atoms are True.
+        if len(least_fixpoint(head_of, pos_members, pos_uses, holding)) == true.bit_count():
+            results.append({a: bool(true >> j & 1) for j, a in enumerate(atoms)})
     return results
 
 

@@ -80,13 +80,14 @@ models that agree with it there, the only ones whose union can succeed.
 A one-model right list, the most common in the proof search, skips the
 buckets: its probe is one conflict test and one union.
 
-Forward propagation is a worklist over the graph's body table, which
-holds one (pos_mask, neg_mask) pair per rule body and, per node, the heads
-whose bodies mention it: after one pass over every head, only the heads
-watching a newly decided atom are checked again (Dowling & Gallier's
-linear-time Horn propagation, 1984, with the "all bodies false" rule
-added). The table's constraint rows are the pairs the seed is tested
-against.
+Forward propagation is ``graph.fitting``, the package's one three-valued
+propagator, over the graph's body table, which holds one (pos_mask,
+neg_mask) pair per rule body and, per node, the heads whose bodies mention
+it. forward_propagate only picks the heads to check first: every head, or
+the heads watching the nodes a union adds to its fixpoint base; after that
+only the heads watching a newly decided atom are checked again. grasp's
+labeling search runs the same function on a component's rows. The table's
+constraint rows are the pairs the seed is tested against.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ import sys
 from collections.abc import Callable, Iterable
 
 from .cycles import _strong_components
-from .graph import Bodies, DepGraph, build_cnr, cnr_to_dg, stable, violated
+from .graph import Bodies, DepGraph, build_cnr, cnr_to_dg, fitting, stable, violated
 from .syntax import Literal, Program, Rule
 
 # (known, true) bit masks over node numbers; true is a subset of known.
@@ -170,57 +171,28 @@ def _heads(t: Bodies) -> list[int]:
 def forward_propagate(
     m: PartialModel, g: DepGraph, base: PartialModel | None = None
 ) -> PartialModel | None:
-    """Least fixpoint of the graph's atom rows over m: a rule whose body is
-    fully decided true forces its head True, and an atom all of whose
-    bodies are decided false is forced False. Returns None when a forced
-    value contradicts an existing entry (the caller drops the model).
+    """Fitting's fixpoint of the graph's atom rows over m, by graph.fitting:
+    a rule whose body is fully decided true forces its head True, and an
+    atom all of whose bodies are decided false is forced False. Returns None
+    when a forced value contradicts an existing entry (the caller drops the
+    model). This function only picks the heads to check first.
 
     base, when given, is a model contained in m that is a fixpoint already.
     A head none of whose bodies mentions a node m adds to base is forced in
     m exactly as in base, where its value agrees, so only the heads watching
-    those nodes are checked first; the result is the same.
-
-    This is not graph.least_fixpoint: it is three-valued, and it adds the
-    "all bodies false" rule, which a Horn fixpoint over True atoms cannot
-    express."""
+    those nodes are checked first; the result is the same. Without base,
+    every head is checked once."""
     t = g.bodies
-    start, masks, watchers = t.start, t.masks, t.watchers
-    known, true = m
-    false = known ^ true
     if base is None:
-        # Every head once, then only the heads watching a newly decided atom.
         pending = _heads(t)
     else:
         pending = []
-        added = known & ~base[0]
+        added = m[0] & ~base[0]
         while added:
             low = added & -added
-            pending.extend(watchers[low.bit_length() - 1])
+            pending.extend(t.watchers[low.bit_length() - 1])
             added ^= low
-    while pending:
-        head = pending.pop()
-        forced = False
-        for pos, neg in masks[start[head] : start[head + 1]]:
-            if pos & false or neg & true:
-                continue
-            if pos & true == pos and neg & false == neg:
-                forced = True
-                break
-            forced = None
-        if forced is None:
-            continue
-        bit = 1 << head
-        if known & bit:
-            if bool(true & bit) is not forced:
-                return None
-            continue
-        known |= bit
-        if forced:
-            true |= bit
-        else:
-            false |= bit
-        pending.extend(watchers[head])
-    return known, true
+    return fitting(*m, pending, t.masks, t.start, t.watchers)
 
 
 class ProofTable:

@@ -485,14 +485,26 @@ def test_bench_solver_process_exit_is_a_failure_not_a_timeout(monkeypatch, capsy
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--rounds", "0"), ("--programs-per-round", "0"), ("--timeout", "0"), ("--timeout", "-1")],
+    [
+        ("--rounds", "0"),
+        ("--programs-per-round", "0"),
+        ("--timeout", "0"),
+        ("--timeout", "-1"),
+        ("--timeout", "inf"),
+        ("--timeout", "1e7"),
+    ],
 )
-def test_bench_argument_out_of_range_exits_2(capsys, flag, value):
-    # A non-positive timeout would report every solve as a timeout and exit 0.
+def test_bench_argument_out_of_range_exits_2(capsys, monkeypatch, flag, value):
+    # A non-positive timeout would report every solve as a timeout and exit 0;
+    # one past poll's int32 milliseconds would end in OverflowError once a
+    # solver child had started. So no child starts.
+    started = []
+    monkeypatch.setattr(cli, "_run_with_timeout", lambda *args: started.append(args))
     args = {"--rounds": "1", "--programs-per-round": "1", "--timeout": "5"}
     args[flag] = value
     argv = ["bench"] + [item for pair in args.items() for item in pair]
     assert main(argv) == 2
+    assert started == []
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1

@@ -439,6 +439,51 @@ def test_the_body_tables_masks_and_watchers_restate_its_rows():
             assert t.watchers == watchers
 
 
+def reference_fitting(t, heads, known, true):
+    """Fitting's two rules by brute force: re-evaluate every head until
+    nothing changes; None at the first contradiction."""
+    changed = True
+    while changed:
+        changed = False
+        for head in heads:
+            rows = [t.masks[i] for i in range(len(t.head)) if t.head[i] == head]
+            false = known ^ true
+            if any(pos & true == pos and neg & false == neg for pos, neg in rows):
+                forced = True
+            elif all(pos & false or neg & true for pos, neg in rows):
+                forced = False
+            else:
+                continue
+            bit = 1 << head
+            if known & bit:
+                if bool(true & bit) is not forced:
+                    return None
+                continue
+            known |= bit
+            true |= bit if forced else 0
+            changed = True
+    return known, true
+
+
+def test_fitting_matches_a_brute_force_fixpoint():
+    rng = random.Random(35)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = cnr_to_dg(build_cnr(parse_program(random_program_text(rng, n, rng.randint(1, 20)))))
+        t = g.bodies
+        heads = [a for a in range(g.atom_count) if t.start[a] < t.start[a + 1]]
+        known = rng.getrandbits(g.atom_count) & rng.getrandbits(g.atom_count)
+        true = known & rng.getrandbits(g.atom_count)
+        expected = reference_fitting(t, heads, known, true)
+        outcomes.add("contradiction" if expected is None else expected == (known, true))
+        for _ in range(3):
+            pending = rng.sample(heads, len(heads))
+            result = graph_module.fitting(known, true, pending, t.masks, t.start, t.watchers)
+            assert result == expected
+    assert outcomes == {"contradiction", True, False}
+
+
 def test_a_solve_fills_only_the_transformed_graphs_lists(monkeypatch):
     # The arc list is each graph's adjacency; succ and pred are filled from
     # it once, on first read. The engines read only the transformed graph.

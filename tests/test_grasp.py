@@ -1110,11 +1110,14 @@ def component_labelings(v, g, w):
 def test_component_labelings_match_reference():
     # The contexts are drawn at random, so a member fact may be unfixed or
     # False in them, which solve_graph never does: its empty body still
-    # forces it True.
+    # forces it True. An outside atom may be unfixed as well, which
+    # solve_graph never leaves it either: a member body that reads one and
+    # no failing literal is neither true nor false in the search.
     rng = random.Random(26)
     components = 0
     counts = set()
     unfixed_facts = 0
+    unfixed_outside = 0
     while components < 400:
         g = transformed(random_program_text(rng, rng.randint(2, 10), rng.randint(2, 18)))
         for v in find_virtual_nodes(g):
@@ -1132,8 +1135,30 @@ def test_component_labelings_match_reference():
                     g.fixed_value(g.names[m]) is True and w.value(g.names[m]) is not True
                     for m in v.members
                 )
+                unfixed_outside += _reads_an_unfixed_outside_atom(v, g, w)
     assert counts == {0, 1, 2}
     assert unfixed_facts > 0
+    assert unfixed_outside > 0
+
+
+def _reads_an_unfixed_outside_atom(v, g, w) -> bool:
+    """Whether a member body has an unfixed outside atom and no outside
+    literal that fails (a positive one False, a negated one True)."""
+    t = g.bodies
+    members = set(v.members)
+    for m in v.members:
+        for i in range(t.start[m], t.start[m + 1]) if m < g.atom_count else ():
+            outside = [
+                (w.value(g.names[a]), negated)
+                for negated, lits in ((False, t.pos[i]), (True, t.neg[i]))
+                for a in lits
+                if a not in members
+            ]
+            if any(value is None for value, _ in outside) and not any(
+                value is negated for value, negated in outside
+            ):
+                return True
+    return False
 
 
 @st.composite

@@ -74,23 +74,31 @@ def test_every_private_definition_is_referenced_in_the_package():
 
 
 
-def recursion_limit_sites(trees: dict[str, ast.Module]) -> list[str]:
-    """Where the modules name setrecursionlimit, as module.function for a
+def _named(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def sites(trees: dict[str, ast.Module], matches) -> list[str]:
+    """Where the modules hold a node that matches, as module.function for a
     top-level function, module.Class for a class, or module.<module>."""
-    sites = []
+    found = []
     for module, tree in trees.items():
         stem = module.removesuffix(".py")
         for top in tree.body:
-            for node in ast.walk(top):
-                named = (
-                    (isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit")
-                    or (isinstance(node, ast.Name) and node.id == "setrecursionlimit")
-                    or (isinstance(node, ast.alias) and node.name == "setrecursionlimit")
-                )
-                if named:
-                    scope = getattr(top, "name", "<module>")
-                    sites.append(f"{stem}.{scope}")
-    return sorted(set(sites))
+            if any(matches(node) for node in ast.walk(top)):
+                found.append(f"{stem}.{getattr(top, 'name', '<module>')}")
+    return sorted(set(found))
+
+
+def recursion_limit_sites(trees: dict[str, ast.Module]) -> list[str]:
+    """Where the modules name setrecursionlimit."""
+    return sites(
+        trees,
+        lambda node: _named(node, "setrecursionlimit")
+        or (isinstance(node, ast.alias) and node.name == "setrecursionlimit"),
+    )
 
 
 def test_the_check_sees_every_recursion_limit_site():
@@ -111,6 +119,42 @@ def test_the_recursion_limit_is_raised_only_by_solve_igasp():
     # is the one recursion left, so no other site may come back.
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
     assert recursion_limit_sites(trees) == ["igasp.solve_igasp"]
+
+
+def head_row_slices(trees: dict[str, ast.Module]) -> list[str]:
+    """Where the modules slice ``masks[start[...] : start[...]]``, one head's
+    rows of a body table."""
+    return sites(
+        trees,
+        lambda node: isinstance(node, ast.Subscript)
+        and _named(node.value, "masks")
+        and isinstance(node.slice, ast.Slice)
+        and all(
+            isinstance(bound, ast.Subscript) and _named(bound.value, "start")
+            for bound in (node.slice.lower, node.slice.upper)
+        ),
+    )
+
+
+def test_the_check_sees_every_head_row_slice():
+    trees = {
+        "a.py": ast.parse(
+            "def f(t, h):\n    return t.masks[t.start[h] : t.start[h + 1]]\n"
+            "class C:\n    def m(self, masks, start):\n        return masks[start[0]:start[1]]\n"
+        ),
+        "b.py": ast.parse(
+            "rows = masks[lo:hi]\nfirst = masks[: start[-1]]\nlast = pos[start[0]:start[1]]\n"
+        ),
+        "c.py": ast.parse("for h in heads:\n    rows = masks[start[h]:start[h + 1]]\n"),
+    }
+    assert head_row_slices(trees) == ["a.C", "a.f", "c.<module>"]
+
+
+def test_fittings_rules_are_written_once():
+    # One three-valued propagator serves both engines: only graph.fitting
+    # reads a head's rows off the mask table.
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE}
+    assert head_row_slices(trees) == ["graph.fitting"]
 
 
 def unexported_imports(tree: ast.Module) -> list[str]:
