@@ -28,16 +28,21 @@ conjunction-node graph's lists are filled only for its exports and tests.
 Every rule body is compiled from the lists once per graph, on first use,
 into one table (``DepGraph.bodies``): a conjunction-node source expands to
 its in-edges with the flip undone, a direct source is a one-literal body,
-and a fact is the empty body. The atoms' rows come first, then one row per
-constraint node with that node as head. The same pass stores each row's
-atoms as bit masks and, per node, the heads of the rows that mention it.
-``fitting`` applies Fitting's two rules over such masks to a fixpoint, the
-one three-valued propagator: igasp's forward propagation runs it on these
-rows, and grasp's labeling search on a component's rows, remapped to bits
-of the members. ``least_fixpoint`` over the atom rows is the one
-foundedness check, and ``stable``, the fixpoint of the reduct's rows plus a
-test of the constraint rows, is the one answer-set check: igasp keeps a
-candidate and ``justify.check_justified`` accepts a world only if
+and a fact is the empty body. Every node has a range of rows, in node
+order: an atom's rows are its rule bodies, a constraint node's row is its
+constraint's body, and a conjunction node's range is empty. The same pass
+stores each row's atoms as bit masks and, per node, the heads of the rows
+that mention it, constraint nodes among them. ``fitting`` applies
+Fitting's two rules over such masks to a fixpoint, the one three-valued
+propagator, and on request backchains on the constraint rows: a
+constraint node is known False, so the True rule on it is the violation
+test, and a constraint body with one undecided literal forces that literal
+the other way. igasp's forward propagation runs it on these rows, and
+grasp's labeling search on a component's atom rows, remapped to bits of
+the members. ``least_fixpoint`` over the atom rows is the one foundedness
+check, and ``stable``, the fixpoint of the reduct's rows plus a test of
+the constraint rows, is the one answer-set check: igasp
+keeps a candidate and ``justify.check_justified`` accepts a world only if
 ``stable`` accepts its true atoms' mask. grasp's labeling search uses the
 fixpoint over a component's own rows.
 
@@ -198,13 +203,15 @@ class Bodies(NamedTuple):
 
     Body i has head ``head[i]``, positive atoms ``pos[i]`` and negated atoms
     ``neg[i]``, each atom once, and ``masks[i]`` holds the same two atom
-    sets as bit masks, (pos_mask, neg_mask), bit a for atom a. Atom a's
-    bodies are ``start[a]`` up to ``start[a + 1]``, and a fact is one empty
-    body. The rows from ``start[-1]`` on are the constraints' bodies, one
-    per constraint node, in node order, with the node as head.
-    ``pos_uses[a]`` lists the atom rows in which a is a positive literal,
-    and ``watchers[n]`` the heads of the atom rows that mention node n, once
-    per mention; only atoms are mentioned, so a helper node's list is empty.
+    sets as bit masks, (pos_mask, neg_mask), bit a for atom a. Node n's
+    bodies are ``start[n]`` up to ``start[n + 1]``, so ``start`` has one
+    entry per node and one more. An atom's are its rule bodies, and a fact
+    is one empty body; a constraint node's is its constraint's body; a
+    conjunction node has none. The atom rows come first and end at
+    ``start[atom_count]``. ``pos_uses[a]`` lists the atom rows in which a
+    is a positive literal, and ``watchers[n]`` the heads of the rows that
+    mention node n, constraint nodes included, once per mention; only
+    atoms are mentioned, so a helper node's list is empty.
     """
 
     head: list[int]
@@ -224,6 +231,7 @@ def compile_bodies(g: DepGraph) -> Bodies:
     # atoms, then constraint nodes: the helpers that are not conjunctions
     for node in range(len(g.names)):
         if conj[node]:
+            start.append(len(pos))
             continue
         if fixed.get(node) is True:
             pos.append(())
@@ -250,26 +258,26 @@ def compile_bodies(g: DepGraph) -> Bodies:
                 neg.append((src,))
                 masks.append((0, 1 << src))
         head += [node] * (len(pos) - len(head))
-        if node < g.atom_count:
-            start.append(len(pos))
-    for i in range(start[-1]):
+        start.append(len(pos))
+    atom_rows = start[g.atom_count]
+    for i in range(len(head)):
         for atom in pos[i]:
-            pos_uses[atom].append(i)
+            if i < atom_rows:
+                pos_uses[atom].append(i)
             watchers[atom].append(head[i])
         for atom in neg[i]:
             watchers[atom].append(head[i])
     return t
 
 
-def violated(t: Bodies, true: int, false: int) -> bool:
-    """Whether some constraint body of the table holds: every positive atom
-    in the mask true and every negated atom in the mask false."""
-    return any(
-        pos & true == pos and neg & false == neg for pos, neg in t.masks[t.start[-1] :]
-    )
+def constraint_nodes(g: DepGraph) -> list[int]:
+    """The constraint nodes, the only nodes fixed False, in number order."""
+    return [n for n, value in g.fixed_nodes.items() if value is False]
 
 
-def fitting(known, true, pending, masks, start, watchers) -> tuple[int, int] | None:
+def fitting(
+    known, true, pending, masks, start, watchers, first_constraint=None
+) -> tuple[int, int] | None:
     """Fitting's two rules (Fitting, JLP 1985) to a fixpoint over the partial
     model (known, true), bit masks like igasp's: a head with a body whose
     positive bits are true and negated bits false is True, and a head whose
@@ -281,13 +289,24 @@ def fitting(known, true, pending, masks, start, watchers) -> tuple[int, int] | N
     bit n. The heads in pending (copied) are checked first, then only those
     watching a newly decided bit (Dowling & Gallier's linear-time Horn
     propagation, 1984, with the second rule added); so from a fixpoint that
-    some decisions extend, pending need only hold their watchers."""
+    some decisions extend, pending need only hold their watchers.
+
+    The heads from first_constraint on, when it is given, are constraint
+    nodes, and their rows also propagate backward while the node is known
+    False: a body in which no literal fails and exactly one is undecided
+    forces that literal's atom the other way, False for a positive literal
+    and True for a negated one. This is smodels' backchaining (Simons,
+    Niemelä & Soininen, AIJ 2002), unit propagation on the constraint's
+    nogood in clasp's terms. A body that holds both a and not a never holds,
+    so it forces nothing. The True rule on a known-False constraint node is
+    the violation test."""
     false = known ^ true
     pending = list(pending)
     while pending:
         head = pending.pop()
         forced = False
-        for pos, neg in masks[start[head] : start[head + 1]]:
+        rows = masks[start[head] : start[head + 1]]
+        for pos, neg in rows:
             if pos & false or neg & true:
                 continue
             if pos & true == pos and neg & false == neg:
@@ -295,6 +314,22 @@ def fitting(known, true, pending, masks, start, watchers) -> tuple[int, int] | N
                 break
             forced = None
         if forced is None:
+            if first_constraint is not None and head >= first_constraint and false >> head & 1:
+                for pos, neg in rows:
+                    undecided = (pos | neg) & ~known
+                    if pos & false or neg & true or pos & neg or undecided & (undecided - 1):
+                        continue
+                    # one literal left: it must fail
+                    known |= undecided
+                    if neg & undecided:
+                        true |= undecided
+                    else:
+                        false |= undecided
+                    atom = undecided.bit_length() - 1
+                    # the atom's own rows, then its watchers, this head among them
+                    pending.append(atom)
+                    pending.extend(watchers[atom])
+                    break
             continue
         bit = 1 << head
         if known & bit:
@@ -347,9 +382,10 @@ def stable(g: DepGraph, true: int) -> bool:
     package's one answer-set check; it reads only the body table, so it
     gives the same verdict on a graph before and after the flip."""
     t = g.bodies
-    if violated(t, true, ((1 << g.atom_count) - 1) ^ true):
+    false = ((1 << g.atom_count) - 1) ^ true
+    if any(pos & true == pos and neg & false == neg for pos, neg in t.masks[t.start[g.atom_count] :]):
         return False
-    reduct = [i for i, (_, neg) in enumerate(t.masks[: t.start[-1]]) if not neg & true]
+    reduct = [i for i, (_, neg) in enumerate(t.masks[: t.start[g.atom_count]]) if not neg & true]
     derived = least_fixpoint(t.head, t.pos, t.pos_uses, reduct)
     return len(derived) == true.bit_count() and all(true >> a & 1 for a in derived)
 

@@ -1,14 +1,18 @@
 """Top-down constraint-driven solver.
 
-Every solve starts from its seed: the three-valued fixpoint of forward
-propagation from the rule-less atoms, all False. This is Fitting's
-Kripke-Kleene model (Fitting, JLP 1985), and every answer set extends it
-(Van Gelder, Ross & Schlipf, JACM 1991). Two seeds settle the solve
-without a proof. When the seed makes some constraint body true (every
-positive literal True, every negated one False), there is no answer set.
-When the seed decides every atom, it is the well-founded model, and so the
-one answer set, with no stability check (Van Gelder, Ross & Schlipf,
-JACM 1991). Otherwise the proof search below starts from the seed.
+Every solve starts from its seed: the three-valued fixpoint of
+propagation from the rule-less atoms and the constraint nodes, all False.
+Fitting's two rules run forward (Fitting, JLP 1985), and the constraint
+rows run backward: a constraint body with no false literal and one
+undecided literal forces that literal false (smodels' backchaining,
+Simons, Niemelä & Soininen, AIJ 2002). Every answer set extends Fitting's
+model (Van Gelder, Ross & Schlipf, JACM 1991) and falsifies every
+constraint body, so it extends the seed too. Two seeds settle the solve
+without a proof. When the propagation contradicts, a constraint body true
+among them, there is no answer set. When the seed decides every atom, it
+is the one answer set if it is stable, and ``_settled`` needs no check
+unless a constraint row may have forced an atom True. Otherwise the proof
+search below starts from the seed's atoms.
 
 The proof search starts from the constraint nodes (always-False heads)
 and works backward: a node presumed False needs every in-edge
@@ -85,9 +89,10 @@ propagator, over the graph's body table, which holds one (pos_mask,
 neg_mask) pair per rule body and, per node, the heads whose bodies mention
 it. forward_propagate only picks the heads to check first: every head, or
 the heads watching the nodes a union adds to its fixpoint base; after that
-only the heads watching a newly decided atom are checked again. grasp's
-labeling search runs the same function on a component's rows. The table's
-constraint rows are the pairs the seed is tested against.
+only the heads watching a newly decided atom are checked again, the
+constraint nodes among them, which every model holds False: their rows
+propagate backward there too. grasp's labeling search runs the same
+function on a component's atom rows, with no backchaining.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ import sys
 from collections.abc import Callable, Iterable
 
 from .cycles import _strong_components
-from .graph import Bodies, DepGraph, build_cnr, cnr_to_dg, fitting, stable, violated
+from .graph import DepGraph, build_cnr, cnr_to_dg, constraint_nodes, fitting, stable
 from .syntax import Literal, Program, Rule
 
 # (known, true) bit masks over node numbers; true is a subset of known.
@@ -162,10 +167,10 @@ def merge_conjunctive(
     return list(dict.fromkeys(union for ma in a for union in unions_with_b(ma)))
 
 
-def _heads(t: Bodies) -> list[int]:
+def _heads(g: DepGraph) -> list[int]:
     """The atoms with at least one rule body, in number order."""
-    start = t.start
-    return [a for a in range(len(start) - 1) if start[a] < start[a + 1]]
+    start = g.bodies.start
+    return [a for a in range(g.atom_count) if start[a] < start[a + 1]]
 
 
 def forward_propagate(
@@ -184,7 +189,7 @@ def forward_propagate(
     every head is checked once."""
     t = g.bodies
     if base is None:
-        pending = _heads(t)
+        pending = _heads(g) + constraint_nodes(g)
     else:
         pending = []
         added = m[0] & ~base[0]
@@ -192,7 +197,7 @@ def forward_propagate(
             low = added & -added
             pending.extend(t.watchers[low.bit_length() - 1])
             added ^= low
-    return fitting(*m, pending, t.masks, t.start, t.watchers)
+    return fitting(*m, pending, t.masks, t.start, t.watchers, g.atom_count)
 
 
 class ProofTable:
@@ -298,11 +303,6 @@ def prove(
     return result
 
 
-def _constraint_nodes(g: DepGraph) -> list[int]:
-    """The constraint nodes, the only ones fixed False, in ordinal order."""
-    return [n for n, value in g.fixed_nodes.items() if value is False]
-
-
 def _ancestor_atoms(g: DepGraph, goals: list[int], reached: set[int]) -> list[int]:
     """The atoms among goals and their ancestors that reached does not hold
     yet. The walk adds each node it meets to reached and stops at the nodes
@@ -323,11 +323,12 @@ def _ancestor_atoms(g: DepGraph, goals: list[int], reached: set[int]) -> list[in
     return [n for n in new if n < g.atom_count]
 
 
-def _undecided_inputs(t: Bodies, decided: set[int]) -> dict[int, int]:
-    """Per undecided head, a count of its (body, literal) pairs whose atom
-    is undecided, which watchers lists once each."""
-    counts = dict.fromkeys([h for h in _heads(t) if h not in decided], 0)
-    for atom, heads in enumerate(t.watchers):
+def _undecided_inputs(g: DepGraph, decided: set[int]) -> dict[int, int]:
+    """Per undecided atom head, a count of its (body, literal) pairs whose
+    atom is undecided, which watchers lists once each. Constraint nodes
+    watch atoms too, but they are no heads here."""
+    counts = dict.fromkeys([h for h in _heads(g) if h not in decided], 0)
+    for atom, heads in enumerate(g.bodies.watchers):
         if atom not in decided:
             for head in heads:
                 if head in counts:
@@ -359,9 +360,9 @@ class _Coverage:
         self.g, self.watchers = g, g.bodies.watchers
         self.reached = {a for a in range(g.atom_count) if seed[0] >> a & 1}
         decided = set(self.reached)
-        decided.update(_ancestor_atoms(g, _constraint_nodes(g), self.reached))
+        decided.update(_ancestor_atoms(g, constraint_nodes(g), self.reached))
         self.decided = decided
-        self.undecided_inputs = _undecided_inputs(g.bodies, decided)
+        self.undecided_inputs = _undecided_inputs(g, decided)
         self._close([h for h, count in self.undecided_inputs.items() if count == 0])
 
     def add(self, anchor: int) -> None:
@@ -412,34 +413,46 @@ def _contains(m: PartialModel, part: PartialModel) -> bool:
     return not part[0] & ~m[0] and m[1] & part[0] == part[1]
 
 
-def _seed(g: DepGraph) -> PartialModel:
-    """Forward propagation from the rule-less atoms, all False: Fitting's
-    fixpoint, which every answer set extends. It never contradicts: a
-    rule-less atom is no head, and a body decided true or false stays so."""
+def _seed(g: DepGraph) -> PartialModel | None:
+    """Forward propagation from the rule-less atoms and the constraint
+    nodes, all False, with the constraint rows propagating backward:
+    Fitting's fixpoint strengthened by backchaining, which every answer set
+    extends, since every answer set falsifies every constraint body. None
+    when it contradicts: then there is no answer set."""
     ruleless = (1 << g.atom_count) - 1  # the atoms are the first nodes
-    for head in _heads(g.bodies):
+    for head in _heads(g):
         ruleless &= ~(1 << head)
+    for node in constraint_nodes(g):
+        ruleless |= 1 << node
     return forward_propagate((ruleless, 0), g)
 
 
-def _settled(g: DepGraph, seed: PartialModel) -> list[PartialModel] | None:
+def _settled(g: DepGraph, seed: PartialModel | None) -> list[PartialModel] | None:
     """The finished models when the seed decides the solve: none when it
-    makes a constraint body true, the seed alone when it decides every
-    atom, and so makes every constraint body false. None when the proof
-    search must decide. The proof search would end with a total seed alone
-    too, but its coverage pass made chain's igasp solves about 8 % slower.
+    contradicts, the seed alone when it decides every atom and is stable.
+    None when the proof search must decide. The proof search would end with
+    a total seed alone too, but its coverage pass made chain's igasp solves
+    about 8 % slower.
 
-    A total seed needs no stability check either. The seed is Fitting's
-    model, and a total Fitting model is the well-founded model, since the
-    well-founded model extends it; a total well-founded model is the
-    program's unique stable model (Van Gelder, Ross & Schlipf, JACM 1991).
-    Every constraint body is false in it, so it is the one answer set."""
-    known, true = seed
-    if violated(g.bodies, true, known ^ true):
+    A total seed needs no stability check when the constraint rows forced
+    no atom True. Then every True atom was forced by Fitting's True rule,
+    in order, so it lies in the reduct's least model; and the seed is a
+    model of the reduct, since any body holding in it forced its head True.
+    So the seed is the one answer set (Van Gelder, Ross & Schlipf, JACM
+    1991: it is the well-founded model). A constraint row forces an atom
+    True only where the atom is negated, so only a seed that holds such an
+    atom True gets the one graph.stable call: ":- not a. a :- a." forces a
+    True with no founded support."""
+    if seed is None:
         return []
-    if known == (1 << g.atom_count) - 1:
-        return [seed]
-    return None
+    known, true = seed
+    atoms = (1 << g.atom_count) - 1
+    if known & atoms != atoms:
+        return None
+    t = g.bodies
+    if any(neg & true for _, neg in t.masks[t.start[g.atom_count] :]) and not stable(g, true):
+        return []
+    return [seed]
 
 
 def _finished_models(
@@ -452,29 +465,35 @@ def _finished_models(
     covered holds the seed's atoms and the cone of every goal joined so
     far, each walked up to covered: every model so far decides every node
     in it, since a proof decides its goal's whole cone up to the seed. A
-    union decides covered after its goal's walk, and each head it decides
-    already agrees with its bodies: a proved head has every body decided,
-    and a forced one stays forced. So propagation can reject no union, and
-    it can only force a head outside covered that watches a node the union
-    adds, all of which are in the goal's cone. When no such head watches
-    the cone, the goal is closed and its unions are fixpoints already: they
-    are kept as merge_conjunctive lists them. An open goal's unions are
+    union decides covered after its goal's walk, so Fitting's rules can only
+    force a head outside covered that watches a node the union adds, all of
+    which are in the goal's cone, or reject the union, where an atom that
+    the constraint rows forced disagrees with its bodies. When no atom
+    outside covered watches the cone, the goal is closed and its unions are
+    kept as merge_conjunctive lists them: graph.stable rejects every
+    candidate of a union that propagation would reject, and backchaining on
+    the constraint rows only prunes. An open goal's unions are
     propagated, each from a left model it contains. This is the splitting
     set theorem's reading (Lifschitz & Turner, ICLP 1994): the atoms
     outside a closed cone cannot react to its values before their own goal
     comes."""
     models = [seed]
-    goals = [[(c, False)] for c in _constraint_nodes(g)]
+    goals = [[(c, False)] for c in constraint_nodes(g)]
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
     watchers = g.bodies.watchers
-    covered = {a for a in range(g.atom_count) if seed[0] >> a & 1}
+    atoms = g.atom_count
+    # The branch is the seed's atoms: a constraint node on it would prove
+    # its goal with no model of the cone.
+    branch = (seed[0] & ((1 << atoms) - 1), seed[1])
+    covered = {a for a in range(atoms) if seed[0] >> a & 1}
     for goal in goals:
         # The proofs are joined unpropagated, as the module docstring says.
-        proofs = [m for node, value in goal for m in prove(node, value, *seed, table)]
+        proofs = [m for node, value in goal for m in prove(node, value, *branch, table)]
         unions = merge_conjunctive(models, list(dict.fromkeys(proofs)))
         cone = _ancestor_atoms(g, [node for node, _ in goal], covered)
-        if all(head in covered for atom in cone for head in watchers[atom]):
+        # the constraint nodes are known False in every model already
+        if all(head in covered for a in cone for head in watchers[a] if head < atoms):
             models = unions
         else:
             # merge_conjunctive lists the unions of each left model in the

@@ -197,6 +197,11 @@ def test_solve_igasp_paper_configuration_unsat_exits_1(program_file, capsys):
     assert main(["solve", program_file(str(program)), "--solver", "igasp"]) == 1
 
 
+def test_solve_igasp_unfounded_value_forced_by_a_constraint_exits_1(program_file, capsys):
+    # The constraint forces a True with no founded support: no answer set.
+    assert main(["solve", program_file(":- not a. a :- a.\n"), "--solver", "igasp"]) == 1
+
+
 def test_solve_igasp_facts_without_constraints(program_file, capsys):
     # The seed decides a0 and a1 but not the even loop, so igasp proves an
     # anchor and no goal for the facts.

@@ -253,7 +253,7 @@ def founded_atoms_ok(g, w):
     t = g.bodies
     holding = [
         i
-        for i in range(t.start[-1])
+        for i in range(t.start[g.atom_count])
         if all(values[a] for a in t.pos[i]) and not any(values[a] for a in t.neg[i])
     ]
     founded = least_fixpoint(t.head, t.pos, t.pos_uses, holding)
