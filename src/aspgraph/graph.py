@@ -41,9 +41,9 @@ the other way. igasp's forward propagation runs it on these rows, and
 grasp's labeling search on a component's atom rows, remapped to bits of
 the members. ``least_fixpoint`` over the atom rows is the one foundedness
 check, and ``stable``, the fixpoint of the reduct's rows plus a test of
-the constraint rows, is the one answer-set check: igasp
-keeps a candidate and ``justify.check_justified`` accepts a world only if
-``stable`` accepts its true atoms' mask. grasp's labeling search uses the
+the constraint rows, is the one answer-set check: igasp keeps a candidate
+and ``justify.check_justified`` accepts a world only if ``stable``
+accepts its true atoms' mask. grasp's labeling search uses the
 fixpoint over a component's own rows.
 
 The engines, the model checks, justification and export read the integer
@@ -383,7 +383,8 @@ def stable(g: DepGraph, true: int) -> bool:
     gives the same verdict on a graph before and after the flip."""
     t = g.bodies
     false = ((1 << g.atom_count) - 1) ^ true
-    if any(pos & true == pos and neg & false == neg for pos, neg in t.masks[t.start[g.atom_count] :]):
+    constraint_rows = t.masks[t.start[g.atom_count] :]
+    if any(pos & true == pos and neg & false == neg for pos, neg in constraint_rows):
         return False
     reduct = [i for i, (_, neg) in enumerate(t.masks[: t.start[g.atom_count]]) if not neg & true]
     derived = least_fixpoint(t.head, t.pos, t.pos_uses, reduct)

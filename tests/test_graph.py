@@ -418,7 +418,10 @@ def test_a_solve_compiles_each_graphs_table_at_most_once(monkeypatch):
     counting(grasp, "break_cycles")
     # the second program's positive loop is rooted in an even loop, so the
     # seed leaves it open and its unfounded model reaches graph.stable
-    texts = ["p :- not q. q :- not p. :- p, q.", "p :- q. q :- p. p :- r. r :- not s. s :- not r. :- not p."]
+    texts = [
+        "p :- not q. q :- not p. :- p, q.",
+        "p :- q. q :- p. p :- r. r :- not s. s :- not r. :- not p.",
+    ]
     programs = [parse_program(text) for text in texts] + [gen_coloring(5, cycle_graph(5))]
     for program in programs:
         for solve, reaches in ((igasp.solve_igasp, "prove"), (grasp.solve_grasp, "break_cycles")):

@@ -758,7 +758,8 @@ def propagate_every_union(g, synthesized, seed, on_goal=None):
     models = [seed]
     table = ProofTable(g)
     for goal in goal_list(g, synthesized):
-        proofs = [m for node, value in goal for m in prove(node, value, *seed_branch(g, seed), table)]
+        branch = seed_branch(g, seed)
+        proofs = [m for node, value in goal for m in prove(node, value, *branch, table)]
         proofs = list(dict.fromkeys(proofs))
         steps = []
         left = 0
