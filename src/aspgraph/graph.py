@@ -35,11 +35,11 @@ stores each row's atoms as bit masks and, per node, the heads of the rows
 that mention it, constraint nodes among them. ``fitting`` applies
 Fitting's two rules over such masks to a fixpoint, the one three-valued
 propagator, and on request backchains on the constraint rows: a
-constraint node is known False, so the True rule on it is the violation
-test, and a constraint body with one undecided literal forces that literal
-the other way. igasp's forward propagation runs it on these rows, and
-grasp's labeling search on a component's atom rows, remapped to bits of
-the members. ``least_fixpoint`` over the atom rows is the one foundedness
+constraint body that holds is a contradiction, and one with a single
+undecided literal forces that literal the other way. igasp's seed runs it
+on these rows with backchaining, igasp's unions on the atom rows alone,
+and grasp's labeling search on a component's atom rows, remapped to bits
+of the members. ``least_fixpoint`` over the atom rows is the one foundedness
 check, and ``stable``, the fixpoint of the reduct's rows plus a test of
 the constraint rows, is the one answer-set check: igasp keeps a candidate
 and ``justify.check_justified`` accepts a world only if ``stable``
@@ -276,7 +276,7 @@ def constraint_nodes(g: DepGraph) -> list[int]:
 
 
 def fitting(
-    known, true, pending, masks, start, watchers, first_constraint=None
+    known, true, pending, masks, start, watchers, first_constraint=None, backchained=None
 ) -> tuple[int, int] | None:
     """Fitting's two rules (Fitting, JLP 1985) to a fixpoint over the partial
     model (known, true), bit masks like igasp's: a head with a body whose
@@ -292,21 +292,46 @@ def fitting(
     some decisions extend, pending need only hold their watchers.
 
     The heads from first_constraint on, when it is given, are constraint
-    nodes, and their rows also propagate backward while the node is known
-    False: a body in which no literal fails and exactly one is undecided
-    forces that literal's atom the other way, False for a positive literal
-    and True for a negated one. This is smodels' backchaining (Simons,
-    Niemelä & Soininen, AIJ 2002), unit propagation on the constraint's
-    nogood in clasp's terms. A body that holds both a and not a never holds,
-    so it forces nothing. The True rule on a known-False constraint node is
-    the violation test."""
+    nodes, False in every model, and they watch their rows' atoms too. They
+    are skipped, so only the atom rows propagate, unless backchained is a
+    list. Then a constraint body that holds is a contradiction, and one in
+    which no literal fails and exactly one is undecided forces that
+    literal's atom the other way, False for a positive literal and True for
+    a negated one; the atom is appended to backchained. This is smodels'
+    backchaining (Simons, Niemelä & Soininen, AIJ 2002), unit propagation on
+    the constraint's nogood in clasp's terms. A body that holds both a and
+    not a never holds, so it forces nothing."""
     false = known ^ true
     pending = list(pending)
+    first_constraint = len(start) if first_constraint is None else first_constraint
     while pending:
         head = pending.pop()
+        if head >= first_constraint:
+            if backchained is None:
+                continue
+            for pos, neg in masks[start[head] : start[head + 1]]:
+                if pos & false or neg & true:
+                    continue
+                undecided = (pos | neg) & ~known
+                if not undecided:
+                    return None
+                if pos & neg or undecided & (undecided - 1):
+                    continue
+                # one literal left: it must fail
+                known |= undecided
+                if neg & undecided:
+                    true |= undecided
+                else:
+                    false |= undecided
+                atom = undecided.bit_length() - 1
+                backchained.append(atom)
+                # the atom's own rows, then its watchers, this head among them
+                pending.append(atom)
+                pending.extend(watchers[atom])
+                break
+            continue
         forced = False
-        rows = masks[start[head] : start[head + 1]]
-        for pos, neg in rows:
+        for pos, neg in masks[start[head] : start[head + 1]]:
             if pos & false or neg & true:
                 continue
             if pos & true == pos and neg & false == neg:
@@ -314,22 +339,6 @@ def fitting(
                 break
             forced = None
         if forced is None:
-            if first_constraint is not None and head >= first_constraint and false >> head & 1:
-                for pos, neg in rows:
-                    undecided = (pos | neg) & ~known
-                    if pos & false or neg & true or pos & neg or undecided & (undecided - 1):
-                        continue
-                    # one literal left: it must fail
-                    known |= undecided
-                    if neg & undecided:
-                        true |= undecided
-                    else:
-                        false |= undecided
-                    atom = undecided.bit_length() - 1
-                    # the atom's own rows, then its watchers, this head among them
-                    pending.append(atom)
-                    pending.extend(watchers[atom])
-                    break
             continue
         bit = 1 << head
         if known & bit:

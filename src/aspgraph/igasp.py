@@ -1,18 +1,18 @@
 """Top-down constraint-driven solver.
 
 Every solve starts from its seed: the three-valued fixpoint of
-propagation from the rule-less atoms and the constraint nodes, all False.
-Fitting's two rules run forward (Fitting, JLP 1985), and the constraint
-rows run backward: a constraint body with no false literal and one
-undecided literal forces that literal false (smodels' backchaining,
-Simons, Niemelä & Soininen, AIJ 2002). Every answer set extends Fitting's
-model (Van Gelder, Ross & Schlipf, JACM 1991) and falsifies every
-constraint body, so it extends the seed too. Two seeds settle the solve
-without a proof. When the propagation contradicts, a constraint body true
-among them, there is no answer set. When the seed decides every atom, it
-is the one answer set if it is stable, and ``_settled`` needs no check
-unless a constraint row may have forced an atom True. Otherwise the proof
-search below starts from the seed's atoms.
+propagation from the rule-less atoms and the constraint nodes, all False,
+kept on the atoms. Fitting's two rules run forward (Fitting, JLP 1985),
+and the constraint rows run backward: a constraint body with no false
+literal and one undecided literal forces that literal false (smodels'
+backchaining, Simons, Niemelä & Soininen, AIJ 2002). Every answer set
+extends Fitting's model (Van Gelder, Ross & Schlipf, JACM 1991) and
+falsifies every constraint body, so it extends the seed too. Two seeds
+settle the solve without a proof. When the propagation contradicts, a
+constraint body true among them, there is no answer set. When the seed
+decides every atom, it is the one answer set if it is stable, and
+``_settled`` checks that only when the backward rule forced an atom True.
+Otherwise the proof search below starts from the seed.
 
 The proof search starts from the constraint nodes (always-False heads)
 and works backward: a node presumed False needs every in-edge
@@ -32,9 +32,11 @@ fp(left | m), and a proof whose own propagation contradicts makes every
 union containing it contradict too: the finished models are the same as
 when each proof is propagated before the join. A union is
 forward-propagated once, and only when its goal is open: when some head
-outside the goal's cone and the cones joined before it watches the cone.
-A closed goal's unions are fixpoints already, as _finished_models shows;
-on the 3-colorings of C5-C8 no goal is open. Finished models are
+outside the goal's cone and the cones joined before it watches the cone,
+or a seed atom that the backward rule forced, which need not agree with
+the bodies the cone decides. A closed goal's unions are fixpoints
+already, as _finished_models shows; on the 3-colorings of C5-C8 no goal
+is open. Finished models are
 totalized (atoms never reached default to False), and a proof may close
 an unfounded positive loop, so each candidate M, the mask of its True
 atoms, is kept only if it is stable (Gelfond & Lifschitz, ICLP 1988): no
@@ -89,10 +91,13 @@ propagator, over the graph's body table, which holds one (pos_mask,
 neg_mask) pair per rule body and, per node, the heads whose bodies mention
 it. forward_propagate only picks the heads to check first: every head, or
 the heads watching the nodes a union adds to its fixpoint base; after that
-only the heads watching a newly decided atom are checked again, the
-constraint nodes among them, which every model holds False: their rows
-propagate backward there too. grasp's labeling search runs the same
-function on a component's atom rows, with no backchaining.
+only the heads watching a newly decided atom are checked again. The
+constraint nodes watch their rows' atoms too, but only the seed's
+propagation runs their rows; a union's runs the atom rows alone, so that
+a closed goal's unions stay fixpoints. Backchaining there as well pruned
+more on Hamiltonian K4 and K5, but then every 3-coloring goal would be
+open. grasp's labeling search runs the same function on a component's
+atom rows.
 """
 
 from __future__ import annotations
@@ -174,7 +179,10 @@ def _heads(g: DepGraph) -> list[int]:
 
 
 def forward_propagate(
-    m: PartialModel, g: DepGraph, base: PartialModel | None = None
+    m: PartialModel,
+    g: DepGraph,
+    base: PartialModel | None = None,
+    backchained: list[int] | None = None,
 ) -> PartialModel | None:
     """Fitting's fixpoint of the graph's atom rows over m, by graph.fitting:
     a rule whose body is fully decided true forces its head True, and an
@@ -186,10 +194,19 @@ def forward_propagate(
     A head none of whose bodies mentions a node m adds to base is forced in
     m exactly as in base, where its value agrees, so only the heads watching
     those nodes are checked first; the result is the same. Without base,
-    every head is checked once."""
+    every head is checked once.
+
+    backchained, when a list, also runs the constraint rows, the seed's
+    propagation: m must hold the constraint nodes False, a constraint body
+    that holds contradicts, and one with a single undecided literal forces
+    that atom the other way and appends it to the list (graph.fitting).
+    Without base, every constraint node is checked once too."""
     t = g.bodies
     if base is None:
-        pending = _heads(g) + constraint_nodes(g)
+        pending = _heads(g)
+        if backchained is not None:
+            # fitting pops the last head first: the forward rules run first
+            pending = constraint_nodes(g) + pending
     else:
         pending = []
         added = m[0] & ~base[0]
@@ -197,7 +214,7 @@ def forward_propagate(
             low = added & -added
             pending.extend(t.watchers[low.bit_length() - 1])
             added ^= low
-    return fitting(*m, pending, t.masks, t.start, t.watchers, g.atom_count)
+    return fitting(*m, pending, t.masks, t.start, t.watchers, g.atom_count, backchained)
 
 
 class ProofTable:
@@ -413,50 +430,55 @@ def _contains(m: PartialModel, part: PartialModel) -> bool:
     return not part[0] & ~m[0] and m[1] & part[0] == part[1]
 
 
-def _seed(g: DepGraph) -> PartialModel | None:
-    """Forward propagation from the rule-less atoms and the constraint
-    nodes, all False, with the constraint rows propagating backward:
-    Fitting's fixpoint strengthened by backchaining, which every answer set
-    extends, since every answer set falsifies every constraint body. None
-    when it contradicts: then there is no answer set."""
-    ruleless = (1 << g.atom_count) - 1  # the atoms are the first nodes
+def _seed(g: DepGraph) -> tuple[PartialModel, int] | None:
+    """The seed, propagation from the rule-less atoms and the constraint
+    nodes, all False, with the constraint rows propagating backward, and the
+    mask of the atoms the backward rule decided. It is Fitting's fixpoint
+    strengthened by backchaining, over the atoms: every answer set extends
+    Fitting's fixpoint and falsifies every constraint body, so it extends
+    the seed too. None when the propagation contradicts: then there is no
+    answer set."""
+    atoms = (1 << g.atom_count) - 1  # the atoms are the first nodes
+    start = atoms
     for head in _heads(g):
-        ruleless &= ~(1 << head)
+        start &= ~(1 << head)
     for node in constraint_nodes(g):
-        ruleless |= 1 << node
-    return forward_propagate((ruleless, 0), g)
-
-
-def _settled(g: DepGraph, seed: PartialModel | None) -> list[PartialModel] | None:
-    """The finished models when the seed decides the solve: none when it
-    contradicts, the seed alone when it decides every atom and is stable.
-    None when the proof search must decide. The proof search would end with
-    a total seed alone too, but its coverage pass made chain's igasp solves
-    about 8 % slower.
-
-    A total seed needs no stability check when the constraint rows forced
-    no atom True. Then every True atom was forced by Fitting's True rule,
-    in order, so it lies in the reduct's least model; and the seed is a
-    model of the reduct, since any body holding in it forced its head True.
-    So the seed is the one answer set (Van Gelder, Ross & Schlipf, JACM
-    1991: it is the well-founded model). A constraint row forces an atom
-    True only where the atom is negated, so only a seed that holds such an
-    atom True gets the one graph.stable call: ":- not a. a :- a." forces a
-    True with no founded support."""
+        start |= 1 << node
+    backchained: list[int] = []
+    seed = forward_propagate((start, 0), g, None, backchained)
     if seed is None:
-        return []
-    known, true = seed
-    atoms = (1 << g.atom_count) - 1
-    if known & atoms != atoms:
         return None
-    t = g.bodies
-    if any(neg & true for _, neg in t.masks[t.start[g.atom_count] :]) and not stable(g, true):
+    forced = 0
+    for atom in backchained:
+        forced |= 1 << atom
+    # A proof starts from a constraint node, so the seed leaves them out.
+    return (seed[0] & atoms, seed[1]), forced
+
+
+def _settled(g: DepGraph, seed: PartialModel, backchained: int) -> list[PartialModel] | None:
+    """The finished models when the seed decides every atom: the seed alone
+    if it is stable, else none. None when the proof search must decide. The
+    proof search would end with a total seed alone too, but its coverage
+    pass made chain's igasp solves about 8 % slower.
+
+    A total seed needs no stability check when the backward rule forced no
+    atom True, the atoms in backchained. Then every True atom was forced by
+    Fitting's True rule, in order, so it lies in the reduct's least model;
+    and the seed is a model of the reduct, since any body holding in it
+    forced its head True. So the seed is the one answer set (Van Gelder,
+    Ross & Schlipf, JACM 1991: it is the well-founded model). Otherwise it
+    gets the one graph.stable call: ":- not a. a :- a." forces a True with
+    no founded support."""
+    known, true = seed
+    if known != (1 << g.atom_count) - 1:
+        return None
+    if backchained & true and not stable(g, true):
         return []
     return [seed]
 
 
 def _finished_models(
-    g: DepGraph, synthesized: list[Rule], seed: PartialModel
+    g: DepGraph, synthesized: list[Rule], seed: PartialModel, backchained: int
 ) -> list[PartialModel]:
     """Forward-propagated partial models that extend the seed and falsify
     every constraint: the program's, then each synthesized one, by one of
@@ -465,35 +487,37 @@ def _finished_models(
     covered holds the seed's atoms and the cone of every goal joined so
     far, each walked up to covered: every model so far decides every node
     in it, since a proof decides its goal's whole cone up to the seed. A
-    union decides covered after its goal's walk, so Fitting's rules can only
-    force a head outside covered that watches a node the union adds, all of
-    which are in the goal's cone, or reject the union, where an atom that
-    the constraint rows forced disagrees with its bodies. When no atom
-    outside covered watches the cone, the goal is closed and its unions are
-    kept as merge_conjunctive lists them: graph.stable rejects every
-    candidate of a union that propagation would reject, and backchaining on
-    the constraint rows only prunes. An open goal's unions are
-    propagated, each from a left model it contains. This is the splitting
-    set theorem's reading (Lifschitz & Turner, ICLP 1994): the atoms
-    outside a closed cone cannot react to its values before their own goal
-    comes."""
+    union decides covered after its goal's walk, and each head it decides
+    already agrees with its bodies, except the seed atoms in backchained,
+    which the constraint rows forced: a proved head has every body decided,
+    and a head Fitting's rules forced stays forced. So propagation, which
+    runs on the atom rows alone, can only force a head outside covered or
+    reject the union where a head in backchained disagrees with the bodies
+    the union decides, and either watches a node the union adds, all of
+    which are in the goal's cone. When no such head watches the cone, the
+    goal is closed and its unions are fixpoints already: they are kept as
+    merge_conjunctive lists them. An open goal's unions are propagated,
+    each from a left model it contains. This is the splitting set theorem's
+    reading (Lifschitz & Turner, ICLP 1994): the atoms outside a closed cone
+    cannot react to its values before their own goal comes."""
     models = [seed]
     goals = [[(c, False)] for c in constraint_nodes(g)]
     goals += [[(g.number[lit.atom], lit.negated) for lit in rule.body] for rule in synthesized]
     table = ProofTable(g)
     watchers = g.bodies.watchers
     atoms = g.atom_count
-    # The branch is the seed's atoms: a constraint node on it would prove
-    # its goal with no model of the cone.
-    branch = (seed[0] & ((1 << atoms) - 1), seed[1])
     covered = {a for a in range(atoms) if seed[0] >> a & 1}
     for goal in goals:
         # The proofs are joined unpropagated, as the module docstring says.
-        proofs = [m for node, value in goal for m in prove(node, value, *branch, table)]
+        proofs = [m for node, value in goal for m in prove(node, value, *seed, table)]
         unions = merge_conjunctive(models, list(dict.fromkeys(proofs)))
         cone = _ancestor_atoms(g, [node for node, _ in goal], covered)
-        # the constraint nodes are known False in every model already
-        if all(head in covered for a in cone for head in watchers[a] if head < atoms):
+        # the constraint nodes watch too, but propagation skips them
+        if all(
+            head >= atoms or head in covered and not backchained >> head & 1
+            for a in cone
+            for head in watchers[a]
+        ):
             models = unions
         else:
             # merge_conjunctive lists the unions of each left model in the
@@ -520,8 +544,11 @@ def solve_igasp(program: Program) -> list[frozenset[str]]:
     proof search's candidates is kept only if it passes graph.stable,
     checked on masks, and only the kept masks are decoded to names."""
     g = cnr_to_dg(build_cnr(program))
-    seed = _seed(g)
-    models = _settled(g, seed)
+    seeded = _seed(g)
+    if seeded is None:
+        return []
+    seed, backchained = seeded
+    models = _settled(g, seed, backchained)
     atoms = (1 << g.atom_count) - 1
     if models is not None:
         return [_names(g, true & atoms) for _, true in models]
@@ -531,7 +558,7 @@ def solve_igasp(program: Program) -> list[frozenset[str]]:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * len(g.names) + 1000))
     try:
-        models = _finished_models(g, synthesized, seed)
+        models = _finished_models(g, synthesized, seed, backchained)
     finally:
         sys.setrecursionlimit(limit)
     candidates = dict.fromkeys(true & atoms for _, true in models)

@@ -508,27 +508,35 @@ def test_fitting_matches_a_brute_force_fixpoint():
             result = graph_module.fitting(known, true, pending, t.masks, t.start, t.watchers)
             assert result == expected
         # With the constraint nodes known False, their rows propagate
-        # backward. A forced atom's own rows are checked, so every atom is a
-        # head here: a rule-less atom forced True contradicts.
+        # backward when fitting is given a list for the atoms they force,
+        # and are skipped otherwise. A forced atom's own rows are checked,
+        # so every atom is a head here: a rule-less atom forced True
+        # contradicts.
         everyone = list(range(g.atom_count)) + constraints
         for known, true in ((known, true), (0, 0)):
             known |= sum(1 << c for c in constraints)
             expected = reference_fitting(t, range(g.atom_count), known, true, constraints)
             plain = reference_fitting(t, everyone, known, true)
+            atom_rows = reference_fitting(t, range(g.atom_count), known, true)
             backchained += expected is not None and plain is not None and expected != plain
             for _ in range(3):
                 pending = rng.sample(everyone, len(everyone))
-                result = graph_module.fitting(
-                    known, true, pending, t.masks, t.start, t.watchers, g.atom_count
-                )
-                assert result == expected, text
+                args = known, true, pending, t.masks, t.start, t.watchers, g.atom_count
+                forced = []
+                assert graph_module.fitting(*args, forced) == expected, text
+                if expected is not None:
+                    # each forced atom once, decided by the result, not by the start
+                    assert len(set(forced)) == len(forced), text
+                    assert all(expected[0] >> a & 1 and not known >> a & 1 for a in forced)
+                assert graph_module.fitting(*args) == atom_rows, text
         if i == 300:  # the planted defect: a False must not force b
             a, b = g.number["a"], g.number["b"]
             start = sum(1 << c for c in constraints) | 1 << a
+            forced = []
             state = graph_module.fitting(
-                start, 0, constraints, t.masks, t.start, t.watchers, g.atom_count
+                start, 0, constraints, t.masks, t.start, t.watchers, g.atom_count, forced
             )
-            assert state is not None and not state[0] >> b & 1
+            assert state is not None and not state[0] >> b & 1 and forced == []
     assert outcomes == {"contradiction", True, False}
     assert backchained > 20, backchained
 

@@ -19,7 +19,6 @@ from aspgraph.graph import (
     build_cnr,
     cnr_to_dg,
     constraint_nodes,
-    fitting,
     node_kind,
     stable,
 )
@@ -108,7 +107,7 @@ def test_empty_program():
 
 def synthesized(text):
     g = transformed(text)
-    rules = igasp.synthesized_constraints(g, igasp._seed(g))
+    rules = igasp.synthesized_constraints(g, igasp._seed(g)[0])
     return [str(rule) for rule in rules]
 
 
@@ -267,10 +266,11 @@ def test_decided_atoms_and_synthesis_match_program_reference():
         )
         program = parse_program(text)
         g = transformed(text)
-        seed = igasp._seed(g)
-        if seed is None:
+        seeded = igasp._seed(g)
+        if seeded is None:
             assert reference_seed_atoms(program) is None, text
             continue
+        seed, _ = seeded
         rules = igasp.synthesized_constraints(g, seed)
         assert rules == reference_synthesized_constraints(program)
         anchors = tuple(g.number[rule.body[0].atom] for rule in rules if len(rule.body) == 2)
@@ -298,7 +298,7 @@ def test_constraint_free_programs_get_anchors_only_and_solve_exactly():
         )
         program = parse_program(text)
         g = transformed(text)
-        rules = igasp.synthesized_constraints(g, igasp._seed(g))
+        rules = igasp.synthesized_constraints(g, igasp._seed(g)[0])
         for rule in rules:
             assert len(rule.body) == 2, text
             pos, neg = rule.body
@@ -334,7 +334,7 @@ def test_anchor_synthesis_walks_and_counts_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(igasp, "_undecided_inputs", counted)
-    seed = igasp._seed(g)
+    seed, _ = igasp._seed(g)
     g.pred = CountingList(g.pred)
     rules = igasp.synthesized_constraints(g, seed)
     assert len(rules) == n
@@ -365,7 +365,7 @@ def test_prove_fact_leaf():
     # the seed holds the fact True, so the seed branch decides it
     g = transformed("q.")
     q = g.number["q"]
-    seed = igasp._seed(g)
+    seed, _ = igasp._seed(g)
     assert values(seed, g.number) == {"q": True}
     assert prove(q, True, *seed, ProofTable(g)) == [(0, 0)]
     assert prove(q, False, *seed, ProofTable(g)) == []
@@ -514,9 +514,8 @@ def test_forward_propagate_fires_rules():
 
 
 def test_forward_propagate_fixpoint_when_nothing_applies():
-    # the constraint node is known False, as in every model of a solve
     g, bits = graph_bits("c :- a. :- b.")
-    start = pm({"b": False, "__constraint_0": False}, bits)
+    start = pm({"b": True}, bits)
     assert forward_propagate(start, g) == start
 
 
@@ -598,13 +597,13 @@ def reference_finished_models(g, synthesized):
     """_finished_models with two sweeps per union: every proof, on the seed
     branch, is propagated on its own, then joined, and each union is
     propagated again."""
-    seed = igasp._seed(g)
+    seed, _ = igasp._seed(g)
     found = [seed]
     table = ProofTable(g)
     for goal in goal_list(g, synthesized):
         alternatives = []
         for node, value in goal:
-            for m in prove(node, value, *seed_branch(g, seed), table):
+            for m in prove(node, value, *seed, table):
                 propagated = forward_propagate(m, g)
                 if propagated is not None:
                     alternatives.append(propagated)
@@ -622,31 +621,19 @@ def reference_finished_models(g, synthesized):
     return found
 
 
-def seed_branch(g, seed):
-    """The proof branch of a solve: the seed's atoms, without the constraint
-    nodes, which the seed holds False."""
-    return seed[0] & ((1 << g.atom_count) - 1), seed[1]
-
-
 def finished_model_sets(text):
-    """The answer sets, as atom masks, among _finished_models' models and
-    among the reference's: the candidates each keeps through graph.stable.
-    A seed forced by the constraint rows need not agree with its bodies, so
-    the two model lists may differ in candidates that graph.stable rejects.
-    Both are empty when the seed contradicts."""
+    """The set of _finished_models' models and of the reference's; both
+    empty when the seed contradicts."""
     g = transformed(text)
-    seed = igasp._seed(g)
-    if seed is None:
+    seeded = igasp._seed(g)
+    if seeded is None:
         return set(), set()
+    seed, backchained = seeded
     synthesized = igasp.synthesized_constraints(g, seed)
-    atoms = (1 << g.atom_count) - 1
     with recursion_limit_for(g):
-        return tuple(
-            {t & atoms for _, t in models if stable(g, t & atoms)}
-            for models in (
-                igasp._finished_models(g, synthesized, seed),
-                reference_finished_models(g, synthesized),
-            )
+        return (
+            set(igasp._finished_models(g, synthesized, seed, backchained)),
+            set(reference_finished_models(g, synthesized)),
         )
 
 
@@ -697,13 +684,16 @@ def cone_walk(g, goal, covered):
     return cone
 
 
-def is_open(g, cone, covered):
-    """Whether an atom head outside covered watches a node of the cone;
-    only atoms have watchers. The constraint nodes that watch it are known
-    False in every model already, so they do not count."""
+def is_open(g, cone, covered, backchained):
+    """Whether an atom head outside covered, or a seed atom that the
+    constraint rows forced, watches a node of the cone. Only atoms and
+    constraint nodes have watchers, and union propagation skips the
+    constraint nodes."""
     watchers = g.bodies.watchers
     return any(
-        head not in covered for n in cone for head in watchers[n] if head < g.atom_count
+        head < g.atom_count and (head not in covered or backchained >> head & 1)
+        for n in cone
+        for head in watchers[n]
     )
 
 
@@ -729,20 +719,21 @@ def count_propagations_and_unions(monkeypatch):
 
 @pytest.mark.parametrize(
     "program, answer_sets, propagations",
-    [(gen_coloring(5, cycle_graph(5)), 30, 1), (gen_hamiltonian(4), 6, 1)],
+    [(gen_coloring(5, cycle_graph(5)), 30, 1), (gen_hamiltonian(4), 6, 325)],
     ids=["C5", "K4"],
 )
 def test_one_propagation_for_the_seed_and_per_open_union(
     monkeypatch, program, answer_sets, propagations
 ):
     # a proof is never propagated on its own, and a union only when its
-    # goal is open: some head outside the goal's cone watches the cone
+    # goal is open: some head outside the goal's cone, or a seed atom that
+    # the constraint rows forced, watches the cone
     g = cnr_to_dg(build_cnr(program))
-    seed = igasp._seed(g)
+    seed, backchained = igasp._seed(g)
     covered = seed_atoms(g, seed)
     opened = []
     for goal in goal_list(g, igasp.synthesized_constraints(g, seed)):
-        opened.append(is_open(g, cone_walk(g, goal, covered), covered))
+        opened.append(is_open(g, cone_walk(g, goal, covered), covered, backchained))
     counts = count_propagations_and_unions(monkeypatch)
     assert len(solve_igasp(program)) == answer_sets
     assert len(counts["unions"]) == len(opened)
@@ -758,8 +749,7 @@ def propagate_every_union(g, synthesized, seed, on_goal=None):
     models = [seed]
     table = ProofTable(g)
     for goal in goal_list(g, synthesized):
-        branch = seed_branch(g, seed)
-        proofs = [m for node, value in goal for m in prove(node, value, *branch, table)]
+        proofs = [m for node, value in goal for m in prove(node, value, *seed, table)]
         proofs = list(dict.fromkeys(proofs))
         steps = []
         left = 0
@@ -777,9 +767,9 @@ def propagate_every_union(g, synthesized, seed, on_goal=None):
 
 @pytest.fixture(scope="module")
 def proof_searches():
-    """(name, graph, synthesized constraints, seed) of the programs that
-    reach the proof search, among 3000 random 5-18-atom programs and the
-    classic workload's seeds 1-3."""
+    """(name, graph, synthesized constraints, seed, backchained atoms) of the
+    programs that reach the proof search, among 3000 random 5-18-atom
+    programs and the classic workload's seeds 1-3."""
     texts = []
     rng = random.Random(2021)
     for i in range(3000):
@@ -792,9 +782,11 @@ def proof_searches():
     searches = []
     for name, text in texts:
         g = transformed(text)
-        seed = igasp._seed(g)
-        if igasp._settled(g, seed) is None:
-            searches.append((name, g, igasp.synthesized_constraints(g, seed), seed))
+        seeded = igasp._seed(g)
+        if seeded is not None and igasp._settled(g, *seeded) is None:
+            seed, backchained = seeded
+            synthesized = igasp.synthesized_constraints(g, seed)
+            searches.append((name, g, synthesized, seed, backchained))
     # the backchained seed settles more of them than Fitting's alone (702 here)
     assert len(searches) > 650
     return searches
@@ -802,35 +794,29 @@ def proof_searches():
 
 def test_proofs_decide_their_cones_and_closed_goals_are_fixpoints(proof_searches):
     # The two facts closed goals skip propagation on: every proof decides
-    # its goal's cone outside the cones joined before it, and Fitting's
-    # rules never change a union when its goal is closed. They can reject
-    # it: an atom that the seed's constraint rows forced need not agree with
-    # its bodies once the cone decides them. Such a union is kept
-    # unpropagated, and graph.stable rejects every candidate it leads to.
-    # Backchaining on the constraint rows can extend a closed union; it
-    # only prunes, so skipping it loses no answer set.
-    seen = {"closed": 0, "open": 0, "forced": 0, "rejected": 0, "backchained": 0}
-    for name, g, synthesized, seed in proof_searches:
+    # its goal's cone outside the cones joined before it, and a union is
+    # never changed when its goal is closed. It is rejected only when its
+    # goal is open and the constraint rows forced some seed atom, which
+    # need not agree with the bodies the union decides.
+    seen = {"closed": 0, "open": 0, "forced": 0, "rejected": 0}
+    for name, g, synthesized, seed, backchained in proof_searches:
         covered = seed_atoms(g, seed)
-        t = g.bodies
-        heads = [a for a in range(g.atom_count) if t.start[a] < t.start[a + 1]]
 
         def on_goal(goal, proofs, steps):
             cone = cone_walk(g, goal, covered)
             cone_mask = sum(1 << n for n in cone)
             for known, _ in proofs:
                 assert not cone_mask & ~known, name
-            opened = is_open(g, cone, covered)
+            opened = is_open(g, cone, covered, backchained)
             for union, propagated in steps:
-                if propagated is not None:
+                if propagated is None:
+                    assert opened and backchained, name
+                    seen["rejected"] += 1
+                elif opened:
                     assert igasp._contains(propagated, union), name
-                if opened:
-                    seen["forced"] += propagated not in (None, union)
+                    seen["forced"] += propagated != union
                 else:
-                    plain = fitting(*union, heads, t.masks, t.start, t.watchers)
-                    assert plain in (None, union), name
-                    seen["rejected"] += plain is None
-                    seen["backchained"] += propagated not in (None, union)
+                    assert propagated == union, name
             seen["open" if opened else "closed"] += 1
 
         with recursion_limit_for(g):
@@ -839,16 +825,11 @@ def test_proofs_decide_their_cones_and_closed_goals_are_fixpoints(proof_searches
 
 
 def test_finished_models_equal_the_propagate_every_union_loop(proof_searches):
-    # Every model of the loop is a finished model; the finished models a
-    # closed goal's rejected unions add hold no answer set.
-    for name, g, synthesized, seed in proof_searches:
-        atoms = (1 << g.atom_count) - 1
+    for name, g, synthesized, seed, backchained in proof_searches:
         with recursion_limit_for(g):
             expected = propagate_every_union(g, synthesized, seed)
-            finished = igasp._finished_models(g, synthesized, seed)
-        assert set(expected) <= set(finished), name
-        extra = set(finished) - set(expected)
-        assert not any(stable(g, t & atoms) for _, t in extra), name
+            finished = igasp._finished_models(g, synthesized, seed, backchained)
+            assert finished == expected, name
 
 
 # --- the seed ---------------------------------------------------------------
@@ -864,19 +845,22 @@ def test_seed_agrees_with_every_model_and_settled_solves_are_exact():
         text = random_program_text(rng, rng.randint(1, 7), rng.randint(1, 12))
         program = parse_program(text)
         g = transformed(text)
-        seed = igasp._seed(g)
+        seeded = igasp._seed(g)
         expected = enumerate_stable(program)
-        known, true = seed if seed is not None else (0, 0)
-        assert seed is not None or expected == [], text
+        if seeded is None:
+            assert expected == [], text
+            outcomes.add("contradiction")
+            continue
+        known, true = seeded[0]
         for model in expected:
             for atom in range(g.atom_count):
                 if known >> atom & 1:
                     assert (g.names[atom] in model) == bool(true >> atom & 1), text
-        settled = igasp._settled(g, seed)
+        settled = igasp._settled(g, *seeded)
         if settled is not None:
             assert solve_igasp(program) == expected, text
         outcomes.add(None if settled is None else len(settled))
-    assert outcomes == {None, 0, 1}
+    assert outcomes == {"contradiction", None, 0, 1}
 
 
 def test_a_total_seed_is_the_one_answer_set_past_the_oracle_cap():
@@ -906,9 +890,10 @@ def test_a_total_seed_is_the_one_answer_set_past_the_oracle_cap():
     for group, programs in groups.items():
         for program in programs:
             g = cnr_to_dg(build_cnr(program))
-            seed = igasp._seed(g)
-            if igasp._settled(g, seed) != [seed]:
+            seeded = igasp._seed(g)
+            if seeded is None or igasp._settled(g, *seeded) != [seeded[0]]:
                 continue
+            seed = seeded[0]
             answer = frozenset(g.names[a] for a in range(g.atom_count) if seed[1] >> a & 1)
             assert solve_igasp(program) == [answer], program
             assert check_justified(g, world_from_atoms(g, answer)), program
@@ -971,11 +956,9 @@ class ProofBudgetExceeded(Exception):
     """A solve made more prove calls than its budget."""
 
 
-def test_satisfiable_paper_configuration_proves_from_the_seed(monkeypatch):
-    # With no constraints the seed leaves a few atoms of these programs
-    # open. Proved from the empty branch, 12 of them went past 10 000 prove
-    # calls, six past 2 M; on the seed branch none needs 500.
-    budget = 10_000
+def prove_budget(monkeypatch, budget):
+    """Makes igasp.prove raise ProofBudgetExceeded once it has been called
+    more than budget times; the returned function starts a new count."""
     calls = 0
     original = igasp.prove
 
@@ -986,11 +969,23 @@ def test_satisfiable_paper_configuration_proves_from_the_seed(monkeypatch):
             raise ProofBudgetExceeded
         return original(*args)
 
+    def restart():
+        nonlocal calls
+        calls = 0
+
     monkeypatch.setattr(igasp, "prove", counted)
+    return restart
+
+
+def test_satisfiable_paper_configuration_proves_from_the_seed(monkeypatch):
+    # With no constraints the seed leaves a few atoms of these programs
+    # open. Proved from the empty branch, 12 of them went past 10 000 prove
+    # calls, six past 2 M; on the seed branch none needs 500.
+    restart = prove_budget(monkeypatch, 10_000)
     config = {**PAPER_CONFIG, "constraint_fraction": 0}
     for seed in range(20210707, 20210737):
         program = gen_random(GenConfig(seed=seed, **config))
-        calls = 0
+        restart()
         assert solve_igasp(program) == solve_grasp(program), seed
 
 
@@ -1085,18 +1080,16 @@ def test_query_deepest_atom_of_2000_link_chain(shape, monkeypatch):
 @pytest.mark.parametrize("shape", ["pos", "naf", "mixed"])
 def test_settled_chain_solve_and_query_skip_the_proof_search(shape, monkeypatch):
     # The seed decides every atom of the benchmark's chains, and a total
-    # seed is the answer set with no stability check. The positive query's
-    # constraint ":- not a." holds its atom negated, so a total seed that
-    # holds it True gets one check: a constraint could have forced it.
+    # seed is the answer set with no stability check: the query's
+    # constraint forces no atom, since the chain's rules decide it first.
     counts = count_calls(monkeypatch, "prove", "synthesized_constraints", "stable")
     n = 2000
     program = parse_program(chain_text(shape, n))
     assert solve_igasp(program) == [chain_model(shape, n)]
-    assert counts == {"prove": 0, "synthesized_constraints": 0, "stable": 0}
     deepest = n - 1 if shape == "naf" else n
     assert solve_query(program, f"a{deepest}") == [chain_model(shape, n)]
     assert solve_query(program, f"a{deepest}", positive=False) == []
-    assert counts == {"prove": 0, "synthesized_constraints": 0, "stable": 1}
+    assert counts == {"prove": 0, "synthesized_constraints": 0, "stable": 0}
 
 
 def test_proof_search_candidates_are_validated(monkeypatch):
@@ -1258,17 +1251,7 @@ def test_a_mid_size_program_the_seed_refutes(monkeypatch):
         n = rng.randint(25, 60)
         text = random_program_text(rng, n, rng.randint(n, 3 * n), constraint_fraction=0.02)
     program = parse_program(text)
-    calls = 0
-    original = igasp.prove
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        if calls > 100_000:
-            raise ProofBudgetExceeded
-        return original(*args)
-
-    monkeypatch.setattr(igasp, "prove", counted)
+    prove_budget(monkeypatch, 100_000)
     assert solve_igasp(program) == [] == solve_grasp(program)
 
 
@@ -1293,8 +1276,8 @@ def test_a_total_seed_forced_only_false_needs_no_stability_check(monkeypatch):
     counts = count_calls(monkeypatch, "prove", "stable")
     program = parse_program(":- a. a :- not b. b :- not a.")
     g = transformed(str(program))
-    seed = igasp._seed(g)
-    assert seed is not None and seed[0] & ((1 << g.atom_count) - 1) == 3
+    (known, _), backchained = igasp._seed(g)
+    assert known == 3 and backchained == 1 << g.number["a"]
     assert solve_igasp(program) == [{"b"}] == enumerate_stable(program)
     assert counts == {"prove": 0, "stable": 0}
 

@@ -159,8 +159,7 @@ def test_tabled_prove_matches_untabled_reference():
         seeded = _seed(g)
         if seeded is None:  # the seed contradicts: no solve proves anything
             continue
-        # the branch holds the seed's atoms, not the constraint nodes it holds False
-        known, true = seeded[0] & ((1 << g.atom_count) - 1), seeded[1]
+        (known, true), _ = seeded
         seed = {n: bool(true >> n & 1) for n in range(len(g.names)) if known >> n & 1}
         goals = []
         for node, members in enumerate(components(g)):
