@@ -451,7 +451,8 @@ def _seed(g: DepGraph) -> tuple[PartialModel, int] | None:
     forced = 0
     for atom in backchained:
         forced |= 1 << atom
-    # A proof starts from a constraint node, so the seed leaves them out.
+    # A goal is proved from its constraint node, which the branch must not
+    # decide, so the seed keeps the atoms only.
     return (seed[0] & atoms, seed[1]), forced
 
 
