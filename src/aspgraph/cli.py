@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -46,9 +47,25 @@ SOLVERS = {
 }
 
 
+class _NotText(Exception):
+    """An input file that does not decode as UTF-8."""
+
+
+def _read_text(path: str, encoding: str) -> str:
+    with open(path, "r", encoding=encoding) as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as err:
+            # the decoder saw the whole file, less a byte order mark
+            offset = err.start + os.fstat(handle.fileno()).st_size - len(err.object)
+            byte = err.object[err.start]
+            raise _NotText(
+                f"{path}: not UTF-8 text: byte 0x{byte:02x} at offset {offset} ({err.reason})"
+            ) from None
+
+
 def _load_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_program(handle.read())
+    return parse_program(_read_text(path, "utf-8-sig"))
 
 
 def _format_model(model: frozenset[str]) -> str:
@@ -218,11 +235,10 @@ def _bench_config(args) -> GenConfig:
     if args.gen_config:
         import json
 
-        with open(args.gen_config, "r", encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{args.gen_config}: not valid JSON: {err}") from None
+        try:
+            doc = json.loads(_read_text(args.gen_config, "utf-8"))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{args.gen_config}: not valid JSON: {err}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.gen_config}: the config must be a JSON object")
         for key in doc:
@@ -431,6 +447,7 @@ def main(argv=None) -> int:
         ConfigError,
         CycleCapError,
         CycleExplosionError,
+        _NotText,
     ) as err:
         print(str(err), file=sys.stderr)
         return EXIT_ERROR

@@ -1,9 +1,25 @@
 """Random program generation and classic benchmark encodings.
 
-Random generation is reproducible: a fixed seed drives a private
-``random.Random`` (Mersenne Twister, stable across platforms), and the
-configuration is serialized into a header comment so any generated file can
-be regenerated.
+Random generation is reproducible: the same ``GenConfig`` gives the same
+program on every platform and on Python 3.10 to 3.13, which
+``tests/test_generate.py`` pins. The configuration is serialized into a
+header comment, so any generated file can be regenerated.
+
+``gen_random`` reads a private ``random.Random(config.seed)`` (Mersenne
+Twister, Matsumoto & Nishimura 1998) in this order, per rule:
+
+1. ``random() < constraint_fraction`` makes the rule headless;
+2. the body length: ``1 + below(max_body_len)`` if headless, else
+   ``below(max_body_len + 1)``;
+3. per literal, at most ``4 * length + 16`` times until the body is
+   full: the atom index ``below(num_atoms)``, then ``random() <
+   naf_probability`` for negation; a literal already in the body is
+   dropped;
+4. the head atom ``below(num_atoms)`` if the rule has one.
+
+``below(m)`` draws ``getrandbits(m.bit_length())`` again while the result
+is at least m: the draws that ``random.Random.choice`` and ``randint`` make
+for an index below m on these Python versions. Atom i is named ``x{i}``.
 """
 
 from __future__ import annotations
@@ -98,41 +114,57 @@ class GenConfig:
         return GenConfig(**{**self.asdict(), **changes})
 
 
-def _draw_body(rng: random.Random, atoms: list[str], length: int, naf: float):
-    literals: list[Literal] = []
-    seen: set[Literal] = set()
-    attempts = 0
-    while len(literals) < length and attempts < 4 * length + 16:
-        attempts += 1
-        lit = Literal(rng.choice(atoms), rng.random() < naf)
-        if lit not in seen:
-            seen.add(lit)
-            literals.append(lit)
-    return tuple(literals)
-
-
 def gen_random(config: GenConfig) -> Program:
     """Seed-deterministic random program.
 
     Heads are uniform over the atom pool, body literals uniform with the
     naf flag drawn per ``naf_probability``, a ``constraint_fraction`` share
-    of rules is headless, and no rule carries duplicate body literals.
+    of rules is headless, and no rule carries duplicate body literals. The
+    draws are those the module docstring lists, in its order.
     """
     rng = random.Random(config.seed)
-    atoms = [f"x{i}" for i in range(config.num_atoms)]
+    getrandbits = rng.getrandbits
+    draw = rng.random
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    n = config.num_atoms
+    bits = n.bit_length()
+    naf = config.naf_probability
+    new = tuple.__new__  # skips the named tuples' Python-level __new__
+    atoms = [f"x{i}" for i in range(n)]
+    # literals[i] is x_i and literals[n + i] is not x_i
+    literals = [new(Literal, (atom, False)) for atom in atoms]
+    literals += [new(Literal, (atom, True)) for atom in atoms]
     rules: list[Rule] = []
-    while len(rules) < config.num_rules:
-        headless = rng.random() < config.constraint_fraction
-        length = (
-            rng.randint(1, config.max_body_len)
-            if headless
-            else rng.randint(0, config.max_body_len)
-        )
-        body = _draw_body(rng, atoms, length, config.naf_probability)
-        if headless and not body:
-            continue
-        head = None if headless else rng.choice(atoms)
-        rules.append(Rule(head, body, len(rules)))
+    for index in range(config.num_rules):
+        headless = draw() < config.constraint_fraction
+        if headless:
+            length = 1 + below(config.max_body_len)
+        else:
+            length = below(config.max_body_len + 1)
+        body: list[Literal] = []
+        seen: set[int] = set()
+        # The first draw always enters the body, so a headless rule is
+        # never empty. The atom index is below(n), inlined.
+        for _ in range(4 * length + 16 if length else 0):
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            if draw() < naf:
+                i += n
+            if i not in seen:
+                seen.add(i)
+                body.append(literals[i])
+                if len(body) == length:
+                    break
+        head = None if headless else atoms[below(n)]
+        rules.append(new(Rule, (head, tuple(body), index)))
     return Program(tuple(rules))
 
 

@@ -68,12 +68,11 @@ class Rule(NamedTuple):
         return self.head is None
 
     def __str__(self) -> str:
-        body = ", ".join(str(lit) for lit in self.body)
-        if self.head is None:
-            return f":- {body}."
-        if not self.body:
-            return f"{self.head}."
-        return f"{self.head} :- {body}."
+        head, body, _ = self
+        if not body:
+            return ":- ." if head is None else f"{head}."
+        text = ", ".join([f"not {atom}" if negated else atom for atom, negated in body])
+        return f":- {text}." if head is None else f"{head} :- {text}."
 
 
 class Program:

@@ -59,6 +59,35 @@ def test_solve_file_with_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == "{a}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "query", "justify", "graph"])
+def test_program_file_that_is_not_utf8_is_named_and_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "latin.lp"
+    path.write_bytes(b"a.\n\xff.\n")
+    atom = ["a"] if command in ("query", "justify") else []
+    assert main([command, str(path), *atom]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}: not UTF-8 text: byte 0xff at offset 3 (invalid start byte)\n"
+
+
+def test_not_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.lp"
+    path.write_bytes("\ufeffa.\n".encode("utf-8") + b"\xc3")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}: not UTF-8 text: byte 0xc3 at offset 6 (unexpected end of data)\n"
+    )
+
+
+def test_bench_gen_config_that_is_not_utf8_is_named_and_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"num_atoms": 3, "num_rules": 3, "\xff": 1}')
+    assert main(["bench", "--rounds", "1", "--gen-config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}: not UTF-8 text: byte 0xff at offset 34 (invalid start byte)\n"
+
+
 def test_solve_json_all_solvers(program_file, capsys):
     path = program_file(EVEN)
     for solver in ("grasp", "igasp", "oracle"):

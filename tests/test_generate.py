@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pickle
+import random
 from itertools import permutations, product
 
 import pytest
@@ -17,7 +19,96 @@ from aspgraph.generate import (
 )
 from aspgraph.grasp import solve_grasp
 from aspgraph.oracle import enumerate_stable
-from aspgraph.syntax import parse_program, print_program
+from aspgraph.syntax import Literal, Program, Rule, parse_program, print_program
+from conftest import PAPER_CONFIG
+
+
+# The generator as it was before it drew its indexes with getrandbits: the
+# reference that pins the programs each config makes.
+def _draw_body(rng: random.Random, atoms: list[str], length: int, naf: float):
+    literals: list[Literal] = []
+    seen: set[Literal] = set()
+    attempts = 0
+    while len(literals) < length and attempts < 4 * length + 16:
+        attempts += 1
+        lit = Literal(rng.choice(atoms), rng.random() < naf)
+        if lit not in seen:
+            seen.add(lit)
+            literals.append(lit)
+    return tuple(literals)
+
+
+def reference_gen_random(config: GenConfig) -> Program:
+    rng = random.Random(config.seed)
+    atoms = [f"x{i}" for i in range(config.num_atoms)]
+    rules: list[Rule] = []
+    while len(rules) < config.num_rules:
+        headless = rng.random() < config.constraint_fraction
+        length = (
+            rng.randint(1, config.max_body_len)
+            if headless
+            else rng.randint(0, config.max_body_len)
+        )
+        body = _draw_body(rng, atoms, length, config.naf_probability)
+        if headless and not body:
+            continue
+        head = None if headless else rng.choice(atoms)
+        rules.append(Rule(head, body, len(rules)))
+    return Program(tuple(rules))
+
+
+def drawn_configs() -> list[GenConfig]:
+    """Every combination of the edge values, then configs drawn at random."""
+    configs = [
+        GenConfig(atoms, 12, body_len, naf, constraint, seed)
+        for atoms in (1, 2, 5, 300)
+        for body_len in (1, 3, 2 * atoms + 3)
+        for naf in (0, 0.5, 1)
+        for constraint in (0, 0.05, 1)
+        for seed in (0, 2**64 - 1)
+    ]
+    rng = random.Random(37)
+    while len(configs) < 600:
+        atoms = rng.choice((1, 2, 3, rng.randint(4, 64), rng.randint(65, 1000)))
+        configs.append(
+            GenConfig(
+                num_atoms=atoms,
+                num_rules=rng.randint(1, 30),
+                max_body_len=rng.choice((1, 2, 3, rng.randint(1, 2 * atoms + 8))),
+                naf_probability=rng.choice((0, 1, rng.random())),
+                constraint_fraction=rng.choice((0, 1, rng.random())),
+                seed=rng.choice((0, 2**64 - 1, rng.randrange(2**64))),
+            )
+        )
+    return configs
+
+
+def test_generator_makes_the_reference_programs():
+    for config in drawn_configs():
+        program = gen_random(config)
+        reference = reference_gen_random(config)
+        assert program == reference, config
+        assert print_program(program) == print_program(reference), config
+
+
+def test_generator_records_are_plain_literals_and_rules():
+    program = gen_random(GenConfig(num_atoms=4, num_rules=30, seed=3))
+    for rule in program.rules:
+        assert type(rule) is Rule
+        assert all(type(lit) is Literal for lit in rule.body)
+        assert all(type(lit.negated) is bool for lit in rule.body)
+
+
+def test_paper_configuration_programs_are_pinned():
+    # the 100 programs of the benchmark's paper-random workload at seed 1
+    seeds = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        config = GenConfig(seed=seeds.randrange(2**32), **PAPER_CONFIG)
+        digest.update(print_program(gen_random(config)).encode())
+    assert digest.hexdigest() == (
+        "339979a5fde652966c89cbf6e9f9cbf8f239d3efaeb7aba1449cd32f0da52967"
+    )
 
 
 def test_seed_determinism():

@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from aspgraph.syntax import (
     parse_program,
     print_program,
 )
+from conftest import random_program_text
 
 
 def test_parse_normal_rule():
@@ -136,6 +138,42 @@ def test_print_single_rules():
     assert print_program(parse_program("p :- not q.")) == "p :- not q.\n"
     assert print_program(parse_program("q.")) == "q.\n"
     assert print_program(parse_program(":- a, not b.")) == ":- a, not b.\n"
+
+
+def reference_rule_text(rule: Rule) -> str:
+    """The rule formatter as it was, one Literal.__str__ call per literal."""
+    body = ", ".join(str(lit) for lit in rule.body)
+    if rule.head is None:
+        return f":- {body}."
+    if not rule.body:
+        return f"{rule.head}."
+    return f"{rule.head} :- {body}."
+
+
+@pytest.mark.parametrize(
+    "rule, text",
+    [
+        (Rule("p", ()), "p."),
+        (Rule("p", (Literal("q"),)), "p :- q."),
+        (Rule("p", (Literal("q", True),)), "p :- not q."),
+        (Rule("p", (Literal("q"), Literal("r", True), Literal("s"))), "p :- q, not r, s."),
+        (Rule(None, (Literal("q"), Literal("r", True)), 3), ":- q, not r."),
+        (Rule(None, ()), ":- ."),
+    ],
+    ids=["fact", "positive", "negated", "several", "constraint", "empty-constraint"],
+)
+def test_rule_text_equals_the_reference_formatter(rule, text):
+    assert str(rule) == f"{rule}" == reference_rule_text(rule) == text
+    assert print_program(Program((rule,))) == f"{text}\n"
+
+
+def test_printed_programs_equal_the_reference_formatter():
+    rng = random.Random(11)
+    for _ in range(3000):
+        text = random_program_text(rng, rng.randint(1, 12), rng.randint(1, 12))
+        program = parse_program(text)
+        expected = "".join(f"{reference_rule_text(rule)}\n" for rule in program.rules)
+        assert print_program(program) == expected, text
 
 
 def test_round_trip_program_two():
